@@ -187,16 +187,17 @@ def _verify_step(before, after, dn: int, dd: int, q: int, k: int) -> None:
 
 
 def _chain_point(code: PointMultiset) -> tuple[int, ...]:
-    """Smallest single-multiplicity support point whose removal keeps rank."""
-    F = code.field
-    k = code.k
+    """Smallest single-multiplicity support point.
+
+    Removing it keeps the support spanning whenever d >= 2, the condition
+    puncture_point enforces before any removal: every hyperplane H misses
+    n - m(H) >= d points of the multiset, and one removal leaves
+    n' - m'(H) >= d - 1 >= 1, so no hyperplane holds the new support.
+    """
     for P in code.support:
-        if code.mults[P] != 1:
-            continue
-        rest = [R for R in code.support if R != P]
-        if pg.rank(F, rest, stop_at=k) == k:
+        if code.mults[P] == 1:
             return P
-    raise CertificationFailed("no single-multiplicity point keeps the code spanning")
+    raise CertificationFailed("no support point has multiplicity 1")
 
 
 def build_chain(

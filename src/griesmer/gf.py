@@ -12,9 +12,9 @@ reproducible bit for bit given q.
 Multiplication and inversion run on log/antilog tables built once per
 field; addition is digitwise mod p.  Vectorized helpers expose elements as
 GF(p) digit rows and linear forms as stacked multiply-by-constant
-matrices, so incidence counting downstream reduces to one integer matrix
-product evaluated exactly in float64 (all intermediate values stay far
-below 2**53).
+matrices.  The brute-force codeword oracle multiplies them in float64,
+which is exact: every entry is a sum of k*h products below p**2, far below
+2**53.  pg's incidence kernel needs only scalar sub/mul and sums integers.
 """
 
 from __future__ import annotations

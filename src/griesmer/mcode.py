@@ -144,11 +144,12 @@ def code_params(M: PointMultiset) -> CodeParams:
     if M._params is not None:
         return M._params
     k = M.k
-    if pg.rank(M.field, M.support, stop_at=k) < k:
-        raise NotFullRank(f"support spans a proper subspace of PG({M.r}, {M.q})")
     mvec = M.hyperplane_mults()
     n = M.n
     d = n - int(mvec.max())
+    # the support spans iff no hyperplane holds all of it
+    if d == 0:
+        raise NotFullRank(f"support spans a proper subspace of PG({M.r}, {M.q})")
     divisor = int(np.gcd.reduce(n - mvec))
     M._params = CodeParams(
         n=n, k=k, d=d, divisor=divisor, gamma0=M.gamma0, lam=M.lambda_counts()
@@ -302,8 +303,42 @@ def read_multiset(path) -> PointMultiset:
     meta = None
     mp = _meta_path(path)
     if mp.exists():
-        meta = json.loads(mp.read_text(encoding="ascii"))
+        meta = _read_meta(mp, q, k)
     return PointMultiset(F, k - 1, mults, meta=meta)
+
+
+def _read_meta(mp: Path, q: int, k: int) -> dict:
+    """Parse a provenance sidecar and check the keys that are read back.
+
+    skew_region and construction.l0[1] name hyperplanes of PG(k-1, q), so
+    each must be k integers in [0, q), not all zero; history must be a list.
+    """
+    try:
+        meta = json.loads(mp.read_text(encoding="ascii"))
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"{mp}: unreadable provenance: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FileFormatError(f"{mp}: provenance must be a JSON object")
+
+    def hyperplane(v) -> bool:
+        return (
+            isinstance(v, list)
+            and len(v) == k
+            and all(type(c) is int and 0 <= c < q for c in v)
+            and any(v)
+        )
+
+    need = f"{k} integers in [0, {q}), not all zero"
+    if "skew_region" in meta and not hyperplane(meta["skew_region"]):
+        raise FileFormatError(f"{mp}: skew_region must be {need}")
+    if "construction" in meta:
+        construction = meta["construction"]
+        l0 = construction.get("l0") if isinstance(construction, dict) else None
+        if not (isinstance(l0, list) and len(l0) >= 2 and hyperplane(l0[1])):
+            raise FileFormatError(f"{mp}: construction.l0[1] must be {need}")
+    if not isinstance(meta.get("history", []), list):
+        raise FileFormatError(f"{mp}: history must be a list")
+    return meta
 
 
 def write_gmatrix(M: PointMultiset, path) -> None:

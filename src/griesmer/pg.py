@@ -19,14 +19,14 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooLarge
 from .gf import Field
 
-# hyperplane-block chunking keeps each intermediate under ~200 MB
-_CHUNK_ELEMS = 24_000_000
+# the transform's peak is four arrays of q^k cells (134 MB at the cap with
+# int32 cells, twice that with int64); larger spaces raise TooLarge
+MAX_TRANSFORM_CELLS = 1 << 23
 
 _POINTS_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-_FORMS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def theta(j: int, q: int) -> int:
@@ -217,40 +217,60 @@ def line_points_through(F: Field, P, R) -> list[tuple[int, ...]]:
     return pts
 
 
-def _forms_matrix(F: Field, r: int) -> np.ndarray:
-    key = (F.q, r)
-    cached = _FORMS_CACHE.get(key)
-    if cached is None:
-        pts = enumerate_points(F, r)
-        cached = F.linear_form_matrix(np.array(pts, dtype=np.int64))
-        _FORMS_CACHE[key] = cached
-    return cached
-
-
 def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     """Weighted incidence counts over every hyperplane of PG(r, q).
 
     Returns an int64 array indexed like enumerate_points(F, r) (hyperplane
     coefficient vectors share the point enumeration), whose entry for H is
-    sum of weights over support points lying on H.  Exact: all arithmetic
-    stays on small integers represented in float64.
+    sum of weights over support points lying on H.
+
+    Computed by exact integer folds over GF(q)^k.  W[x] holds the weight of
+    vector x.  Canonical hyperplanes with leading coordinate 1 come from
+    A[s, H_2..H_k] = sum of W(x) over x with x.H = s: start from
+    A[s, rest] = W[x_1 = s, rest] (the first coordinate contributes
+    x_1 * 1 = s) and fold one further coordinate at a time,
+    A'[s, .., c] = sum_a A[s - a*c, a, ..], with GF(q) arithmetic.  m(H) is
+    A[0, H].  Hyperplanes with leading coordinate 0 ignore x_1, so the same
+    steps run again on W summed over x_1, one dimension down.  Each fold
+    moves the folded axis to the end, so every gather reads whole
+    contiguous rows and the final axes come out in enumeration order.
+
+    The cost is about k * q^(k+1) integer additions whatever the support
+    size.  Spaces with q^k > MAX_TRANSFORM_CELLS raise TooLarge before
+    anything is allocated.
     """
-    pts = enumerate_points(F, r)
-    n_forms = len(pts)
-    h, p = F.h, F.p
-    X = F.digit_rows(np.array(list(support), dtype=np.int64))
-    w = np.asarray(list(weights), dtype=np.float64)
-    s = X.shape[0]
-    forms = _forms_matrix(F, r)
-    out = np.empty(n_forms, dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMS // max(1, s * h))
-    for a in range(0, n_forms, chunk):
-        b = min(n_forms, a + chunk)
-        R = X @ forms[:, a * h : b * h]
-        R %= p
-        if h == 1:
-            Z = R == 0.0
-        else:
-            Z = (R.reshape(s, b - a, h) == 0.0).all(axis=2)
-        out[a:b] = np.rint(w @ Z).astype(np.int64)
-    return out
+    q, k = F.q, r + 1
+    if q**k > MAX_TRANSFORM_CELLS:
+        raise TooLarge(
+            f"PG({r}, {q}) needs {q**k} transform cells, above the bound {MAX_TRANSFORM_CELLS}"
+        )
+    pts = np.array(list(support), dtype=np.int64).reshape(-1, k)
+    w = np.asarray(list(weights), dtype=np.int64)
+    # partial sums never exceed sum(|w|): int32 halves the memory traffic
+    dt = np.int32 if int(np.abs(w).sum()) < 2**31 else np.int64
+    W = np.zeros(q**k, dtype=dt)
+    np.add.at(W, pts @ (q ** np.arange(k - 1, -1, -1, dtype=np.int64)), w.astype(dt))
+    minus = np.array([[F.sub(s, t) for s in range(q)] for t in range(q)], dtype=np.int64)
+    times = np.array([[F.mul(a, c) for a in range(q)] for c in range(q)], dtype=np.int64)
+    # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest)
+    rows = minus[times].transpose(0, 2, 1) * q + np.arange(q)
+    out = []
+    for j in range(k, 0, -1):
+        A = W.reshape(q, -1)
+        for f in range(j - 1):
+            # only s = 0 is read after the last fold
+            A = _fold(A, rows if f < j - 2 else rows[:, :1], dt)
+        out.append(A[0])
+        W = W.reshape(q, -1).sum(axis=0, dtype=dt)
+    return np.concatenate(out).astype(np.int64)
+
+
+def _fold(A: np.ndarray, rows: np.ndarray, dt) -> np.ndarray:
+    """(q, a, rest) -> (len(rows[0]), rest, c): sum_a A[s - a*c, a, rest]."""
+    q = len(rows)
+    rest = A.size // (q * q)
+    A2 = A.reshape(q * q, rest)
+    B = np.empty((q, rows.shape[1], rest), dtype=dt)
+    for c in range(q):
+        np.sum(A2[rows[c]], axis=1, dtype=dt, out=B[c])
+    return np.ascontiguousarray(B.transpose(1, 2, 0)).reshape(rows.shape[1], -1)

@@ -219,6 +219,19 @@ def test_criterion_8_beyond_table_7_5():
           f"Griesmer bound ({elapsed:.1f}s)")
 
 
+def test_criterion_8b_theorem_1_head_q7_k7():
+    # PG(6, 7) has 137257 hyperplanes and the dual 137k support points: the
+    # exact transform kernel makes this head of the theorem-1 chains feasible
+    t0 = time.monotonic()
+    code, report = build_chain(plan_chain(1, 7, 7, 422576))
+    assert (report.n, report.k, report.d) == (493006, 7, 422576)
+    assert report.is_griesmer and griesmer_bound(7, 7, 422576) == 493006
+    assert code.n == 493006
+    elapsed = time.monotonic() - t0
+    print(f"\nACCEPTANCE 8b PASS: certified [493006,7,422576]_7 at the "
+          f"Griesmer bound ({elapsed:.1f}s)")
+
+
 def test_criterion_9_property_suites_standalone():
     # field axioms, exhaustive for every prime power q <= 9
     for q in (2, 3, 4, 5, 7, 8, 9):

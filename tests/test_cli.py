@@ -1,7 +1,13 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import griesmer
 from griesmer.cli import main
 from griesmer.mcode import code_params, read_gmatrix, read_multiset
 
@@ -170,3 +176,75 @@ def test_identical_invocations_identical_bytes(tmp_path):
     main(["construct", "--family", "c2", "--q", "5", "--k", "6", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.ms.meta.json").read_bytes() == (tmp_path / "b.ms.meta.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def dual_c1_file(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dual")
+    c1, dual = root / "c1.ms", root / "dual.ms"
+    assert main(["construct", "--family", "c1", "--q", "4", "--k", "6", "--out", str(c1)]) == 0
+    assert main(["dual", "--in", str(c1), "--divisor", "4", "--out", str(dual)]) == 0
+    return dual
+
+
+def _with_sidecar(ms, tmp_path, text):
+    target = tmp_path / ms.name
+    shutil.copy(ms, target)
+    (tmp_path / (ms.name + ".meta.json")).write_text(text)
+    return target
+
+
+_REGION = "skew_region must be 6 integers in [0, 4)"
+_HISTORY = "history must be a list"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("skew_region", v, _REGION) for v in (
+        [1, 0, 0, 0, 0, 9], "x", [1, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0] * 6,
+        [1, 0, 0, 0, 0, True], [1, 0, 0, 0, 0, 1.0], None)]
+    + [("history", v, _HISTORY) for v in (5, "x", {"op": "dual"}, None)],
+)
+def test_puncture_bad_sidecar_key_exit_2(dual_c1_file, tmp_path, capsys, key, value, message):
+    meta = json.loads(Path(str(dual_c1_file) + ".meta.json").read_text())
+    meta[key] = value
+    src = _with_sidecar(dual_c1_file, tmp_path, json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["puncture", "--in", str(src), "--lines", "1"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_puncture_malformed_sidecar_exit_2(dual_c1_file, tmp_path, capsys, text):
+    src = _with_sidecar(dual_c1_file, tmp_path, text)
+    capsys.readouterr()
+    assert main(["puncture", "--in", str(src), "--lines", "1"]) == 2
+    assert "meta.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [{}, {"l0": 5}, {"l0": [[1, 0, 0, 0, 0, 0]]}, {"l0": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 4]]},
+     {"l0": [[1, 0, 0, 0, 0, 0], "x"]}, "x", None],
+)
+def test_dual_bad_construction_exit_2(dual_c1_file, tmp_path, capsys, construction):
+    c1 = dual_c1_file.parent / "c1.ms"
+    meta = json.loads(Path(str(c1) + ".meta.json").read_text())
+    meta["construction"] = construction
+    target = _with_sidecar(c1, tmp_path, json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["dual", "--in", str(target), "--divisor", "4", "--out", str(tmp_path / "d.ms")])
+    assert rc == 2
+    assert "construction.l0[1] must be 6 integers in [0, 4)" in capsys.readouterr().err
+
+
+def test_python_m_cli_runs_main():
+    env = dict(os.environ, PYTHONPATH=str(Path(griesmer.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "griesmer.cli", "construct", "--family", "base1",
+         "--q", "3", "--k", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("base1: [11,5,3]_3")

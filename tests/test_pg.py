@@ -3,9 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from griesmer.errors import DimensionMismatch
+from griesmer.errors import DimensionMismatch, TooLarge
 from griesmer.gf import field
 from griesmer.pg import (
+    MAX_TRANSFORM_CELLS,
     Flat,
     dual_hyperplane,
     dual_point,
@@ -174,19 +175,33 @@ def test_line_points_through():
     assert sorted(pts, key=point_key) == flat_points(F, L)
 
 
-@pytest.mark.parametrize("r,q", [(2, 3), (3, 4), (2, 9), (2, 8)])
+@pytest.mark.parametrize(
+    "r,q", [(1, 2), (4, 2), (2, 3), (3, 3), (3, 4), (2, 5), (3, 5), (2, 7), (2, 8), (2, 9)]
+)
 def test_hyperplane_multiplicities_against_naive(r, q):
     F = field(q)
     pts = enumerate_points(F, r)
-    # a deterministic ragged multiset over the first points
-    support = [pts[(i * 3 + 1) % len(pts)] for i in range(7)]
+    # a deterministic ragged multiset spread over the whole enumeration
+    support = [pts[(i * 7 + 1) % len(pts)] for i in range(12)]
     support = sorted(set(support), key=point_key)
     weights = [(i * 5 + 2) % 4 + 1 for i in range(len(support))]
+    naive = [sum(w for P, w in zip(support, weights) if incident(F, P, H)) for H in pts]
     got = hyperplane_multiplicities(F, r, support, weights)
     assert got.shape == (theta(r, q),)
-    for idx, H in enumerate(pts):
-        naive = sum(w for P, w in zip(support, weights) if incident(F, P, H))
-        assert got[idx] == naive
+    assert got.dtype == np.int64
+    assert got.tolist() == naive
+
+
+def test_hyperplane_multiplicities_cap():
+    # arithmetic only: the bound is checked before anything is allocated
+    k = MAX_TRANSFORM_CELLS.bit_length() - 1
+    assert 2**k == MAX_TRANSFORM_CELLS
+    assert 3**14 <= MAX_TRANSFORM_CELLS < 3**15
+    for q, k_over in [(2, k + 1), (3, 15), (8, 8)]:
+        F = field(q)
+        point = (1,) + (0,) * (k_over - 1)
+        with pytest.raises(TooLarge):
+            hyperplane_multiplicities(F, k_over - 1, [point], [1])
 
 
 def test_rref_unique_for_full_space():
