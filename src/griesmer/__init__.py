@@ -2,7 +2,6 @@
 over GF(q) via projective geometry."""
 
 from .chains import (
-    ChainContext,
     ChainPlan,
     VerificationReport,
     build_chain,

@@ -8,6 +8,12 @@ length and exactly q in distance) followed by j single points (each costs
 d_top - s*q - j, and by construction each resulting length meets the
 Griesmer bound sum(ceil(d/q^i)) exactly.
 
+One walker does every removal: it yields the code, its parameters and its
+provenance before the first removal and after each one, re-verifying each
+step.  build_chain keeps the walker's last code; reproduce_table walks the
+line removals once and, from every line prefix, the point removals that
+reach the rows of that prefix.
+
 Closed forms are never trusted: the dual is recomputed and compared, each
 removal step is re-verified, and a row only enters a table after its
 parameters are certified from scratch.
@@ -15,13 +21,19 @@ parameters are certified from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import pg
 from .constructs import code_c1, code_c2
 from .errors import CertificationFailed, OutOfScope, PlanInfeasible
 from .mcode import PointMultiset, code_params, hyperplane_spectrum
-from .transforms import find_disjoint_lines, projective_dual, puncture_flat, puncture_point
+from .transforms import (
+    find_disjoint_lines,
+    projective_dual,
+    puncture_flat,
+    puncture_point,
+    simple_point,
+)
 
 
 def griesmer_bound(q: int, k: int, d: int) -> int:
@@ -132,104 +144,73 @@ def _report(M: PointMultiset, provenance: list[dict]) -> VerificationReport:
     )
 
 
-@dataclass
-class ChainContext:
-    """Shared per-(theorem, q, k) state: one dual code, one skew-line list."""
-
-    theorem: int
-    q: int
-    k: int
-    dual: PointMultiset | None = None
-    lines: list = dc_field(default_factory=list)
-    steps: list = dc_field(default_factory=list)
-
-    def build(self) -> None:
-        if self.dual is not None:
-            return
-        q, k = self.q, self.k
-        top = code_c1(k, q) if self.theorem == 1 else code_c2(k, q)
-        tp = code_params(top)
-        self.steps.append(
-            {"op": "construct", "family": "c1" if self.theorem == 1 else "c2",
-             "q": q, "k": k, "n": tp.n, "d": tp.d}
-        )
-        dual = projective_dual(top, q)
-        dp = code_params(dual)
-        n_top, d_top = _family_tops(self.theorem, q, k)
-        if (dp.n, dp.d) != (n_top, d_top):
-            raise CertificationFailed(
-                f"dual is [{dp.n},{k},{dp.d}]_{q}, closed forms give [{n_top},{k},{d_top}]_{q}"
-            )
-        self.steps.append(
-            {"op": "dual", "m": q, "t": q ** (k - 2) // q, "n": dp.n, "d": dp.d}
-        )
-        self.dual = dual
-
-    def skew_lines(self, count: int) -> list:
-        self.build()
-        if count > len(self.lines) and count > 0:
-            self.lines = find_disjoint_lines(self.dual, count)
-        return self.lines[:count]
-
-
-def _verify_step(before, after, dn: int, dd: int, q: int, k: int) -> None:
-    """Each removal must cost exactly (dn, dd) and stay length-optimal."""
-    if (before.n - after.n, before.d - after.d) != (dn, dd):
+def _family_dual(theorem: int, q: int, k: int) -> tuple[PointMultiset, list[dict]]:
+    """The family code's dual, checked against the closed forms, plus its
+    construct and dual provenance steps."""
+    top = code_c1(k, q) if theorem == 1 else code_c2(k, q)
+    tp = code_params(top)
+    dual = projective_dual(top, q)
+    dp = code_params(dual)
+    n_top, d_top = _family_tops(theorem, q, k)
+    if (dp.n, dp.d) != (n_top, d_top):
         raise CertificationFailed(
-            f"removal changed (n, d) by ({before.n - after.n}, {before.d - after.d}), "
-            f"expected ({dn}, {dd})"
+            f"dual is [{dp.n},{k},{dp.d}]_{q}, closed forms give [{n_top},{k},{d_top}]_{q}"
         )
-    if after.n != griesmer_bound(q, k, after.d):
-        raise CertificationFailed(
-            f"intermediate [{after.n},{k},{after.d}]_{q} misses the length bound "
-            f"{griesmer_bound(q, k, after.d)}"
-        )
+    steps = [
+        {"op": "construct", "family": "c1" if theorem == 1 else "c2",
+         "q": q, "k": k, "n": tp.n, "d": tp.d},
+        {"op": "dual", "m": q, "t": q ** (k - 2) // q, "n": dp.n, "d": dp.d},
+    ]
+    return dual, steps
 
 
-def _chain_point(code: PointMultiset) -> tuple[int, ...]:
-    """Smallest single-multiplicity support point.
+def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]):
+    """Yield (code, params, steps) before any removal and after each one.
 
-    Removing it keeps the support spanning whenever d >= 2, the condition
-    puncture_point enforces before any removal: every hyperplane H misses
-    n - m(H) >= d points of the multiset, and one removal leaves
-    n' - m'(H) >= d - 1 >= 1, so no hyperplane holds the new support.
+    A removal is a support line (a Flat) or None, the smallest
+    multiplicity-1 point.  Each must cost exactly (q+1, q) or (1, 1) in
+    (n, d) and leave a code on the length bound.  The yielded steps list
+    grows as the walk goes on, so a caller that keeps it copies it.
     """
-    for P in code.support:
-        if code.mults[P] == 1:
-            return P
-    raise CertificationFailed("no support point has multiplicity 1")
-
-
-def build_chain(
-    plan: ChainPlan, shared: ChainContext | None = None
-) -> tuple[PointMultiset, VerificationReport]:
-    """Execute a plan and certify the resulting [g_q(k,d), k, d]_q code."""
-    ctx = shared or ChainContext(plan.theorem, plan.q, plan.k)
-    ctx.build()
-    q, k = plan.q, plan.k
-    steps = list(ctx.steps)
-    code = ctx.dual
+    q, k = code.q, code.k
     params = code_params(code)
-    for line in ctx.skew_lines(plan.s):
-        new_code = puncture_flat(code, line)
-        new_params = code_params(new_code)
-        _verify_step(params, new_params, q + 1, q, q, k)
-        steps.append(
-            {"op": "puncture_line",
-             "points": [list(P) for P in pg.flat_points(code.field, line)],
-             "n": new_params.n, "d": new_params.d}
-        )
-        code, params = new_code, new_params
-    for _ in range(plan.j):
-        P = _chain_point(code)
-        new_code = puncture_point(code, P)
-        new_params = code_params(new_code)
-        _verify_step(params, new_params, 1, 1, q, k)
-        steps.append(
-            {"op": "puncture_point", "point": list(P),
-             "n": new_params.n, "d": new_params.d}
-        )
-        code, params = new_code, new_params
+    steps = list(steps)
+    yield code, params, steps
+    for removal in removals:
+        if removal is None:
+            P = simple_point(code)
+            code = puncture_point(code, P)
+            cost = (1, 1)
+            step = {"op": "puncture_point", "point": list(P)}
+        else:
+            step = {"op": "puncture_line",
+                    "points": [list(P) for P in pg.flat_points(code.field, removal)]}
+            code = puncture_flat(code, removal)
+            cost = (q + 1, q)
+        new = code_params(code)
+        if (params.n - new.n, params.d - new.d) != cost:
+            raise CertificationFailed(
+                f"removal changed (n, d) by ({params.n - new.n}, {params.d - new.d}), "
+                f"expected {cost}"
+            )
+        if new.n != griesmer_bound(q, k, new.d):
+            raise CertificationFailed(
+                f"intermediate [{new.n},{k},{new.d}]_{q} misses the length bound "
+                f"{griesmer_bound(q, k, new.d)}"
+            )
+        step.update(n=new.n, d=new.d)
+        steps.append(step)
+        params = new
+        yield code, params, steps
+
+
+def build_chain(plan: ChainPlan) -> tuple[PointMultiset, VerificationReport]:
+    """Execute a plan and certify the resulting [g_q(k,d), k, d]_q code."""
+    q, k = plan.q, plan.k
+    dual, steps = _family_dual(plan.theorem, q, k)
+    lines = find_disjoint_lines(dual, plan.s) if plan.s else []
+    for code, params, steps in _walk(dual, steps, lines + [None] * plan.j):
+        pass
     if (params.n, params.k, params.d) != (plan.n_predicted, k, plan.d_target):
         raise CertificationFailed(
             f"chain produced [{params.n},{params.k},{params.d}]_{q}, "
@@ -242,45 +223,23 @@ def build_chain(
 
 
 def reproduce_table(theorem: int, q: int, k: int) -> list[VerificationReport]:
-    """One certified report per distance in the family range, descending."""
+    """One certified report per distance in the family range, descending.
+
+    The q-1 line prefixes are walked once; each prefix then walks its own
+    point removals, bounded up front so no removal goes past d_min.
+    """
     d_min, d_max = theorem_range(theorem, q, k)
-    ctx = ChainContext(theorem, q, k)
-    ctx.build()
-    lines = ctx.skew_lines(q - 1)
+    dual, steps = _family_dual(theorem, q, k)
+    line_walk = _walk(dual, steps, find_disjoint_lines(dual, q - 1))
     reports: list[VerificationReport] = []
-    base = ctx.dual
-    base_params = code_params(base)
-    base_steps = list(ctx.steps)
-    for s in range(q):
-        if s > 0:
-            new_base = puncture_flat(base, lines[s - 1])
-            new_params = code_params(new_base)
-            _verify_step(base_params, new_params, q + 1, q, q, k)
-            base_steps.append(
-                {"op": "puncture_line",
-                 "points": [list(P) for P in pg.flat_points(base.field, lines[s - 1])],
-                 "n": new_params.n, "d": new_params.d}
-            )
-            base, base_params = new_base, new_params
-        code, params = base, base_params
-        steps = list(base_steps)
-        for j in range(q):
+    for s, (base, _, base_steps) in enumerate(line_walk):
+        points = min(q - 1, d_max - s * q - d_min)
+        point_walk = _walk(base, base_steps, [None] * points)
+        for j, (code, params, row_steps) in enumerate(point_walk):
             d_target = d_max - s * q - j
-            if d_target < d_min:
-                break
-            if j > 0:
-                P = _chain_point(code)
-                new_code = puncture_point(code, P)
-                new_params = code_params(new_code)
-                _verify_step(params, new_params, 1, 1, q, k)
-                steps.append(
-                    {"op": "puncture_point", "point": list(P),
-                     "n": new_params.n, "d": new_params.d}
-                )
-                code, params = new_code, new_params
             if params.d != d_target or params.n != griesmer_bound(q, k, d_target):
                 raise CertificationFailed(
                     f"row for d={d_target} produced [{params.n},{params.k},{params.d}]_{q}"
                 )
-            reports.append(_report(code, steps))
+            reports.append(_report(code, row_steps))
     return reports

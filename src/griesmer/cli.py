@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .chains import _chain_point, build_chain, plan_chain, reproduce_table
+from .chains import build_chain, plan_chain, reproduce_table
 from .constructs import base_code_1, base_code_2, code_c1, code_c2
 from .errors import InputError, VerificationFailure
 from .mcode import (
@@ -24,7 +24,13 @@ from .mcode import (
     write_gmatrix,
     write_multiset,
 )
-from .transforms import find_disjoint_lines, projective_dual, puncture_flat, puncture_point
+from .transforms import (
+    find_disjoint_lines,
+    projective_dual,
+    puncture_flat,
+    puncture_point,
+    simple_point,
+)
 
 _FAMILIES = {
     "base1": base_code_1,
@@ -68,7 +74,7 @@ def _cmd_puncture(args) -> int:
         for line in find_disjoint_lines(M, args.lines):
             M = puncture_flat(M, line)
     for _ in range(args.points):
-        M = puncture_point(M, _chain_point(M))
+        M = puncture_point(M, simple_point(M))
     print(f"punctured: {_describe(M)}")
     if args.out:
         write_multiset(M, args.out)

@@ -64,9 +64,8 @@ def arc_check(F: Field, points, ambient: pg.Flat) -> bool:
     for subset in combinations(pts, r + 1):
         if pg.rank(F, subset, stop_at=r + 1) < r + 1:
             return False
-    # membership in the ambient flat
-    flat_set = set(pg.flat_points(F, ambient))
-    return all(P in flat_set for P in pts)
+    # P lies in the ambient flat iff adding it to the basis keeps the rank
+    return all(pg.rank(F, ambient.basis + (P,)) == r + 1 for P in pts)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,6 @@ class DistanceTooSmall(InputError):
     pass
 
 
-class RankLost(InputError):
-    pass
-
-
 class NotEnoughLines(InputError):
     pass
 

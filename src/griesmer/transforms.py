@@ -20,16 +20,15 @@ from __future__ import annotations
 
 from . import pg
 from .errors import (
+    CertificationFailed,
     DistanceTooSmall,
     DivisibilityViolated,
     FlatNotInSupport,
     IntersectionNonempty,
     NotEnoughLines,
-    NotFullRank,
     NoZeroPoint,
     ParamMismatch,
     PointNotInSupport,
-    RankLost,
 )
 from .mcode import PointMultiset, code_params, hyperplane_spectrum
 
@@ -114,7 +113,12 @@ def _carried_meta(M: PointMultiset, step: dict) -> dict:
 
 
 def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
-    """Remove one unit of multiplicity from every point of the flat."""
+    """Remove one unit of multiplicity from every point of the flat.
+
+    The support still spans afterwards because d > q^t is required: every
+    hyperplane H has m(H) <= n - d and meets the t-flat in at least
+    theta_{t-1} points, so m'(H) <= n - d - theta_{t-1} < n - theta_t = n'.
+    """
     F = M.field
     pts = pg.flat_points(F, flat)
     if any(M.mults.get(P, 0) < 1 for P in pts):
@@ -128,10 +132,7 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
         mults[P] -= 1
     step = {"op": "puncture_flat", "t": t, "points": [list(P) for P in pts]}
     out = PointMultiset(F, M.r, mults, meta=_carried_meta(M, step))
-    try:
-        new = code_params(out)
-    except NotFullRank as exc:
-        raise RankLost("support no longer spans after flat removal") from exc
+    new = code_params(out)
     if new.n != params.n - pg.theta(t, F.q) or new.d < params.d - F.q**t:
         raise ParamMismatch(
             f"flat removal gave [{new.n},{new.k},{new.d}], violating the lower bound"
@@ -140,7 +141,11 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
 
 
 def puncture_point(M: PointMultiset, P) -> PointMultiset:
-    """Remove one unit of multiplicity from a single point."""
+    """Remove one unit of multiplicity from a single point.
+
+    The support still spans afterwards: this is puncture_flat's argument
+    with t = 0, where d > 1 is required.
+    """
     F = M.field
     P = pg.normalize_point(F, P)
     if M.mults.get(P, 0) < 1:
@@ -152,15 +157,26 @@ def puncture_point(M: PointMultiset, P) -> PointMultiset:
     mults[P] -= 1
     step = {"op": "puncture_point", "point": list(P)}
     out = PointMultiset(F, M.r, mults, meta=_carried_meta(M, step))
-    try:
-        new = code_params(out)
-    except NotFullRank as exc:
-        raise RankLost("support no longer spans after point removal") from exc
+    new = code_params(out)
     if new.n != params.n - 1 or new.d not in (params.d - 1, params.d):
         raise ParamMismatch(
             f"point removal gave [{new.n},{new.k},{new.d}] from [{params.n},{params.k},{params.d}]"
         )
     return out
+
+
+def simple_point(M: PointMultiset) -> tuple[int, ...]:
+    """Smallest single-multiplicity support point.
+
+    Removing it keeps the support spanning whenever d >= 2, the condition
+    puncture_point enforces before any removal: every hyperplane H misses
+    n - m(H) >= d points of the multiset, and one removal leaves
+    n' - m'(H) >= d - 1 >= 1, so no hyperplane holds the new support.
+    """
+    for P in M.support:
+        if M.mults[P] == 1:
+            return P
+    raise CertificationFailed("no support point has multiplicity 1")
 
 
 def _iter_candidate_lines(F, region_support, support_set):

@@ -1,7 +1,6 @@
 import pytest
 
 from griesmer.chains import (
-    ChainContext,
     build_chain,
     griesmer_bound,
     plan_chain,
@@ -126,12 +125,11 @@ def test_build_chain_single_row_matches_plan():
     assert (p.n, p.d) == (3158, 2368)
 
 
-def test_build_chain_with_shared_context():
-    ctx = ChainContext(1, 4, 6)
-    _, r1 = build_chain(plan_chain(1, 4, 6, 2365), shared=ctx)
-    _, r2 = build_chain(plan_chain(1, 4, 6, 2356), shared=ctx)
-    assert (r1.n, r1.d) == (3155, 2365)
-    assert (r2.n, r2.d) == (3143, 2356)
+@pytest.mark.parametrize("d", range(theorem_range(1, 4, 6)[0], theorem_range(1, 4, 6)[1] + 1))
+def test_build_chain_matches_table_row(table1, d):
+    row = next(r for r in table1 if r.d == d)
+    _, report = build_chain(plan_chain(1, 4, 6, d))
+    assert report.to_json() == row.to_json()
 
 
 def test_report_json_schema(table1):

@@ -62,6 +62,13 @@ def test_arc_check_rejects_collinear_points():
     assert arc_check(F, frame, plane)
 
 
+def test_arc_check_rejects_points_off_the_ambient_flat():
+    F = field(3)
+    plane = Flat(r=3, basis=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    assert not arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], plane)
+    assert arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], plane)
+
+
 @pytest.mark.parametrize("k,q,off_count", [(6, 4, 16), (6, 5, 25), (5, 3, 9)])
 def test_line_config_disjoint_off_l0(k, q, off_count):
     cfg = line_config(k, q)
