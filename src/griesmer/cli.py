@@ -15,7 +15,7 @@ import sys
 
 from .chains import build_chain, plan_chain, reproduce_table
 from .constructs import base_code_1, base_code_2, code_c1, code_c2
-from .errors import InputError, VerificationFailure
+from .errors import CertificationFailed, InputError, VerificationFailure
 from .mcode import (
     code_params,
     hyperplane_spectrum,
@@ -74,7 +74,11 @@ def _cmd_puncture(args) -> int:
         for line in find_disjoint_lines(M, args.lines):
             M = puncture_flat(M, line)
     for _ in range(args.points):
-        M = puncture_point(M, simple_point(M))
+        try:
+            P = simple_point(M)
+        except CertificationFailed as exc:
+            raise InputError(f"cannot remove another point: {exc}") from exc
+        M = puncture_point(M, P)
     print(f"punctured: {_describe(M)}")
     if args.out:
         write_multiset(M, args.out)

@@ -23,7 +23,8 @@ from .errors import DimensionMismatch, TooLarge
 from .gf import Field
 
 # the transform's peak is four arrays of q^k cells (134 MB at the cap with
-# int32 cells, twice that with int64); larger spaces raise TooLarge
+# int32 cells, twice that with int64), plus the field's q x q tables; spaces
+# where either count exceeds the cap raise TooLarge
 MAX_TRANSFORM_CELLS = 1 << 23
 
 _POINTS_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
@@ -236,13 +237,14 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     contiguous rows and the final axes come out in enumeration order.
 
     The cost is about k * q^(k+1) integer additions whatever the support
-    size.  Spaces with q^k > MAX_TRANSFORM_CELLS raise TooLarge before
-    anything is allocated.
+    size.  Spaces with max(q^k, q^2) > MAX_TRANSFORM_CELLS raise TooLarge
+    before anything is allocated, the field's tables included.
     """
     q, k = F.q, r + 1
-    if q**k > MAX_TRANSFORM_CELLS:
+    cells = max(q**k, q * q)
+    if cells > MAX_TRANSFORM_CELLS:
         raise TooLarge(
-            f"PG({r}, {q}) needs {q**k} transform cells, above the bound {MAX_TRANSFORM_CELLS}"
+            f"PG({r}, {q}) needs {cells} transform cells, above the bound {MAX_TRANSFORM_CELLS}"
         )
     pts = np.array(list(support), dtype=np.int64).reshape(-1, k)
     w = np.asarray(list(weights), dtype=np.int64)
@@ -250,10 +252,10 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     dt = np.int32 if int(np.abs(w).sum()) < 2**31 else np.int64
     W = np.zeros(q**k, dtype=dt)
     np.add.at(W, pts @ (q ** np.arange(k - 1, -1, -1, dtype=np.int64)), w.astype(dt))
-    minus = np.array([[F.sub(s, t) for s in range(q)] for t in range(q)], dtype=np.int64)
-    times = np.array([[F.mul(a, c) for a in range(q)] for c in range(q)], dtype=np.int64)
+    add, mul = F.tables
+    minus = add[:, mul[F.neg(1)]]  # minus[s, t] = s - t
     # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest)
-    rows = minus[times].transpose(0, 2, 1) * q + np.arange(q)
+    rows = minus[:, mul].transpose(1, 0, 2).astype(np.int64) * q + np.arange(q)
     out = []
     for j in range(k, 0, -1):
         A = W.reshape(q, -1)

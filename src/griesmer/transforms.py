@@ -26,6 +26,7 @@ from .errors import (
     FlatNotInSupport,
     IntersectionNonempty,
     NotEnoughLines,
+    NotFullRank,
     NoZeroPoint,
     ParamMismatch,
     PointNotInSupport,
@@ -61,11 +62,6 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
     mvec = M.hyperplane_mults()
     points = pg.enumerate_points(F, M.r)
     nd = n - d
-    low = [points[int(i)] for i in (mvec < nd).nonzero()[0]]
-    if pg.rank(F, low, stop_at=k) < k:
-        raise IntersectionNonempty(
-            "hyperplanes below maximal multiplicity share a common point"
-        )
 
     t = q ** (k - 2) // m
     dual_mults: dict[tuple[int, ...], int] = {}
@@ -86,7 +82,15 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
         meta["transform"]["source_family"] = construction.get("family")
     dual = PointMultiset(F, M.r, dual_mults, meta=meta)
 
-    dparams = code_params(dual)
+    # m divides every weight n - m(H) and d, so j > 0 exactly when
+    # m(H) < n - d: the dual's support is the set of hyperplanes below
+    # maximal multiplicity, and it fails to span iff they share a point
+    try:
+        dparams = code_params(dual)
+    except NotFullRank as exc:
+        raise IntersectionNonempty(
+            "hyperplanes below maximal multiplicity share a common point"
+        ) from exc
     n_star = n * t * q - (d // m) * pg.theta(k - 1, q)
     d_star = (nd * q - n) * t
     if (dparams.n, dparams.d) != (n_star, d_star):

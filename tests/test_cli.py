@@ -170,6 +170,16 @@ def test_puncture_negative_lines_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_puncture_points_without_simple_point_exit_2(tmp_path, capsys):
+    # every point of PG(1, 2) has multiplicity 2, so no point can go
+    src = tmp_path / "double.ms"
+    src.write_text("2 2\n2 1 0\n2 0 1\n2 1 1\n")
+    rc = main(["puncture", "--in", str(src), "--points", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "multiplicity 1" in err
+
+
 def test_identical_invocations_identical_bytes(tmp_path):
     a, b = tmp_path / "a.ms", tmp_path / "b.ms"
     main(["construct", "--family", "c2", "--q", "5", "--k", "6", "--out", str(a)])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from griesmer.errors import NotAPrimePower, TooLarge
@@ -133,24 +134,16 @@ def test_field_arith_from_spec():
     assert F.alpha_power(3) == 3
 
 
-@pytest.mark.parametrize("q", [4, 9, 8])
-def test_digit_kernels_match_scalar_arithmetic(q):
-    import numpy as np
-
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_tables_match_scalar_arithmetic(q):
     F = field(q)
-    k = 3
-    vecs = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)][: 4 * q]
-    forms = vecs[1 : 2 * q : 2]
-    X = F.digit_rows(np.array(vecs))
-    L = F.linear_form_matrix(np.array(forms))
-    R = (X @ L) % F.p
-    for i, v in enumerate(vecs):
-        for j, f in enumerate(forms):
-            dot = 0
-            for a, b in zip(v, f):
-                dot = F.add(dot, F.mul(a, b))
-            got = R[i, j * F.h : (j + 1) * F.h]
-            assert list(got.astype(int)) == list(F.digit_table[dot])
+    add, mul = F.tables
+    assert add.shape == mul.shape == (q, q)
+    assert add.dtype == mul.dtype == np.uint8
+    for a in range(q):
+        for b in range(q):
+            assert add[a, b] == F.add(a, b)
+            assert mul[a, b] == F.mul(a, b)
 
 
 def test_gcd_of_q_minus_one_orders():

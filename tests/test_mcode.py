@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from griesmer.errors import (
     FileFormatError,
@@ -91,6 +95,30 @@ def test_distance_matches_oracle_on_irregular_multiset():
         if w > 0:
             assert count == (F.q - 1) * spec.get(params.n - w, 0)
     assert sum(dist.values()) == F.q ** params.k
+
+
+@st.composite
+def small_codes(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    k = draw(st.integers(1, 3))
+    F = field(q)
+    extra = draw(
+        st.dictionaries(st.sampled_from(enumerate_points(F, k - 1)), st.integers(1, 3), max_size=6)
+    )
+    # the unit vectors make the support span
+    units = {tuple(int(i == j) for j in range(k)): 1 for i in range(k)}
+    return PointMultiset(F, k - 1, Counter(units) + Counter(extra))
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_codes())
+def test_oracle_matches_hyperplane_spectrum(M):
+    # k = 1 and odd k leave the two halves of the oracle's split unequal
+    n, q = M.n, M.q
+    dist = oracle_weight_distribution(M)
+    assert sum(dist.values()) == q**M.k
+    spec = hyperplane_spectrum(M)
+    assert dist == {0: 1} | {n - i: (q - 1) * a for i, a in spec.items()}
 
 
 def test_generator_matrix_simplex_pg1_gf2():

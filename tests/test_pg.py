@@ -197,11 +197,14 @@ def test_hyperplane_multiplicities_cap():
     k = MAX_TRANSFORM_CELLS.bit_length() - 1
     assert 2**k == MAX_TRANSFORM_CELLS
     assert 3**14 <= MAX_TRANSFORM_CELLS < 3**15
-    for q, k_over in [(2, k + 1), (3, 15), (8, 8)]:
+    # PG(0, 4099) has 4099 cells, but its q x q field tables have 4099^2
+    assert 4099 < MAX_TRANSFORM_CELLS < 4099**2
+    for q, k_over in [(2, k + 1), (3, 15), (8, 8), (4099, 1)]:
         F = field(q)
         point = (1,) + (0,) * (k_over - 1)
         with pytest.raises(TooLarge):
             hyperplane_multiplicities(F, k_over - 1, [point], [1])
+    assert field(4099)._tables is None  # rejected before they are built
 
 
 def test_rref_unique_for_full_space():
