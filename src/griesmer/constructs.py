@@ -236,10 +236,10 @@ def code_c1(k: int, q: int, allow_experimental: bool = False) -> PointMultiset:
     base = base_code_1(k, q)
     q_point = tuple(base.meta["construction"]["q_point"])
     _check_q_point_clear(base, q_point)
-    mults = dict(base.mults)
-    mults[q_point] = q
+    counts = base.counts.copy()
+    counts[pg.point_index(q, q_point)] = q
     meta = _config_meta_from(base, "c1")
-    M = PointMultiset(base.field, base.r, mults, meta=meta)
+    M = PointMultiset(base.field, base.r, counts, meta=meta)
     return _verified(
         M,
         n=q * q + 2 * q - 1,
@@ -258,10 +258,10 @@ def code_c2(k: int, q: int, allow_experimental: bool = False) -> PointMultiset:
     base = base_code_2(k, q)
     q_point = tuple(base.meta["construction"]["q_point"])
     _check_q_point_clear(base, q_point)
-    mults = dict(base.mults)
-    mults[q_point] = q
+    counts = base.counts.copy()
+    counts[pg.point_index(q, q_point)] = q
     meta = _config_meta_from(base, "c2")
-    M = PointMultiset(base.field, base.r, mults, meta=meta)
+    M = PointMultiset(base.field, base.r, counts, meta=meta)
     return _verified(
         M,
         n=q * q + 3 * q - 2,

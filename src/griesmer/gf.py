@@ -12,9 +12,10 @@ reproducible bit for bit given q.
 Multiplication and inversion run on log/antilog tables built once per
 field; addition is digitwise mod p.  Array code (pg's incidence kernel and
 mcode's codeword oracle) reads Field.tables instead: the full q x q
-addition and multiplication tables, built from the scalar operations on
-first use, in the smallest unsigned dtype that holds q - 1.  Every array
-computation over GF(q) is thus an exact integer gather.
+addition and multiplication tables, built on first use with numpy from
+the same digit and log/antilog lists, in the smallest unsigned dtype that
+holds q - 1.  Every array computation over GF(q) is thus an exact integer
+gather.
 """
 
 from __future__ import annotations
@@ -258,10 +259,18 @@ class Field:
         q^2 cells each, built once per field; callers bound q^2 first.
         """
         if self._tables is None:
-            q, dt = self.q, np.min_scalar_type(self.q - 1)
-            add = np.array([[self.add(a, b) for b in range(q)] for a in range(q)], dtype=dt)
-            mul = np.array([[self.mul(a, b) for b in range(q)] for a in range(q)], dtype=dt)
-            self._tables = (add, mul)
+            p, q, dt = self.p, self.q, np.min_scalar_type(self.q - 1)
+            # addition is digitwise mod p; int32 holds every partial sum
+            digits = np.array(self._dig, dtype=np.int32).reshape(q, self.h)
+            add = np.zeros((q, q), dtype=np.int32)
+            for i, w in enumerate(self._ppow):
+                d = digits[:, i]
+                add += np.add.outer(d, d) % p * w
+            # a * b = alpha^(log a + log b) for nonzero a, b
+            log = np.array(self._log[1:], dtype=np.int32)
+            mul = np.zeros((q, q), dtype=dt)
+            mul[1:, 1:] = np.array(self._exp, dtype=dt)[np.add.outer(log, log) % (q - 1)]
+            self._tables = (add.astype(dt), mul)
         return self._tables
 
 

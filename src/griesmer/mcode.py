@@ -1,7 +1,12 @@
 """Multiset model of a linear code over GF(q).
 
 A full-support [n, k, d]_q code is represented by the multiset of its
-generator-matrix columns viewed as points of PG(k-1, q).  All parameters
+generator-matrix columns viewed as points of PG(k-1, q).  The multiset is
+stored as one dense int64 count vector over the theta(k-1, q) points,
+indexed like pg.enumerate_points.  Hyperplanes share that enumeration, so
+the hyperplane-multiplicity vector lines up with the count vector: the
+projective dual is one vector expression, a puncture subtracts an
+indicator, and the multiplicity profile is a bincount.  All parameters
 are computed exactly from hyperplane multiplicities: n - d is the largest
 one, the divisor is the gcd of the weights n - m(H), and the spectrum a_i
 counts hyperplanes of multiplicity i.  A brute-force enumeration of all
@@ -25,6 +30,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,29 +59,49 @@ class CodeParams:
 
 
 class PointMultiset:
-    """Immutable multiset of points of PG(r, q) with positive multiplicities."""
+    """Immutable multiset of points of PG(r, q) with positive multiplicities.
+
+    The one stored form is `counts`, a read-only int64 vector of length
+    theta(r, q) indexed like pg.enumerate_points(F, r).  `mults` may be
+    such a vector (any integer dtype; it is copied) or a mapping from
+    points to multiplicities, whose keys are normalized once and summed
+    into the vector.  `mults` and `support` are read-only views built on
+    first access.
+    """
 
     def __init__(self, F: Field, r: int, mults, meta: dict | None = None):
-        cleaned: dict[tuple[int, ...], int] = {}
-        for P, m in dict(mults).items():
-            m = int(m)
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m}")
-            if m == 0:
-                continue
-            P = pg.normalize_point(F, P)
-            if len(P) != r + 1:
-                raise ValueError(f"point {P} does not live in PG({r}, {F.q})")
-            if any(not (0 <= c < F.q) for c in P):
-                raise ValueError(f"coordinate out of range in {P}")
-            cleaned[P] = cleaned.get(P, 0) + m
-        if not cleaned:
+        pg.check_space(F.q, r + 1)
+        size = pg.theta(r, F.q)
+        if isinstance(mults, np.ndarray):
+            if mults.dtype.kind not in "iub":
+                raise ValueError(f"multiplicities must be integers, got {mults.dtype}")
+            counts = mults.astype(np.int64)
+            if counts.shape != (size,):
+                raise ValueError(f"expected {size} multiplicities for PG({r}, {F.q})")
+            if (counts < 0).any():
+                raise ValueError("negative multiplicity")
+        else:
+            counts = np.zeros(size, dtype=np.int64)
+            for P, m in dict(mults).items():
+                m = int(m)
+                if m < 0:
+                    raise ValueError(f"negative multiplicity {m}")
+                if m == 0:
+                    continue
+                if len(P) != r + 1:
+                    raise ValueError(f"point {P} does not live in PG({r}, {F.q})")
+                if any(not (0 <= c < F.q) for c in P):
+                    raise ValueError(f"coordinate out of range in {P}")
+                counts[pg.point_index(F.q, pg.normalize_point(F, P))] += m
+        if not counts.any():
             raise ValueError("a code multiset needs at least one point")
+        counts.setflags(write=False)
         self.field = F
         self.r = r
-        self.mults = cleaned
-        self.support = tuple(sorted(cleaned, key=pg.point_key))
+        self.counts = counts
         self.meta = dict(meta or {})
+        self._support: tuple[tuple[int, ...], ...] | None = None
+        self._mults: MappingProxyType | None = None
         self._mvec: np.ndarray | None = None
         self._params: CodeParams | None = None
 
@@ -89,49 +115,74 @@ class PointMultiset:
 
     @property
     def n(self) -> int:
-        return sum(self.mults.values())
+        return int(self.counts.sum())
 
     @property
     def gamma0(self) -> int:
-        return max(self.mults.values())
+        return int(self.counts.max())
+
+    @property
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """The points with positive multiplicity, in enumeration order."""
+        if self._support is None:
+            pts = pg.enumerate_points(self.field, self.r)
+            self._support = tuple(pts[i] for i in np.flatnonzero(self.counts).tolist())
+        return self._support
+
+    @property
+    def mults(self) -> MappingProxyType:
+        """Read-only {point: multiplicity} over the support."""
+        if self._mults is None:
+            m = self.counts[self.counts > 0].tolist()
+            self._mults = MappingProxyType(dict(zip(self.support, m)))
+        return self._mults
+
+    def index(self, P) -> int | None:
+        """Enumeration index of the point P (any nonzero representative);
+        None when P is not a vector of PG(r, q)."""
+        if len(P) != self.k or any(not (0 <= c < self.q) for c in P):
+            return None
+        return pg.point_index(self.q, pg.normalize_point(self.field, P))
 
     def mult(self, P) -> int:
-        return self.mults.get(pg.normalize_point(self.field, P), 0)
+        i = self.index(P)
+        return 0 if i is None else int(self.counts[i])
 
     def hyperplane_mults(self) -> np.ndarray:
         """m(H) for every hyperplane, indexed like pg.enumerate_points."""
         if self._mvec is None:
-            weights = [self.mults[P] for P in self.support]
+            idx = np.flatnonzero(self.counts)
             self._mvec = pg.hyperplane_multiplicities(
-                self.field, self.r, self.support, weights
+                self.field, self.r, idx, self.counts[idx]
             )
             self._mvec.setflags(write=False)
         return self._mvec
 
     def lambda_counts(self) -> tuple[int, ...]:
-        counts = Counter(self.mults.values())
-        lam = [counts.get(i, 0) for i in range(self.gamma0 + 1)]
-        lam[0] = pg.theta(self.r, self.q) - len(self.support)
-        return tuple(lam)
+        # holes are the zero entries, so bincount's first cell counts them
+        return tuple(np.bincount(self.counts).tolist())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PointMultiset)
             and self.q == other.q
             and self.r == other.r
-            and self.mults == other.mults
+            and np.array_equal(self.counts, other.counts)
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"PointMultiset(PG({self.r},{self.q}), n={self.n}, support={len(self.support)})"
+        return (
+            f"PointMultiset(PG({self.r},{self.q}), n={self.n}, "
+            f"support={np.count_nonzero(self.counts)})"
+        )
 
 
 def multiset_multiplicity(M: PointMultiset, points) -> int:
     """Total multiplicity of a point set: sum of mult(P) over the set."""
-    canonical = {pg.normalize_point(M.field, P) for P in points}
-    return sum(M.mults.get(P, 0) for P in canonical)
+    canonical = {M.index(P) for P in points} - {None}
+    return sum(int(M.counts[i]) for i in canonical)
 
 
 def hyperplane_spectrum(M: PointMultiset) -> dict[int, int]:
@@ -173,10 +224,10 @@ def generator_matrix(M: PointMultiset) -> np.ndarray:
     adjacent.
     """
     params = code_params(M)  # NotFullRank check
-    cols = []
-    for P in M.support:
-        cols.extend([P] * M.mults[P])
-    G = np.array(cols, dtype=np.int64).T
+    idx = np.flatnonzero(M.counts)
+    codes = np.repeat(pg.point_codes(M.q, M.r)[idx], M.counts[idx])
+    # the base-q digits of a point's code are its coordinates
+    G = codes // M.q ** np.arange(M.r, -1, -1, dtype=np.int64)[:, None] % M.q
     assert G.shape == (params.k, params.n)
     return G
 
@@ -187,15 +238,13 @@ def multiset_from_matrix(G, q: int, meta: dict | None = None) -> PointMultiset:
     G = np.asarray(G, dtype=np.int64)
     if G.ndim != 2 or G.shape[0] < 1:
         raise FileFormatError("generator matrix must be two-dimensional")
-    k, n = G.shape
-    mults: dict[tuple[int, ...], int] = {}
-    for j in range(n):
-        col = tuple(int(x) for x in G[:, j])
-        if all(c == 0 for c in col):
+    k = G.shape[0]
+    cols = [tuple(col) for col in G.T.tolist()]
+    for j, col in enumerate(cols):
+        if not any(col):
             raise ZeroColumn(f"column {j} is zero (code would not have full support)")
-        P = pg.normalize_point(F, col)
-        mults[P] = mults.get(P, 0) + 1
-    M = PointMultiset(F, k - 1, mults, meta=meta)
+    # the constructor normalizes each column, so proportional ones add up
+    M = PointMultiset(F, k - 1, Counter(cols), meta=meta)
     if pg.rank(F, M.support, stop_at=k) < k:
         raise NotFullRank("matrix rank is below the number of rows")
     return M
@@ -217,15 +266,20 @@ def oracle_weight_distribution(M: PointMultiset, max_codewords: int | None = Non
     with c from the first half and x from the second, and the weight of
     c + x is the number of coordinates where x differs from -c.  Holds
     about q^(k - k//2) * n table cells.  Refuses to run past the
-    configured bound (GRIESMER_MAX_ORACLE, default 10^7 codewords).
+    configured bound (GRIESMER_MAX_ORACLE, default 10^7 codewords), and
+    when those cells exceed pg.MAX_TRANSFORM_CELLS, before any is built.
     """
-    k, q = M.k, M.q
+    k, q, n = M.k, M.q, M.n
     total = q**k
     bound = _oracle_bound(max_codewords)
     if total > bound:
         raise TooLarge(f"{total} codewords exceed the oracle bound {bound}")
+    cells = q ** (k - k // 2) * n
+    if cells > pg.MAX_TRANSFORM_CELLS:
+        raise TooLarge(
+            f"the oracle needs {cells} table cells, above the bound {pg.MAX_TRANSFORM_CELLS}"
+        )
     G = generator_matrix(M)
-    n = G.shape[1]
     add, mul = M.field.tables
 
     def codewords(rows) -> np.ndarray:
@@ -252,9 +306,11 @@ def _meta_path(path) -> Path:
 
 
 def write_multiset(M: PointMultiset, path) -> None:
+    pts = pg.enumerate_points(M.field, M.r)
+    idx = np.flatnonzero(M.counts)
     lines = [f"{M.q} {M.k}"]
-    for P in M.support:
-        lines.append(f"{M.mults[P]} " + " ".join(str(c) for c in P))
+    for i, m in zip(idx.tolist(), M.counts[idx].tolist()):
+        lines.append(f"{m} " + " ".join(str(c) for c in pts[i]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
     if M.meta:
         _meta_path(path).write_text(
@@ -276,8 +332,9 @@ def read_multiset(path) -> PointMultiset:
         raise FileFormatError(f"{path}: malformed header") from exc
     if k < 1:
         raise FileFormatError(f"{path}: dimension must be positive")
+    pg.check_space(q, k)
     F = field(q)
-    mults: dict[tuple[int, ...], int] = {}
+    counts = np.zeros(pg.theta(k - 1, q), dtype=np.int64)
     for ln_no, row in enumerate(rows[1:], start=2):
         if len(row) != k + 1:
             raise FileFormatError(f"{path}:{ln_no}: expected multiplicity plus {k} coordinates")
@@ -296,16 +353,17 @@ def read_multiset(path) -> PointMultiset:
             raise FileFormatError(f"{path}:{ln_no}: {exc}") from exc
         if P != coords:
             raise FileFormatError(f"{path}:{ln_no}: point is not in canonical form")
-        if P in mults:
+        i = pg.point_index(q, P)
+        if counts[i]:
             raise FileFormatError(f"{path}:{ln_no}: duplicate point")
-        mults[P] = m
-    if not mults:
+        counts[i] = m
+    if len(rows) == 1:
         raise FileFormatError(f"{path}: no support points")
     meta = None
     mp = _meta_path(path)
     if mp.exists():
         meta = _read_meta(mp, q, k)
-    return PointMultiset(F, k - 1, mults, meta=meta)
+    return PointMultiset(F, k - 1, counts, meta=meta)
 
 
 def _read_meta(mp: Path, q: int, k: int) -> dict:

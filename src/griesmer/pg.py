@@ -10,6 +10,9 @@ PG(1, 2) lists (1,0), (1,1), (0,1).
 
 Everything here is pure and the per-(q, r) point tables are cached, which
 keeps repeated spectrum computations on the same ambient space cheap.
+point_index gives a point's position in the enumeration in closed form
+(the offset of its pivot block plus its tail read in base q), so arrays
+indexed by points, and by hyperplanes, need no point tuples at all.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from .gf import Field
 
 # the transform's peak is four arrays of q^k cells (134 MB at the cap with
 # int32 cells, twice that with int64), plus the field's q x q tables; spaces
-# where either count exceeds the cap raise TooLarge
+# where either count exceeds the cap raise TooLarge (check_space)
 MAX_TRANSFORM_CELLS = 1 << 23
 
 _POINTS_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+_CODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def theta(j: int, q: int) -> int:
@@ -57,12 +61,67 @@ def point_key(P: tuple[int, ...]) -> tuple:
     raise ValueError("the zero vector is not a projective point")
 
 
+def check_space(q: int, k: int) -> None:
+    """Raise TooLarge when GF(q)^k or the q x q field tables exceed
+    MAX_TRANSFORM_CELLS.
+
+    PG(k-1, q) has theta(k-1, q) < q^k points, so this one test bounds the
+    point enumeration, every per-point array and the transform kernel.
+    """
+    # q >= 2, so once 2^k passes the cap q^k does too; q^k is never built
+    if k >= MAX_TRANSFORM_CELLS.bit_length():
+        cells = f"2^{k} or more"
+    else:
+        cells = max(q**k, q * q)
+        if cells <= MAX_TRANSFORM_CELLS:
+            return
+    raise TooLarge(
+        f"PG({k - 1}, {q}) needs {cells} transform cells, above the bound {MAX_TRANSFORM_CELLS}"
+    )
+
+
+def point_index(q: int, P) -> int:
+    """Position of the canonical point P in enumerate_points.
+
+    The points with pivot i (the position of the leading 1) start after
+    the q^(k-1) + ... + q^(k-i) points with an earlier pivot, and inside
+    that block the tail after the pivot counts upward in base q.
+    """
+    k = len(P)
+    for i, c in enumerate(P):
+        if c:
+            tail = 0
+            for x in P[i + 1 :]:
+                tail = tail * q + x
+            return theta(k - 1, q) - theta(k - 1 - i, q) + tail
+    raise ValueError("the zero vector is not a projective point")
+
+
+def point_codes(q: int, r: int) -> np.ndarray:
+    """The base-q value of every point's coordinate vector, in enumeration
+    order (read-only, cached per (q, r)).
+
+    The block with pivot i holds q^(k-1-i) + tail for tail = 0, 1, ...
+    """
+    key = (q, r)
+    codes = _CODES_CACHE.get(key)
+    if codes is None:
+        check_space(q, r + 1)
+        codes = np.concatenate(
+            [np.arange(q**m, 2 * q**m, dtype=np.int64) for m in range(r, -1, -1)]
+        )
+        codes.setflags(write=False)
+        _CODES_CACHE[key] = codes
+    return codes
+
+
 def enumerate_points(F: Field, r: int) -> tuple[tuple[int, ...], ...]:
     """All theta(r, q) canonical points of PG(r, q), in enumeration order."""
     key = (F.q, r)
     cached = _POINTS_CACHE.get(key)
     if cached is None:
         q = F.q
+        check_space(q, r + 1)
         pts = []
         for pivot in range(r + 1):
             head = (0,) * pivot + (1,)
@@ -221,9 +280,11 @@ def line_points_through(F: Field, P, R) -> list[tuple[int, ...]]:
 def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     """Weighted incidence counts over every hyperplane of PG(r, q).
 
+    support is a 1-D array of point indices (positions in
+    enumerate_points(F, r)) and weights the matching integer weights.
     Returns an int64 array indexed like enumerate_points(F, r) (hyperplane
     coefficient vectors share the point enumeration), whose entry for H is
-    sum of weights over support points lying on H.
+    the sum of weights over support points lying on H.
 
     Computed by exact integer folds over GF(q)^k.  W[x] holds the weight of
     vector x.  Canonical hyperplanes with leading coordinate 1 come from
@@ -237,21 +298,19 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     contiguous rows and the final axes come out in enumeration order.
 
     The cost is about k * q^(k+1) integer additions whatever the support
-    size.  Spaces with max(q^k, q^2) > MAX_TRANSFORM_CELLS raise TooLarge
-    before anything is allocated, the field's tables included.
+    size.  Spaces that check_space refuses raise TooLarge before anything
+    is allocated, the field's tables included.
     """
     q, k = F.q, r + 1
-    cells = max(q**k, q * q)
-    if cells > MAX_TRANSFORM_CELLS:
-        raise TooLarge(
-            f"PG({r}, {q}) needs {cells} transform cells, above the bound {MAX_TRANSFORM_CELLS}"
-        )
-    pts = np.array(list(support), dtype=np.int64).reshape(-1, k)
-    w = np.asarray(list(weights), dtype=np.int64)
+    check_space(q, k)
+    idx = np.asarray(support, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.int64)
+    if idx.ndim != 1 or idx.shape != w.shape:
+        raise ValueError("support and weights must be 1-D arrays of one length")
     # partial sums never exceed sum(|w|): int32 halves the memory traffic
     dt = np.int32 if int(np.abs(w).sum()) < 2**31 else np.int64
     W = np.zeros(q**k, dtype=dt)
-    np.add.at(W, pts @ (q ** np.arange(k - 1, -1, -1, dtype=np.int64)), w.astype(dt))
+    np.add.at(W, point_codes(q, r)[idx], w.astype(dt))
     add, mul = F.tables
     minus = add[:, mul[F.neg(1)]]  # minus[s, t] = s - t
     # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest)

@@ -18,6 +18,8 @@ dual hyperplane recorded by the construction provenance.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import pg
 from .errors import (
     CertificationFailed,
@@ -59,16 +61,11 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
     if params.lam[0] == 0:
         raise NoZeroPoint("every point of the ambient space carries multiplicity")
 
-    mvec = M.hyperplane_mults()
-    points = pg.enumerate_points(F, M.r)
     nd = n - d
-
     t = q ** (k - 2) // m
-    dual_mults: dict[tuple[int, ...], int] = {}
-    for idx, mh in enumerate(mvec):
-        j = (nd - int(mh)) // m
-        if j > 0:
-            dual_mults[points[idx]] = j
+    # hyperplane H of multiplicity n - d - j*m becomes dual point H with
+    # multiplicity j; hyperplane and point indices coincide
+    dual_counts = (nd - M.hyperplane_mults()) // m
 
     meta: dict = {"transform": {"op": "dual", "m": m, "t": t}}
     construction = M.meta.get("construction")
@@ -80,7 +77,7 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
         # success is guaranteed for up to q-1 lines
         meta["skew_region"] = list(construction["l0"][1])
         meta["transform"]["source_family"] = construction.get("family")
-    dual = PointMultiset(F, M.r, dual_mults, meta=meta)
+    dual = PointMultiset(F, M.r, dual_counts, meta=meta)
 
     # m divides every weight n - m(H) and d, so j > 0 exactly when
     # m(H) < n - d: the dual's support is the set of hyperplanes below
@@ -125,17 +122,17 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     """
     F = M.field
     pts = pg.flat_points(F, flat)
-    if any(M.mults.get(P, 0) < 1 for P in pts):
+    idx = [M.index(P) for P in pts]
+    if None in idx or (M.counts[idx] < 1).any():
         raise FlatNotInSupport("the flat has a point with multiplicity 0")
     params = code_params(M)
     t = flat.dim
     if params.d <= F.q**t:
         raise DistanceTooSmall(f"need d > q^{t} = {F.q ** t}, have d = {params.d}")
-    mults = dict(M.mults)
-    for P in pts:
-        mults[P] -= 1
+    counts = M.counts.copy()
+    counts[idx] -= 1
     step = {"op": "puncture_flat", "t": t, "points": [list(P) for P in pts]}
-    out = PointMultiset(F, M.r, mults, meta=_carried_meta(M, step))
+    out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
     new = code_params(out)
     if new.n != params.n - pg.theta(t, F.q) or new.d < params.d - F.q**t:
         raise ParamMismatch(
@@ -151,16 +148,16 @@ def puncture_point(M: PointMultiset, P) -> PointMultiset:
     with t = 0, where d > 1 is required.
     """
     F = M.field
-    P = pg.normalize_point(F, P)
-    if M.mults.get(P, 0) < 1:
+    i = M.index(P)
+    if i is None or M.counts[i] < 1:
         raise PointNotInSupport(f"{P} has multiplicity 0")
     params = code_params(M)
     if params.d <= 1:
         raise DistanceTooSmall("need d > 1 to puncture a point")
-    mults = dict(M.mults)
-    mults[P] -= 1
-    step = {"op": "puncture_point", "point": list(P)}
-    out = PointMultiset(F, M.r, mults, meta=_carried_meta(M, step))
+    counts = M.counts.copy()
+    counts[i] -= 1
+    step = {"op": "puncture_point", "point": list(pg.enumerate_points(F, M.r)[i])}
+    out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
     new = code_params(out)
     if new.n != params.n - 1 or new.d not in (params.d - 1, params.d):
         raise ParamMismatch(
@@ -177,10 +174,10 @@ def simple_point(M: PointMultiset) -> tuple[int, ...]:
     n - m(H) >= d points of the multiset, and one removal leaves
     n' - m'(H) >= d - 1 >= 1, so no hyperplane holds the new support.
     """
-    for P in M.support:
-        if M.mults[P] == 1:
-            return P
-    raise CertificationFailed("no support point has multiplicity 1")
+    simple = np.flatnonzero(M.counts == 1)
+    if not len(simple):
+        raise CertificationFailed("no support point has multiplicity 1")
+    return pg.enumerate_points(M.field, M.r)[simple[0]]
 
 
 def _iter_candidate_lines(F, region_support, support_set):
@@ -219,9 +216,10 @@ def find_disjoint_lines(
     if within is not None:
         pool = pg.flat_points(F, within)
     else:
-        pool = list(pg.enumerate_points(F, M.r))
-    support_set = set(M.support)
-    region_support = [P for P in pool if P in support_set]
+        pool = pg.enumerate_points(F, M.r)
+    region_support = [P for P in pool if M.counts[pg.point_index(F.q, P)]]
+    # a line through two points of the region stays inside it
+    support_set = set(region_support)
     per_line = F.q + 1
     if count * per_line > len(region_support):
         raise NotEnoughLines(

@@ -5,6 +5,7 @@ PASS lines and timings.  Everything asserted here is recomputed from
 scratch; the expected table rows are spelled out literally.
 """
 
+import hashlib
 import io
 import json
 import time
@@ -256,3 +257,39 @@ def test_criterion_9_property_suites_standalone():
     assert multiset_from_matrix(generator_matrix(M), 3) == M
     print("\nACCEPTANCE 9 PASS: field axioms (q <= 9, exhaustive), duality "
           "round trips, and generator-matrix round trips hold standalone")
+
+
+# SHA-256 of the bytes the CLI prints and writes, pinned from an earlier
+# release; any change to the multiset representation that alters an
+# output byte fails here
+PINNED_TABLE_2_JSON = "2f2ee7ebc15becfa6039937e3b59433f61d60f189dea10b471674826a4b2ee44"
+PINNED_CHAIN_Q5K7 = {
+    "stdout": "5a008a2e2e503e386d0c99e3835e0293a9338c8b89b4b04f38ea764475ce07c3",
+    "code.ms": "f6d014502e67fa2ebf61888e0668739b1ccb9c08f3e68b849ec155d807d66adf",
+    "code.ms.meta.json": "8947aad8879f019578bdd7f7fd229fc0166bff30dff001ecbf23814a6a828fa5",
+    "report.json": "cf2d92c8f5790052973b6388091f12459fd45d4808ba87e7994d6c419fa34deb",
+}
+
+
+def _cli_stdout_digest(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    return hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest()
+
+
+def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
+    assert _cli_stdout_digest(
+        ["table", "--theorem", "2", "--q", "5", "--k", "6", "--format", "json"]
+    ) == PINNED_TABLE_2_JSON
+    # relative paths: the "wrote ..." lines are part of the pinned stdout
+    monkeypatch.chdir(tmp_path)
+    got = {"stdout": _cli_stdout_digest(
+        ["chain", "--theorem", "1", "--q", "5", "--k", "7", "--d", "53750",
+         "--out", "code.ms", "--report", "report.json"]
+    )}
+    for name in ("code.ms", "code.ms.meta.json", "report.json"):
+        got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == PINNED_CHAIN_Q5K7
+    print("\nACCEPTANCE 10 PASS: table (2,5,6) JSON and the [67188,7,53750]_5 "
+          "chain's stdout, multiset, sidecar and report match the pinned bytes")

@@ -9,6 +9,7 @@ import pytest
 
 import griesmer
 from griesmer.cli import main
+from griesmer.errors import TooLarge
 from griesmer.mcode import code_params, read_gmatrix, read_multiset
 
 TABLE_1 = [
@@ -161,6 +162,19 @@ def test_verify_bad_file_exit_2(tmp_path, capsys):
     bad.write_text("not a multiset\n")
     rc = main(["verify", "--in", str(bad)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("header", ["2 24", "9 9"])
+def test_verify_oversized_header_exit_2(tmp_path, capsys, header):
+    # PG(23, 2) and PG(8, 9) are above the point-array bound; the short
+    # row would be a FileFormatError, so TooLarge shows the header alone
+    # was checked, before any row was read or any array allocated
+    big = tmp_path / "big.ms"
+    big.write_text(f"{header}\n1 1 0\n")
+    with pytest.raises(TooLarge):
+        read_multiset(big)
+    assert main(["verify", "--in", str(big)]) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_puncture_negative_lines_exit_2(tmp_path, capsys):

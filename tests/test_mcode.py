@@ -11,6 +11,7 @@ from griesmer.errors import (
     TooLarge,
     ZeroColumn,
 )
+from griesmer import pg
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
@@ -159,6 +160,46 @@ def test_oracle_respects_bound():
     M = simplex(2, 3)
     with pytest.raises(TooLarge):
         oracle_weight_distribution(M, max_codewords=7)
+
+
+def test_oracle_refuses_its_table_footprint(monkeypatch):
+    # simplex(2, 3): the kernel needs 2^3 = 8 cells, the oracle's second
+    # half 2^(3 - 1) * n = 4 * 7 = 28
+    M = simplex(2, 3)
+    code_params(M)
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 27)
+    with pytest.raises(TooLarge):
+        oracle_weight_distribution(M)
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 28)
+    assert oracle_weight_distribution(M) == {0: 1, 4: 7}
+
+
+def test_point_arrays_refuse_oversized_spaces():
+    # PG(23, 2) has 2^24 - 1 points, PG(8, 9) about 48M: both are refused
+    # before any point or count is built
+    for q, r in [(2, 23), (9, 8)]:
+        F = field(q)
+        with pytest.raises(TooLarge):
+            enumerate_points(F, r)
+        with pytest.raises(TooLarge):
+            PointMultiset(F, r, {(1,) + (0,) * r: 1})
+
+
+def test_count_vector_constructor():
+    F = field(3)
+    pts = enumerate_points(F, 2)
+    counts = np.zeros(theta(2, 3), dtype=np.int32)
+    counts[[0, 4, 7]] = [1, 2, 1]
+    M = PointMultiset(F, 2, counts)
+    assert M == PointMultiset(F, 2, {pts[0]: 1, pts[4]: 2, pts[7]: 1})
+    assert M.counts.dtype == np.int64 and not M.counts.flags.writeable
+    counts[0] = 5  # the multiset keeps its own copy
+    assert M.mults[pts[0]] == 1
+    with pytest.raises(TypeError):
+        M.mults[pts[0]] = 2
+    for bad in (counts[:-1], -counts, counts.astype(float), np.zeros_like(counts)):
+        with pytest.raises(ValueError):
+            PointMultiset(F, 2, bad)
 
 
 def test_oracle_env_bound(monkeypatch):

@@ -17,6 +17,7 @@ from griesmer.pg import (
     incident,
     line_points_through,
     normalize_point,
+    point_index,
     point_key,
     rank,
     rref,
@@ -186,7 +187,7 @@ def test_hyperplane_multiplicities_against_naive(r, q):
     support = sorted(set(support), key=point_key)
     weights = [(i * 5 + 2) % 4 + 1 for i in range(len(support))]
     naive = [sum(w for P, w in zip(support, weights) if incident(F, P, H)) for H in pts]
-    got = hyperplane_multiplicities(F, r, support, weights)
+    got = hyperplane_multiplicities(F, r, [point_index(q, P) for P in support], weights)
     assert got.shape == (theta(r, q),)
     assert got.dtype == np.int64
     assert got.tolist() == naive
@@ -203,7 +204,7 @@ def test_hyperplane_multiplicities_cap():
         F = field(q)
         point = (1,) + (0,) * (k_over - 1)
         with pytest.raises(TooLarge):
-            hyperplane_multiplicities(F, k_over - 1, [point], [1])
+            hyperplane_multiplicities(F, k_over - 1, [point_index(q, point)], [1])
     assert field(4099)._tables is None  # rejected before they are built
 
 
