@@ -29,6 +29,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from types import MappingProxyType
 
@@ -40,6 +41,7 @@ from .gf import Field, field
 
 DEFAULT_MAX_ORACLE = 10**7
 _ORACLE_ENV = "GRIESMER_MAX_ORACLE"
+_WRITE_CHUNK = 4096  # support points formatted per write
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,21 @@ class CodeParams:
     lam: tuple[int, ...]
 
 
+def _check_multiplicity(m: int, where: str = "") -> int:
+    """Return m, or raise TooLarge when it exceeds pg.MAX_TRANSFORM_CELLS.
+
+    The bound keeps lambda_counts' bincount (gamma0 + 1 cells) within the
+    cap + 1, and n, a sum of theta(r, q) < cap bounded entries, below 2^46,
+    exact in int64 and in the kernel's sums.  Callers check before they
+    store, so no oversized value ever reaches an array.
+    """
+    if m > pg.MAX_TRANSFORM_CELLS:
+        raise TooLarge(
+            f"{where}multiplicity {m} exceeds the bound {pg.MAX_TRANSFORM_CELLS}"
+        )
+    return m
+
+
 class PointMultiset:
     """Immutable multiset of points of PG(r, q) with positive multiplicities.
 
@@ -65,8 +82,9 @@ class PointMultiset:
     theta(r, q) indexed like pg.enumerate_points(F, r).  `mults` may be
     such a vector (any integer dtype; it is copied) or a mapping from
     points to multiplicities, whose keys are normalized once and summed
-    into the vector.  `mults` and `support` are read-only views built on
-    first access.
+    into the vector.  Every stored multiplicity is at most
+    pg.MAX_TRANSFORM_CELLS (TooLarge otherwise).  `mults` and `support`
+    are read-only views built on first access.
     """
 
     def __init__(self, F: Field, r: int, mults, meta: dict | None = None):
@@ -75,11 +93,13 @@ class PointMultiset:
         if isinstance(mults, np.ndarray):
             if mults.dtype.kind not in "iub":
                 raise ValueError(f"multiplicities must be integers, got {mults.dtype}")
-            counts = mults.astype(np.int64)
-            if counts.shape != (size,):
+            if mults.shape != (size,):
                 raise ValueError(f"expected {size} multiplicities for PG({r}, {F.q})")
-            if (counts < 0).any():
+            if (mults < 0).any():
                 raise ValueError("negative multiplicity")
+            # before the int64 cast, which would wrap a large unsigned entry
+            _check_multiplicity(int(mults.max()))
+            counts = mults.astype(np.int64)
         else:
             counts = np.zeros(size, dtype=np.int64)
             for P, m in dict(mults).items():
@@ -92,7 +112,9 @@ class PointMultiset:
                     raise ValueError(f"point {P} does not live in PG({r}, {F.q})")
                 if any(not (0 <= c < F.q) for c in P):
                     raise ValueError(f"coordinate out of range in {P}")
-                counts[pg.point_index(F.q, pg.normalize_point(F, P))] += m
+                i = pg.point_index(F.q, pg.normalize_point(F, P))
+                # proportional keys add up, so the sum is what gets bounded
+                counts[i] = _check_multiplicity(int(counts[i]) + m)
         if not counts.any():
             raise ValueError("a code multiset needs at least one point")
         counts.setflags(write=False)
@@ -225,9 +247,7 @@ def generator_matrix(M: PointMultiset) -> np.ndarray:
     """
     params = code_params(M)  # NotFullRank check
     idx = np.flatnonzero(M.counts)
-    codes = np.repeat(pg.point_codes(M.q, M.r)[idx], M.counts[idx])
-    # the base-q digits of a point's code are its coordinates
-    G = codes // M.q ** np.arange(M.r, -1, -1, dtype=np.int64)[:, None] % M.q
+    G = pg.point_digits(M.q, M.r, np.repeat(idx, M.counts[idx])).T
     assert G.shape == (params.k, params.n)
     return G
 
@@ -306,12 +326,26 @@ def _meta_path(path) -> Path:
 
 
 def write_multiset(M: PointMultiset, path) -> None:
-    pts = pg.enumerate_points(M.field, M.r)
+    q, k = M.q, M.k
     idx = np.flatnonzero(M.counts)
-    lines = [f"{M.q} {M.k}"]
-    for i, m in zip(idx.tolist(), M.counts[idx].tolist()):
-        lines.append(f"{m} " + " ".join(str(c) for c in pts[i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # a point's code is its coordinates read in base q: split it into the
+    # first k - h and the last h digits and look both up in string tables
+    # (q^(k-h) + q^h entries), so a line costs one format and no str() per
+    # coordinate; points go in chunks to keep the strings small
+    h = k // 2
+    element = [str(c) for c in range(q)]
+    head = [" ".join(t) for t in product(element, repeat=k - h)]
+    tail = ["".join(" " + c for c in t) for t in product(element, repeat=h)]
+    codes = pg.point_codes(q, M.r)
+    with open(path, "w", encoding="ascii") as out:
+        out.write(f"{q} {k}\n")
+        for lo in range(0, len(idx), _WRITE_CHUNK):
+            chunk = idx[lo : lo + _WRITE_CHUNK]
+            hi, low = np.divmod(codes[chunk], q**h)
+            out.write("".join([
+                f"{m} {head[a]}{tail[b]}\n"
+                for m, a, b in zip(M.counts[chunk].tolist(), hi.tolist(), low.tolist())
+            ]))
     if M.meta:
         _meta_path(path).write_text(
             json.dumps(M.meta, sort_keys=True, indent=2) + "\n", encoding="ascii"
@@ -345,6 +379,7 @@ def read_multiset(path) -> PointMultiset:
         m, coords = vals[0], tuple(vals[1:])
         if m < 1:
             raise FileFormatError(f"{path}:{ln_no}: multiplicity must be positive")
+        _check_multiplicity(m, f"{path}:{ln_no}: ")
         if any(not (0 <= c < q) for c in coords):
             raise FileFormatError(f"{path}:{ln_no}: coordinate outside [0, {q})")
         try:

@@ -8,11 +8,16 @@ identity on coordinates.  Enumeration is deterministic: points grouped by
 the position of their leading 1, trailing coordinates counted upward, so
 PG(1, 2) lists (1,0), (1,1), (0,1).
 
-Everything here is pure and the per-(q, r) point tables are cached, which
-keeps repeated spectrum computations on the same ambient space cheap.
-point_index gives a point's position in the enumeration in closed form
-(the offset of its pivot block plus its tail read in base q), so arrays
-indexed by points, and by hyperplanes, need no point tuples at all.
+Everything here is pure.  point_index gives a point's position in the
+enumeration in closed form (the offset of its pivot block plus its tail
+read in base q), so arrays indexed by points, and by hyperplanes, need no
+point tuples at all.  Array code works on those indices: point_digits
+turns indices into coordinate rows (the base-q digits of point_codes),
+vector_indices turns any nonzero coordinate rows back into indices (scaled
+by their leading entry's inverse with Field tables gathers), and
+flat_indices lists a flat's points that way.  The point tuples of
+enumerate_points are built and cached only for the public API and for
+output.
 """
 
 from __future__ import annotations
@@ -113,6 +118,42 @@ def point_codes(q: int, r: int) -> np.ndarray:
         codes.setflags(write=False)
         _CODES_CACHE[key] = codes
     return codes
+
+
+def point_digits(q: int, r: int, idx) -> np.ndarray:
+    """The canonical coordinates of the points with enumeration indices idx:
+    an int64 array of shape idx.shape + (r+1,), the base-q digits of
+    point_codes(q, r)[idx]."""
+    codes = point_codes(q, r)[np.asarray(idx, dtype=np.int64)]
+    return codes[..., None] // q ** np.arange(r, -1, -1, dtype=np.int64) % q
+
+
+def vector_indices(F: Field, vectors) -> np.ndarray:
+    """Enumeration indices of the points spanned by nonzero coordinate
+    vectors: an integer array of shape (..., k) gives an int64 array of
+    shape (...,).
+
+    Each vector is scaled by the inverse of its leading nonzero entry with
+    Field tables gathers, then point_index's closed form applies: the
+    scaled code q^(k-1-i) + tail sits at theta(k-1) - theta(k-1-i) + tail
+    for pivot i.
+    """
+    V = np.asarray(vectors)
+    q, k = F.q, V.shape[-1]
+    pivot = (V != 0).argmax(axis=-1)
+    lead = np.take_along_axis(V, pivot[..., None], axis=-1)
+    if not lead.all():
+        raise ValueError("the zero vector is not a projective point")
+    _, mul = F.tables
+    scaled = mul[F.inverses[lead], V]
+    code = np.zeros(V.shape[:-1], dtype=np.int64)
+    for i in range(k):
+        code = code * q + scaled[..., i]
+    # pivot i: the block starts at theta(k-1) - theta(m) for m = k-1-i,
+    # and the scaled code is q^m + tail
+    m = k - 1 - np.arange(k)
+    offset = theta(k - 1, q) - (q ** (m + 1) - 1) // (q - 1) - q**m
+    return code + offset[pivot]
 
 
 def enumerate_points(F: Field, r: int) -> tuple[tuple[int, ...], ...]:
@@ -228,25 +269,31 @@ def span(F: Field, points) -> Flat:
     return Flat(r=len(pts[0]) - 1, basis=rref(F, pts))
 
 
+def flat_indices(F: Field, flat: Flat) -> np.ndarray:
+    """Ascending enumeration indices of the theta(dim, q) points of a flat.
+
+    Row t of the echelon basis plus every combination of the rows below it
+    gives each point with its leading entry in row t's pivot exactly once.
+    """
+    add, mul = F.tables
+    basis = np.array(flat.basis, dtype=np.int64)
+    scalars = np.arange(F.q)[:, None, None]
+    blocks = []
+    for t in range(len(basis)):
+        vecs = basis[t][None]
+        for row in basis[t + 1 :]:
+            # every vector so far plus c * row, for every scalar c
+            vecs = add[vecs[None], mul[scalars, row]].reshape(-1, flat.r + 1)
+        blocks.append(vector_indices(F, vecs))
+    idx = np.sort(np.concatenate(blocks))
+    assert len(idx) == theta(flat.dim, F.q)
+    return idx
+
+
 def flat_points(F: Field, flat: Flat) -> list[tuple[int, ...]]:
     """All theta(dim, q) canonical points of a flat, sorted canonically."""
-    basis = flat.basis
-    q = F.q
-    pts = []
-    for t in range(len(basis)):
-        anchor = basis[t]
-        rest = basis[t + 1 :]
-        for coeffs in product(range(q), repeat=len(rest)):
-            vec = list(anchor)
-            for c, row in zip(coeffs, rest):
-                if c:
-                    for i, x in enumerate(row):
-                        if x:
-                            vec[i] = F.add(vec[i], F.mul(c, x))
-            pts.append(normalize_point(F, vec))
-    pts.sort(key=point_key)
-    assert len(pts) == theta(flat.dim, q)
-    return pts
+    digits = point_digits(F.q, flat.r, flat_indices(F, flat))
+    return [tuple(P) for P in digits.tolist()]
 
 
 def hyperplane_flat(F: Field, coeffs) -> Flat:

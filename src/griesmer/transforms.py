@@ -13,7 +13,10 @@ that sits inside the support (a t-flat removal costs theta_t in length and
 at most q^t in distance), or from a single point.  Repeated line removals
 need pairwise disjoint lines inside the support; find_disjoint_lines runs
 a deterministic lexicographic backtracking search, by default inside the
-dual hyperplane recorded by the construction provenance.
+dual hyperplane recorded by the construction provenance.  The search works
+on enumeration indices: the region's support is an index array, and the
+candidate lines through each anchor come from one Field tables gather and
+pg.vector_indices, tested against the count vector.
 """
 
 from __future__ import annotations
@@ -180,21 +183,26 @@ def simple_point(M: PointMultiset) -> tuple[int, ...]:
     return pg.enumerate_points(M.field, M.r)[simple[0]]
 
 
-def _iter_candidate_lines(F, region_support, support_set):
+def _candidate_lines(F, r: int, counts: np.ndarray, region: np.ndarray):
     """Lines whose q+1 points all lie in the support, in lexicographic
-    order, each generated once at its smallest point."""
-    for i, P in enumerate(region_support):
-        covered: set[tuple[int, ...]] = set()
-        for R in region_support[i + 1 :]:
-            if R in covered:
-                continue
-            pts = pg.line_points_through(F, P, R)
-            covered.update(pts)
-            key = sorted(pts, key=pg.point_key)
-            if key[0] != P:
-                continue  # generated at its own anchor instead
-            if all(pt in support_set for pt in pts):
-                yield tuple(key)
+    order, as ascending point indices.
+
+    region holds the ascending indices of the region's support points; a
+    line through two of them stays in the region.  Each line is generated
+    once, at its smallest point P from its second smallest R: the other
+    points P + lambda*R (lambda = 1..q-1) must all come after R and carry
+    multiplicity.  One gather per anchor P covers every R > P at once.
+    """
+    add, mul = F.tables
+    digits = pg.point_digits(F.q, r, region)
+    lam = np.arange(1, F.q)[:, None, None]
+    for i, P in enumerate(region.tolist()):
+        later = region[i + 1 :]
+        # others[l, j]: the index of P + (l+1) * R_j
+        others = pg.vector_indices(F, add[digits[i], mul[lam, digits[i + 1 :]]])
+        ok = (others > later).all(axis=0) & (counts[others] > 0).all(axis=0)
+        for j in np.flatnonzero(ok).tolist():
+            yield (P, int(later[j]), *sorted(others[:, j].tolist()))
 
 
 def find_disjoint_lines(
@@ -214,21 +222,19 @@ def find_disjoint_lines(
     if within is None and "skew_region" in M.meta:
         within = pg.hyperplane_flat(F, tuple(M.meta["skew_region"]))
     if within is not None:
-        pool = pg.flat_points(F, within)
+        pool = pg.flat_indices(F, within)
+        region = pool[M.counts[pool] > 0]
     else:
-        pool = pg.enumerate_points(F, M.r)
-    region_support = [P for P in pool if M.counts[pg.point_index(F.q, P)]]
-    # a line through two points of the region stays inside it
-    support_set = set(region_support)
+        region = np.flatnonzero(M.counts)
     per_line = F.q + 1
-    if count * per_line > len(region_support):
+    if count * per_line > len(region):
         raise NotEnoughLines(
             f"{count} disjoint lines need {count * per_line} support points, "
-            f"the region has {len(region_support)}"
+            f"the region has {len(region)}"
         )
 
-    lines: list[tuple[tuple[int, ...], ...]] = []
-    feeder = _iter_candidate_lines(F, region_support, support_set)
+    lines: list[tuple[int, ...]] = []
+    feeder = _candidate_lines(F, M.r, M.counts, region)
     exhausted = False
 
     def line_at(idx: int):
@@ -241,13 +247,13 @@ def find_disjoint_lines(
                 lines.append(nxt)
         return lines[idx] if idx < len(lines) else None
 
-    chosen: list[tuple[tuple[int, ...], ...]] = []
-    used: set[tuple[int, ...]] = set()
+    chosen: list[tuple[int, ...]] = []
+    used: set[int] = set()
 
     def extend(start: int) -> bool:
         if len(chosen) == count:
             return True
-        if (count - len(chosen)) * per_line > len(region_support) - len(used):
+        if (count - len(chosen)) * per_line > len(region) - len(used):
             return False
         idx = start
         while (line := line_at(idx)) is not None:
@@ -265,4 +271,5 @@ def find_disjoint_lines(
         raise NotEnoughLines(
             f"fewer than {count} pairwise disjoint support lines exist in the region"
         )
-    return [pg.span(F, line[:2]) for line in chosen]
+    ends = pg.point_digits(F.q, M.r, [line[:2] for line in chosen]).tolist()
+    return [pg.span(F, pair) for pair in ends]

@@ -263,6 +263,8 @@ def test_criterion_9_property_suites_standalone():
 # release; any change to the multiset representation that alters an
 # output byte fails here
 PINNED_TABLE_2_JSON = "2f2ee7ebc15becfa6039937e3b59433f61d60f189dea10b471674826a4b2ee44"
+# theorem 1, q=4, k=6: the one table over a prime-power field
+PINNED_TABLE_1_Q4_JSON = "7616589a4cf31530d1361c0f8fa93e6a358e32b66dc7ae89c099c8b4ffe60eb9"
 PINNED_CHAIN_Q5K7 = {
     "stdout": "5a008a2e2e503e386d0c99e3835e0293a9338c8b89b4b04f38ea764475ce07c3",
     "code.ms": "f6d014502e67fa2ebf61888e0668739b1ccb9c08f3e68b849ec155d807d66adf",
@@ -282,6 +284,9 @@ def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
     assert _cli_stdout_digest(
         ["table", "--theorem", "2", "--q", "5", "--k", "6", "--format", "json"]
     ) == PINNED_TABLE_2_JSON
+    assert _cli_stdout_digest(
+        ["table", "--theorem", "1", "--q", "4", "--k", "6", "--format", "json"]
+    ) == PINNED_TABLE_1_Q4_JSON
     # relative paths: the "wrote ..." lines are part of the pinned stdout
     monkeypatch.chdir(tmp_path)
     got = {"stdout": _cli_stdout_digest(
@@ -291,5 +296,5 @@ def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
     for name in ("code.ms", "code.ms.meta.json", "report.json"):
         got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert got == PINNED_CHAIN_Q5K7
-    print("\nACCEPTANCE 10 PASS: table (2,5,6) JSON and the [67188,7,53750]_5 "
+    print("\nACCEPTANCE 10 PASS: table (2,5,6) and (1,4,6) JSON and the [67188,7,53750]_5 "
           "chain's stdout, multiset, sidecar and report match the pinned bytes")

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,26 @@ def test_verify_oversized_header_exit_2(tmp_path, capsys, header):
         read_multiset(big)
     assert main(["verify", "--in", str(big)]) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    ["99999999999999999999 1 0", "1 0 1", "1 1 1"],  # past int64
+    [f"{2**62} 1 0", f"{2**62} 0 1", f"{2**62} 1 1"],  # n would wrap in int64
+    ["1000000000 1 0", "1 0 1", "1 1 1"],  # a 10^9-cell bincount
+])
+def test_verify_oversized_multiplicity_exit_2(tmp_path, capsys, rows):
+    big = tmp_path / "big.ms"
+    big.write_text("2 2\n" + "\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            read_multiset(big)
+        assert main(["verify", "--in", str(big)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "exceeds the bound" in capsys.readouterr().err
+    assert peak < 1 << 20  # refused before any array near the bound exists
 
 
 def test_puncture_negative_lines_exit_2(tmp_path, capsys):

@@ -228,6 +228,53 @@ def test_multiset_file_round_trip(tmp_path):
     assert path.read_text() == first
 
 
+def _reference_multiset_text(M):
+    """The per-point formatting the chunked writer replaced."""
+    pts = enumerate_points(M.field, M.r)
+    idx = np.flatnonzero(M.counts)
+    lines = [f"{M.q} {M.k}"]
+    for i, m in zip(idx.tolist(), M.counts[idx].tolist()):
+        lines.append(f"{m} " + " ".join(str(c) for c in pts[i]))
+    return "\n".join(lines) + "\n"
+
+
+# two-digit element encodings; PG(3, 16) has 4369 points, more than one chunk
+@pytest.mark.parametrize("q,r", [(11, 0), (11, 1), (11, 2), (16, 1), (16, 3)])
+def test_write_multiset_matches_per_point_formatting(tmp_path, q, r):
+    F = field(q)
+    rng = np.random.default_rng(q * 10 + r)
+    size = theta(r, q)
+    counts = rng.integers(10, 1000, size=size) * (rng.random(size) < 0.9)
+    counts[0] = 12
+    M = PointMultiset(F, r, counts)
+    path = tmp_path / "code.ms"
+    write_multiset(M, path)
+    assert path.read_bytes() == _reference_multiset_text(M).encode("ascii")
+    assert read_multiset(path) == M
+
+
+def test_multiplicities_are_bounded_before_storage(monkeypatch):
+    F = field(2)
+    pts = enumerate_points(F, 1)
+    cap = pg.MAX_TRANSFORM_CELLS
+    for big in (np.array([cap + 1, 1, 1]), np.array([2**62] * 3),
+                np.array([2**64 - 1, 1, 1], dtype=np.uint64)):
+        with pytest.raises(TooLarge):
+            PointMultiset(F, 1, big)
+    for mults in ({pts[0]: 10**20}, dict.fromkeys(pts, 2**62), {pts[0]: cap + 1}):
+        with pytest.raises(TooLarge):
+            PointMultiset(F, 1, mults)
+    # the bound itself is allowed, and proportional keys are bounded by their sum
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 9)  # PG(1, 3) still fits
+    assert PointMultiset(F, 1, np.array([9, 1, 0])).gamma0 == 9
+    with pytest.raises(TooLarge):
+        PointMultiset(F, 1, np.array([10, 1, 0]))
+    F3 = field(3)
+    assert PointMultiset(F3, 1, {(1, 1): 4, (2, 2): 5}).gamma0 == 9
+    with pytest.raises(TooLarge):
+        PointMultiset(F3, 1, {(1, 1): 5, (2, 2): 5})
+
+
 def test_multiset_file_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.ms"
     path.write_text("4\n1 1 0\n")

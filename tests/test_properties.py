@@ -1,12 +1,13 @@
-"""Property suites over small spaces: the closed-form point index, the
-multiset's count vector, the multiset file format, puncturing, and the
-hyperplane kernel against naive incidence."""
+"""Property suites over small spaces: the closed-form point index and its
+vectorized form, the multiset's count vector, the multiset file format,
+puncturing, and the hyperplane kernel against naive incidence."""
 
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,11 @@ from griesmer.pg import (
     flat_points,
     hyperplane_multiplicities,
     incident,
+    normalize_point,
+    point_digits,
     point_index,
     span,
+    vector_indices,
 )
 from griesmer.transforms import puncture_flat, puncture_point
 
@@ -52,6 +56,21 @@ def test_point_index_is_the_enumeration_position(space):
     F, r = space
     pts = enumerate_points(F, r)
     assert [point_index(F.q, P) for P in pts] == list(range(len(pts)))
+
+
+@pytest.mark.parametrize("q", SMALL_Q)  # GF(4), GF(8) and GF(9) every time
+@PROPERTY
+@given(r=st.integers(0, 4), data=st.data())
+def test_vector_indices_match_the_scalar_index(q, r, data):
+    F = field(q)
+    vectors = data.draw(st.lists(
+        st.lists(st.integers(0, F.q - 1), min_size=r + 1, max_size=r + 1).filter(any),
+        min_size=1, max_size=20,
+    ))
+    got = vector_indices(F, np.array(vectors))
+    assert got.tolist() == [point_index(F.q, normalize_point(F, v)) for v in vectors]
+    # the digits of an index are the canonical point itself
+    assert point_digits(F.q, r, got).tolist() == [list(normalize_point(F, v)) for v in vectors]
 
 
 @PROPERTY

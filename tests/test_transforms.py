@@ -1,5 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
+from griesmer import pg
+from griesmer.chains import _family_dual
 from griesmer.constructs import code_c1, code_c2
 from griesmer.errors import (
     DistanceTooSmall,
@@ -19,6 +24,7 @@ from griesmer.mcode import (
 )
 from griesmer.pg import enumerate_points, flat_points, span, theta
 from griesmer.transforms import (
+    _candidate_lines,
     find_disjoint_lines,
     projective_dual,
     puncture_flat,
@@ -197,6 +203,81 @@ def test_find_disjoint_lines_respects_region(dual_c1_64):
 def test_find_disjoint_lines_impossible(dual_c1_64):
     with pytest.raises(NotEnoughLines):
         find_disjoint_lines(dual_c1_64, theta(5, 4))
+
+
+def _reference_candidate_lines(F, region_support, support_set):
+    """The scalar candidate generator the index-space search replaced: lines
+    whose q+1 points all lie in the support, in lexicographic order, each
+    generated once at its smallest point."""
+    for i, P in enumerate(region_support):
+        covered: set[tuple[int, ...]] = set()
+        for R in region_support[i + 1 :]:
+            if R in covered:
+                continue
+            pts = pg.line_points_through(F, P, R)
+            covered.update(pts)
+            key = sorted(pts, key=pg.point_key)
+            if key[0] != P:
+                continue  # generated at its own anchor instead
+            if all(pt in support_set for pt in pts):
+                yield tuple(key)
+
+
+@pytest.mark.parametrize("q,r,regional", [
+    (2, 3, False), (3, 2, False), (3, 3, False), (4, 2, False), (4, 3, False),
+    (5, 2, False), (7, 2, False),
+    # a region is a hyperplane, so it needs r >= 3 to hold more than one line
+    (2, 3, True), (3, 3, True), (4, 3, True), (5, 3, True), (3, 4, True),
+])
+def test_candidate_lines_match_the_scalar_order(q, r, regional):
+    F = field(q)
+    pts = enumerate_points(F, r)
+    rng = random.Random(100 * q + r)
+    counts = np.array([int(rng.random() < 0.85) * rng.randint(1, 3) for _ in pts])
+    if regional:
+        within = pg.hyperplane_flat(F, pts[rng.randrange(len(pts))])
+        pool = pg.flat_points(F, within)
+        region = pg.flat_indices(F, within)
+    else:
+        pool, region = pts, np.arange(len(pts))
+    region_support = [P for P in pool if counts[pg.point_index(q, P)]]
+    want = [
+        tuple(pg.point_index(q, P) for P in line)
+        for line in _reference_candidate_lines(F, region_support, set(region_support))
+    ]
+    got = list(_candidate_lines(F, r, counts, region[counts[region] > 0]))
+    assert want  # the supports are dense enough to hold lines
+    assert got == want
+
+
+# the lines the scalar search picked on the family duals, in order
+PICKED_LINES = {
+    (1, 4, 6): (
+        [((1, 0, 0, 0, 0, 3), (0, 0, 0, 0, 1, 0)), ((1, 0, 0, 1, 0, 3), (0, 0, 1, 1, 2, 0)),
+         ((1, 0, 0, 1, 1, 3), (0, 0, 1, 0, 1, 0))],
+        [((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)), ((1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 1, 0)),
+         ((1, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 1))],
+    ),
+    (2, 5, 6): (
+        [((1, 0, 0, 0, 0, 2), (0, 0, 0, 0, 1, 0)), ((1, 0, 0, 1, 0, 2), (0, 0, 1, 4, 1, 0)),
+         ((1, 0, 0, 1, 1, 2), (0, 0, 1, 0, 0, 0)), ((1, 0, 0, 1, 2, 2), (0, 0, 1, 1, 4, 0))],
+        [((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)), ((1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 4, 0)),
+         ((1, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 4)), ((1, 0, 0, 0, 1, 2), (0, 0, 0, 1, 1, 3))],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PICKED_LINES))
+def test_find_disjoint_lines_keeps_the_picked_flats(family):
+    theorem, q, k = family
+    in_region, whole_space = PICKED_LINES[family]
+    dual, _ = _family_dual(theorem, q, k)
+    got = find_disjoint_lines(dual, q - 1)
+    assert got == [pg.Flat(k - 1, basis) for basis in in_region]
+    # without provenance the search runs over the whole support
+    bare = PointMultiset(dual.field, dual.r, dual.counts)
+    got = find_disjoint_lines(bare, q - 1)
+    assert got == [pg.Flat(k - 1, basis) for basis in whole_space]
 
 
 def test_dual_divisor_must_give_integer_t():
