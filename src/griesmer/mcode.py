@@ -9,11 +9,10 @@ projective dual is one vector expression, a puncture subtracts an
 indicator, and the multiplicity profile is a bincount.  All parameters
 are computed exactly from hyperplane multiplicities: n - d is the largest
 one, the divisor is the gcd of the weights n - m(H), and the spectrum a_i
-counts hyperplanes of multiplicity i.  A brute-force enumeration of all
-q^k codewords is provided as an independent oracle; it never touches the
-hyperplane machinery.  It lists the codewords of the two halves of the
-generator matrix with the field's lookup tables and compares every pair,
-holding about q^(k - k//2) * n table cells.
+counts hyperplanes of multiplicity i.  A brute-force codeword oracle is
+provided as an independent check; it never touches the hyperplane
+machinery.  It weighs one codeword per projective class over the s
+distinct support points, holding about q^(k - k//2) * s table cells.
 
 File formats (plain text, exact round trip):
   multiset          header "q k", then one support line per point:
@@ -265,8 +264,10 @@ def multiset_from_matrix(G, q: int, meta: dict | None = None) -> PointMultiset:
             raise ZeroColumn(f"column {j} is zero (code would not have full support)")
     # the constructor normalizes each column, so proportional ones add up
     M = PointMultiset(F, k - 1, Counter(cols), meta=meta)
-    if pg.rank(F, M.support, stop_at=k) < k:
-        raise NotFullRank("matrix rank is below the number of rows")
+    try:
+        code_params(M)
+    except NotFullRank as exc:
+        raise NotFullRank("matrix rank is below the number of rows") from exc
     return M
 
 
@@ -278,42 +279,62 @@ def _oracle_bound(explicit: int | None) -> int:
 
 
 def oracle_weight_distribution(M: PointMultiset, max_codewords: int | None = None) -> dict[int, int]:
-    """Exact weight distribution by enumerating all q^k codewords.
+    """Exact weight distribution by brute force; reads only the count vector.
 
-    Entirely independent of the hyperplane computation: it expands the
-    generator matrix, splits its rows at k//2 and lists the codewords of
-    each half with the field's add/mul tables.  Every codeword is c + x
-    with c from the first half and x from the second, and the weight of
-    c + x is the number of coordinates where x differs from -c.  Holds
-    about q^(k - k//2) * n table cells.  Refuses to run past the
-    configured bound (GRIESMER_MAX_ORACLE, default 10^7 codewords), and
-    when those cells exceed pg.MAX_TRANSFORM_CELLS, before any is built.
+    The columns are the s support points, sorted stably by multiplicity: a
+    codeword's weight sums m times its nonzero symbols in each block of
+    multiplicity m.  The messages split at k//2, the field tables list each
+    half's codewords, and c + x has the weight of x compared with -c.  As c
+    and lambda*c share a weight, only the theta(k-1, q) messages with
+    leading nonzero digit 1 are weighed; their counts go times q - 1, plus
+    the zero codeword (a support that does not span has more weight-0
+    words).  Holds about q^(k - k//2) * s table cells and an n + 1 cell
+    histogram.  Refuses past GRIESMER_MAX_ORACLE (default 10^7 of the q^k
+    codewords), or when either cell count exceeds pg.MAX_TRANSFORM_CELLS,
+    before anything is built.
     """
     k, q, n = M.k, M.q, M.n
     total = q**k
     bound = _oracle_bound(max_codewords)
     if total > bound:
         raise TooLarge(f"{total} codewords exceed the oracle bound {bound}")
-    cells = q ** (k - k // 2) * n
-    if cells > pg.MAX_TRANSFORM_CELLS:
-        raise TooLarge(
-            f"the oracle needs {cells} table cells, above the bound {pg.MAX_TRANSFORM_CELLS}"
-        )
-    G = generator_matrix(M)
+    idx = np.flatnonzero(M.counts)
+    s, h = len(idx), k // 2
+    for cells, what in ((q ** (k - h) * s, "table"), (n + 1, "histogram")):
+        if cells > pg.MAX_TRANSFORM_CELLS:
+            raise TooLarge(
+                f"the oracle needs {cells} {what} cells, above the bound {pg.MAX_TRANSFORM_CELLS}"
+            )
+    mult = M.counts[idx]
+    order = np.argsort(mult, kind="stable")
+    mult = mult[order]
+    starts = np.flatnonzero(np.diff(mult, prepend=0))
+    blocks = list(zip(starts.tolist(), [*starts[1:].tolist(), s], mult[starts].tolist()))
+    G = pg.point_digits(q, M.r, idx[order]).T
     add, mul = M.field.tables
 
     def codewords(rows) -> np.ndarray:
-        C = np.zeros((1, n), dtype=add.dtype)
+        C = np.zeros((1, s), dtype=add.dtype)
         for g in rows:
-            C = add[C[:, None, :], mul[:, g]].reshape(-1, n)
+            C = add[C[:, None, :], mul[:, g]].reshape(-1, s)
         return C
 
-    # -c runs over the first half's codewords as c does, so comparing
-    # with c instead of -c gives the same distribution
-    outer, inner = codewords(G[: k // 2]), codewords(G[k // 2 :])
+    def normalized(j: int) -> list[int]:
+        # row i of a j-row table is the message with base-q digits i
+        return [c for m in range(j) for c in range(q**m, 2 * q**m)]
+
+    # -x runs over the second half's codewords as x does, so comparing x
+    # with c instead of -c gives the same counts
+    outer, inner = codewords(G[:h]), codewords(G[h:])
+    pairs = [(c, inner) for c in outer[normalized(h)]]
+    pairs.append((outer[0], inner[normalized(k - h)]))
     weights = np.zeros(n + 1, dtype=np.int64)
-    for c in outer:
-        weights += np.bincount(np.count_nonzero(inner != c, axis=1), minlength=n + 1)
+    for c, X in pairs:
+        differ = X != c
+        w = sum(m * np.count_nonzero(differ[:, lo:hi], axis=1) for lo, hi, m in blocks)
+        weights += np.bincount(w, minlength=n + 1)
+    weights *= q - 1
+    weights[0] += 1
     return {int(w): int(c) for w, c in enumerate(weights) if c}
 
 

@@ -124,9 +124,10 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     theta_{t-1} points, so m'(H) <= n - d - theta_{t-1} < n - theta_t = n'.
     """
     F = M.field
-    pts = pg.flat_points(F, flat)
-    idx = [M.index(P) for P in pts]
-    if None in idx or (M.counts[idx] < 1).any():
+    if flat.r != M.r:
+        raise FlatNotInSupport(f"the flat lives in PG({flat.r}, {F.q}), not PG({M.r}, {F.q})")
+    idx = pg.flat_indices(F, flat)
+    if (M.counts[idx] < 1).any():
         raise FlatNotInSupport("the flat has a point with multiplicity 0")
     params = code_params(M)
     t = flat.dim
@@ -134,7 +135,7 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
         raise DistanceTooSmall(f"need d > q^{t} = {F.q ** t}, have d = {params.d}")
     counts = M.counts.copy()
     counts[idx] -= 1
-    step = {"op": "puncture_flat", "t": t, "points": [list(P) for P in pts]}
+    step = {"op": "puncture_flat", "t": t, "points": pg.point_digits(F.q, M.r, idx).tolist()}
     out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
     new = code_params(out)
     if new.n != params.n - pg.theta(t, F.q) or new.d < params.d - F.q**t:
@@ -159,7 +160,7 @@ def puncture_point(M: PointMultiset, P) -> PointMultiset:
         raise DistanceTooSmall("need d > 1 to puncture a point")
     counts = M.counts.copy()
     counts[i] -= 1
-    step = {"op": "puncture_point", "point": list(pg.enumerate_points(F, M.r)[i])}
+    step = {"op": "puncture_point", "point": pg.point_digits(F.q, M.r, [i])[0].tolist()}
     out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
     new = code_params(out)
     if new.n != params.n - 1 or new.d not in (params.d - 1, params.d):
@@ -180,7 +181,7 @@ def simple_point(M: PointMultiset) -> tuple[int, ...]:
     simple = np.flatnonzero(M.counts == 1)
     if not len(simple):
         raise CertificationFailed("no support point has multiplicity 1")
-    return pg.enumerate_points(M.field, M.r)[simple[0]]
+    return tuple(pg.point_digits(M.q, M.r, simple[:1])[0].tolist())
 
 
 def _candidate_lines(F, r: int, counts: np.ndarray, region: np.ndarray):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -172,6 +173,46 @@ def test_oracle_refuses_its_table_footprint(monkeypatch):
         oracle_weight_distribution(M)
     monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 28)
     assert oracle_weight_distribution(M) == {0: 1, 4: 7}
+
+
+def test_oracle_refuses_its_histogram_before_allocating():
+    # PG(1, 2) with a point of multiplicity cap: the table needs 2 * 3
+    # cells, the weight histogram n + 1 = cap + 3
+    cap = pg.MAX_TRANSFORM_CELLS
+    M = PointMultiset(field(2), 1, np.array([cap, 1, 1]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="histogram"):
+            oracle_weight_distribution(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the histogram exists
+
+
+def test_oracle_table_holds_support_points_not_columns(monkeypatch):
+    # simplex(2, 3) with every point five times: the second half's table
+    # over the n = 35 columns would hold 2^2 * 35 = 140 cells, over the
+    # s = 7 support points 28
+    M = PointMultiset(field(2), 2, np.full(7, 5))
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 100)
+    assert oracle_weight_distribution(M) == {0: 1, 20: 7}
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 27)
+    with pytest.raises(TooLarge, match="table"):
+        oracle_weight_distribution(M)
+
+
+def test_oracle_never_runs_the_hyperplane_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran the hyperplane kernel")
+
+    monkeypatch.setattr(pg, "hyperplane_multiplicities", refuse)
+    # fresh multisets, so no parameters are cached; the second one's
+    # support lies on the line x0 = 0 and does not span: the weight is
+    # 2*[u1 != 0] + [u2 != 0] whatever u0 is
+    assert oracle_weight_distribution(simplex(2, 3)) == {0: 1, 4: 7}
+    M = PointMultiset(field(3), 2, {(0, 1, 0): 2, (0, 0, 1): 1})
+    assert oracle_weight_distribution(M) == {0: 3, 1: 6, 2: 6, 3: 12}
 
 
 def test_point_arrays_refuse_oversized_spaces():

@@ -1,6 +1,7 @@
 """Property suites over small spaces: the closed-form point index and its
 vectorized form, the multiset's count vector, the multiset file format,
-puncturing, and the hyperplane kernel against naive incidence."""
+puncturing, the hyperplane kernel against naive incidence, and the
+codeword oracle against a full enumeration."""
 
 import tempfile
 from collections import Counter
@@ -12,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from griesmer.gf import field
-from griesmer.mcode import PointMultiset, read_multiset, write_multiset
+from griesmer.mcode import (
+    PointMultiset,
+    oracle_weight_distribution,
+    read_multiset,
+    write_multiset,
+)
 from griesmer.pg import (
     enumerate_points,
     flat_points,
@@ -21,7 +27,9 @@ from griesmer.pg import (
     normalize_point,
     point_digits,
     point_index,
+    rank,
     span,
+    theta,
     vector_indices,
 )
 from griesmer.transforms import puncture_flat, puncture_point
@@ -136,3 +144,45 @@ def test_kernel_matches_naive_incidence(case):
         sum(mults[P] for P in support if incident(F, P, H)) for H in enumerate_points(F, r)
     ]
     assert got.tolist() == naive
+
+
+def full_enumeration_oracle(M):
+    """Every one of the q^k codewords over all n expanded columns: the two
+    halves of the generator matrix, split at k//2, compared pairwise."""
+    k, q, n = M.k, M.q, M.n
+    idx = np.flatnonzero(M.counts)
+    G = point_digits(q, M.r, np.repeat(idx, M.counts[idx])).T
+    add, mul = M.field.tables
+
+    def codewords(rows):
+        C = np.zeros((1, n), dtype=add.dtype)
+        for g in rows:
+            C = add[C[:, None, :], mul[:, g]].reshape(-1, n)
+        return C
+
+    outer, inner = codewords(G[: k // 2]), codewords(G[k // 2 :])
+    weights = np.zeros(n + 1, dtype=np.int64)
+    for c in outer:
+        weights += np.bincount(np.count_nonzero(inner != c, axis=1), minlength=n + 1)
+    return {int(w): int(c) for w, c in enumerate(weights) if c}
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+@PROPERTY
+@given(k=st.integers(1, 5), data=st.data())
+def test_oracle_matches_the_full_enumeration(q, k, data):
+    F = field(q)
+    size = theta(k - 1, q)
+    # points with first coordinate 0 come last and lie on one hyperplane,
+    # so drawing only from them gives a support that does not span
+    low = data.draw(st.sampled_from([0, q ** (k - 1)])) if k > 1 else 0
+    mults = data.draw(
+        st.dictionaries(st.integers(low, size - 1), st.integers(1, 30), min_size=1, max_size=8)
+    )
+    counts = np.zeros(size, dtype=np.int64)
+    counts[list(mults)] = list(mults.values())
+    M = PointMultiset(F, k - 1, counts)
+    dist = oracle_weight_distribution(M)
+    assert dist == full_enumeration_oracle(M)
+    spans = rank(F, point_digits(q, k - 1, list(mults)).tolist()) == k
+    assert (dist[0] == 1) == spans

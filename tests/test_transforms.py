@@ -131,6 +131,17 @@ def test_puncture_line_not_in_support(dual_c1_64):
         puncture_flat(dual_c1_64, line)
 
 
+def test_puncture_flat_from_another_space():
+    # every point of PG(2, 3) carries multiplicity, but a line of PG(1, 3)
+    # or of PG(3, 3) is not a flat of that space
+    F = field(3)
+    M = PointMultiset(F, 2, np.full(theta(2, 3), 2))
+    for r in (1, 3):
+        line = span(F, [(1,) + (0,) * r, (0,) * r + (1,)])
+        with pytest.raises(FlatNotInSupport):
+            puncture_flat(M, line)
+
+
 def test_puncture_point_steps(dual_c1_64, dual_c2_65):
     out = puncture_point(dual_c1_64, next(P for P in dual_c1_64.support if dual_c1_64.mults[P] == 1))
     p = code_params(out)
