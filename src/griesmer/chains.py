@@ -16,7 +16,11 @@ reach the rows of that prefix.
 
 Closed forms are never trusted: the dual is recomputed and compared, each
 removal step is re-verified, and a row only enters a table after its
-parameters are certified from scratch.
+parameters are certified.  A removal walks the hyperplane vector through
+one incidence update instead of a kernel call, and the last code of every
+walk is checked against a fresh kernel call; in reproduce_table that is
+the end of the line walk and of each point walk, so every line prefix is
+covered.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .transforms import (
     projective_dual,
     puncture_flat,
     puncture_point,
+    recheck_hyperplanes,
     simple_point,
 )
 
@@ -169,14 +174,17 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
 
     A removal is a support line (a Flat) or None, the smallest
     multiplicity-1 point.  Each must cost exactly (q+1, q) or (1, 1) in
-    (n, d) and leave a code on the length bound.  The yielded steps list
-    grows as the walk goes on, so a caller that keeps it copies it.
+    (n, d) and leave a code on the length bound.  Each removal walks the
+    hyperplane vector instead of recomputing it, so the last code of a walk
+    that removed anything is checked once against the kernel before it is
+    yielded.  The yielded steps list grows as the walk goes on, so a
+    caller that keeps it copies it.
     """
     q, k = code.q, code.k
     params = code_params(code)
     steps = list(steps)
     yield code, params, steps
-    for removal in removals:
+    for i, removal in enumerate(removals, start=1):
         if removal is None:
             P = simple_point(code)
             code = puncture_point(code, P)
@@ -198,6 +206,8 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
                 f"intermediate [{new.n},{k},{new.d}]_{q} misses the length bound "
                 f"{griesmer_bound(q, k, new.d)}"
             )
+        if i == len(removals):
+            recheck_hyperplanes(code)
         step.update(n=new.n, d=new.d)
         steps.append(step)
         params = new

@@ -29,6 +29,7 @@ from .transforms import (
     projective_dual,
     puncture_flat,
     puncture_point,
+    recheck_hyperplanes,
     simple_point,
 )
 
@@ -79,6 +80,8 @@ def _cmd_puncture(args) -> int:
         except CertificationFailed as exc:
             raise InputError(f"cannot remove another point: {exc}") from exc
         M = puncture_point(M, P)
+    if args.lines or args.points:
+        recheck_hyperplanes(M)
     print(f"punctured: {_describe(M)}")
     if args.out:
         write_multiset(M, args.out)

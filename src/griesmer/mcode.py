@@ -170,7 +170,8 @@ class PointMultiset:
         return 0 if i is None else int(self.counts[i])
 
     def hyperplane_mults(self) -> np.ndarray:
-        """m(H) for every hyperplane, indexed like pg.enumerate_points."""
+        """m(H) for every hyperplane, indexed like pg.enumerate_points: the
+        kernel's, unless a puncture stored the vector it walked."""
         if self._mvec is None:
             idx = np.flatnonzero(self.counts)
             self._mvec = pg.hyperplane_multiplicities(
@@ -389,32 +390,54 @@ def read_multiset(path) -> PointMultiset:
         raise FileFormatError(f"{path}: dimension must be positive")
     pg.check_space(q, k)
     F = field(q)
-    counts = np.zeros(pg.theta(k - 1, q), dtype=np.int64)
-    for ln_no, row in enumerate(rows[1:], start=2):
-        if len(row) != k + 1:
-            raise FileFormatError(f"{path}:{ln_no}: expected multiplicity plus {k} coordinates")
-        try:
-            vals = [int(x) for x in row]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{ln_no}: non-integer entry") from exc
-        m, coords = vals[0], tuple(vals[1:])
-        if m < 1:
-            raise FileFormatError(f"{path}:{ln_no}: multiplicity must be positive")
-        _check_multiplicity(m, f"{path}:{ln_no}: ")
-        if any(not (0 <= c < q) for c in coords):
-            raise FileFormatError(f"{path}:{ln_no}: coordinate outside [0, {q})")
-        try:
-            P = pg.normalize_point(F, coords)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{ln_no}: {exc}") from exc
-        if P != coords:
-            raise FileFormatError(f"{path}:{ln_no}: point is not in canonical form")
-        i = pg.point_index(q, P)
-        if counts[i]:
-            raise FileFormatError(f"{path}:{ln_no}: duplicate point")
-        counts[i] = m
-    if len(rows) == 1:
+    body = rows[1:]
+    if not body:
         raise FileFormatError(f"{path}: no support points")
+    # Rows are checked as arrays, one check at a time.  Each check runs on
+    # the rows before the first failure found so far, so the first bad row
+    # is reported with the first check it fails, as a row-by-row scan would.
+    end = next((i for i, row in enumerate(body) if len(row) != k + 1), len(body))
+    error = f"expected multiplicity plus {k} coordinates"
+    try:
+        vals = np.array(body[:end], dtype=np.int64).reshape(end, k + 1)
+    except (ValueError, OverflowError):
+        vals, big = [], 1 << 62
+        for i, row in enumerate(body[:end]):
+            try:
+                # every entry past +-2^62 fails a range check below anyway
+                vals.append([min(max(int(x), -big), big) for x in row])
+            except ValueError:
+                end, error = i, "non-integer entry"
+                break
+        vals = np.array(vals, dtype=np.int64).reshape(end, k + 1)
+    m, coords = vals[:, 0], vals[:, 1:]
+
+    def lead(c):  # each row's leading nonzero entry
+        return np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+
+    checks = (  # (message, failed rows); None is the multiplicity bound
+        ("multiplicity must be positive", lambda m, c: m < 1),
+        (None, lambda m, c: m > pg.MAX_TRANSFORM_CELLS),
+        (f"coordinate outside [0, {q})", lambda m, c: ((c < 0) | (c >= q)).any(axis=1)),
+        ("the zero vector is not a projective point", lambda m, c: ~c.any(axis=1)),
+        ("point is not in canonical form", lambda m, c: lead(c) != 1),
+    )
+    for message, failed in checks:
+        bad = np.flatnonzero(failed(m[:end], coords[:end]))
+        if len(bad):
+            end, error = int(bad[0]), message
+    idx = pg.vector_indices(F, coords[:end])
+    order = np.argsort(idx, kind="stable")
+    repeats = order[1:][idx[order][1:] == idx[order][:-1]]
+    if len(repeats):
+        end, error = int(repeats.min()), "duplicate point"
+    if end < len(body):
+        where = f"{path}:{end + 2}: "
+        if error is None:
+            _check_multiplicity(int(body[end][0]), where)
+        raise FileFormatError(where + error)
+    counts = np.zeros(pg.theta(k - 1, q), dtype=np.int64)
+    counts[idx] = m
     meta = None
     mp = _meta_path(path)
     if mp.exists():

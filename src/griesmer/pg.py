@@ -14,8 +14,9 @@ read in base q), so arrays indexed by points, and by hyperplanes, need no
 point tuples at all.  Array code works on those indices: point_digits
 turns indices into coordinate rows (the base-q digits of point_codes),
 vector_indices turns any nonzero coordinate rows back into indices (scaled
-by their leading entry's inverse with Field tables gathers), and
-flat_indices lists a flat's points that way.  The point tuples of
+by their leading entry's inverse with Field tables gathers),
+flat_indices lists a flat's points that way, and hyperplanes_containing
+marks the hyperplanes through a flat.  The point tuples of
 enumerate_points are built and cached only for the public API and for
 output.
 """
@@ -288,6 +289,31 @@ def flat_indices(F: Field, flat: Flat) -> np.ndarray:
     idx = np.sort(np.concatenate(blocks))
     assert len(idx) == theta(flat.dim, F.q)
     return idx
+
+
+def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
+    """Boolean vector, indexed like enumerate_points, True at the
+    hyperplanes H that contain the flat.
+
+    H contains the flat exactly when H.b = 0 for every basis row b.  The
+    dot products build up one coordinate at a time with Field tables
+    gathers, each from one base-q digit of point_codes, so no (theta, k)
+    digit table is ever held; coordinates where every b is 0 are skipped.
+    """
+    add, mul = F.tables
+    q, k = F.q, flat.r + 1
+    # codes stay below q^k and dot * q + term below q^2, both at most
+    # MAX_TRANSFORM_CELLS (check_space), so int32 holds every value
+    codes = point_codes(q, flat.r).astype(np.int32)
+    dots = np.zeros((len(flat.basis), len(codes)), dtype=np.int32)
+    for i in range(k):
+        col = [b[i] for b in flat.basis]
+        if any(col):
+            digit = codes // q ** (k - 1 - i) % q
+            for dot, c in zip(dots, col):
+                if c:
+                    dot[:] = add.ravel().take(dot * q + mul[c].take(digit))
+    return ~dots.any(axis=0)
 
 
 def flat_points(F: Field, flat: Flat) -> list[tuple[int, ...]]:

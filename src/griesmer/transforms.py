@@ -10,13 +10,21 @@ that is recomputed and enforced here, never assumed.
 
 Puncturing removes one unit of multiplicity from every point of a flat
 that sits inside the support (a t-flat removal costs theta_t in length and
-at most q^t in distance), or from a single point.  Repeated line removals
-need pairwise disjoint lines inside the support; find_disjoint_lines runs
-a deterministic lexicographic backtracking search, by default inside the
-dual hyperplane recorded by the construction provenance.  The search works
-on enumeration indices: the region's support is an index array, and the
-candidate lines through each anchor come from one Field tables gather and
-pg.vector_indices, tested against the count vector.
+at most q^t in distance), or from a single point, the 0-flat.  It makes no
+kernel call: a hyperplane contains the t-flat S or meets it in a
+(t-1)-flat, so the new code's hyperplane vector is the old one minus
+theta_{t-1} minus q^t times pg.hyperplanes_containing(S), and every
+parameter is read off that walked vector.  recheck_hyperplanes compares it
+with a fresh kernel call; chains runs that check on the last code of every
+walk.
+
+Repeated line removals need pairwise disjoint lines inside the support;
+find_disjoint_lines runs a deterministic lexicographic backtracking
+search, by default inside the dual hyperplane recorded by the
+construction provenance.  The search works on enumeration indices: the
+region's support is an index array, and the candidate lines through each
+anchor come from one Field tables gather and pg.vector_indices, tested
+against the count vector.
 """
 
 from __future__ import annotations
@@ -129,20 +137,11 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     idx = pg.flat_indices(F, flat)
     if (M.counts[idx] < 1).any():
         raise FlatNotInSupport("the flat has a point with multiplicity 0")
-    params = code_params(M)
-    t = flat.dim
-    if params.d <= F.q**t:
-        raise DistanceTooSmall(f"need d > q^{t} = {F.q ** t}, have d = {params.d}")
-    counts = M.counts.copy()
-    counts[idx] -= 1
+    t, d = flat.dim, code_params(M).d
+    if d <= F.q**t:
+        raise DistanceTooSmall(f"need d > q^{t} = {F.q ** t}, have d = {d}")
     step = {"op": "puncture_flat", "t": t, "points": pg.point_digits(F.q, M.r, idx).tolist()}
-    out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
-    new = code_params(out)
-    if new.n != params.n - pg.theta(t, F.q) or new.d < params.d - F.q**t:
-        raise ParamMismatch(
-            f"flat removal gave [{new.n},{new.k},{new.d}], violating the lower bound"
-        )
-    return out
+    return _remove(M, flat, idx, step)
 
 
 def puncture_point(M: PointMultiset, P) -> PointMultiset:
@@ -151,23 +150,60 @@ def puncture_point(M: PointMultiset, P) -> PointMultiset:
     The support still spans afterwards: this is puncture_flat's argument
     with t = 0, where d > 1 is required.
     """
-    F = M.field
     i = M.index(P)
     if i is None or M.counts[i] < 1:
         raise PointNotInSupport(f"{P} has multiplicity 0")
-    params = code_params(M)
-    if params.d <= 1:
+    if code_params(M).d <= 1:
         raise DistanceTooSmall("need d > 1 to puncture a point")
+    point = pg.point_digits(M.q, M.r, [i])[0].tolist()
+    return _remove(M, pg.Flat(M.r, (tuple(point),)), [i], {"op": "puncture_point", "point": point})
+
+
+def _walk_mults(M: PointMultiset, flat: pg.Flat) -> np.ndarray:
+    """M's hyperplane vector after one unit leaves every point of a t-flat S.
+
+    A hyperplane meets S in all theta_t points when it contains S and in a
+    (t-1)-flat otherwise, so m'(H) = m(H) - theta_{t-1} - q^t [S in H].
+    """
+    F, t = M.field, flat.dim
+    walked = M.hyperplane_mults() - pg.theta(t - 1, F.q)
+    walked -= F.q**t * pg.hyperplanes_containing(F, flat)
+    return walked
+
+
+def _remove(M: PointMultiset, flat: pg.Flat, idx, step: dict) -> PointMultiset:
+    """M minus one unit at the points idx of the t-flat, carrying the
+    walked hyperplane vector instead of a new kernel call.  The new code's
+    parameters, read off that vector, must cost theta_t in length and at
+    most q^t in distance.
+    """
+    F, t = M.field, flat.dim
+    params = code_params(M)
     counts = M.counts.copy()
-    counts[i] -= 1
-    step = {"op": "puncture_point", "point": pg.point_digits(F.q, M.r, [i])[0].tolist()}
+    counts[idx] -= 1
     out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
+    out._mvec = _walk_mults(M, flat)
+    out._mvec.setflags(write=False)
     new = code_params(out)
-    if new.n != params.n - 1 or new.d not in (params.d - 1, params.d):
+    if new.n != params.n - pg.theta(t, F.q) or not params.d - F.q**t <= new.d <= params.d:
         raise ParamMismatch(
-            f"point removal gave [{new.n},{new.k},{new.d}] from [{params.n},{params.k},{params.d}]"
+            f"removing a {t}-flat gave [{new.n},{new.k},{new.d}] "
+            f"from [{params.n},{params.k},{params.d}]"
         )
     return out
+
+
+def recheck_hyperplanes(M: PointMultiset) -> None:
+    """Recompute M's hyperplane vector with the kernel; CertificationFailed
+    unless it equals, entry for entry, the one M holds (walked through
+    removals by puncture_flat and puncture_point)."""
+    idx = np.flatnonzero(M.counts)
+    fresh = pg.hyperplane_multiplicities(M.field, M.r, idx, M.counts[idx])
+    wrong = np.count_nonzero(fresh != M.hyperplane_mults())
+    if wrong:
+        raise CertificationFailed(
+            f"the walked hyperplane vector differs from the kernel's on {wrong} hyperplanes"
+        )
 
 
 def simple_point(M: PointMultiset) -> tuple[int, ...]:

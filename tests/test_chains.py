@@ -7,7 +7,7 @@ from griesmer.chains import (
     reproduce_table,
     theorem_range,
 )
-from griesmer.errors import OutOfScope
+from griesmer.errors import CertificationFailed, OutOfScope
 from griesmer.mcode import code_params
 
 TABLE_1 = [
@@ -160,3 +160,14 @@ def test_family_1_table_at_q5():
     assert [r.d for r in rows] == list(range(7625, 7604, -1))
     for r in rows:
         assert r.is_griesmer and r.n == griesmer_bound(5, 6, r.d)
+
+
+
+def test_build_chain_cross_checks_the_walked_vector(off_by_one):
+    with pytest.raises(CertificationFailed, match="differs from the kernel"):
+        build_chain(plan_chain(1, 4, 6, 2363))  # one line, then one point
+
+
+def test_reproduce_table_cross_checks_the_walked_vector(off_by_one):
+    with pytest.raises(CertificationFailed, match="differs from the kernel"):
+        reproduce_table(1, 4, 6)

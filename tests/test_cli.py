@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -293,3 +294,29 @@ def test_python_m_cli_runs_main():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("base1: [11,5,3]_3")
+
+
+# SHA-256 of what `puncture --lines 1 --points 2` writes from the q=4, k=6
+# c1 dual, pinned from the output of the from-scratch kernel at every step
+PUNCTURE_DIGESTS = {
+    "punct.ms": "842f92085a42f1e77889f005d35d6b2d34065210d1377585ba0d6e8f21ce2cc1",
+    "punct.ms.meta.json": "9c432c68f8e41198b56d9d3d0634dd90290361eb0a8ac3e3edeec09bd3e56bdd",
+}
+
+
+def test_puncture_writes_the_pinned_bytes(dual_c1_file, tmp_path, capsys):
+    out = tmp_path / "punct.ms"
+    rc = main(["puncture", "--in", str(dual_c1_file), "--lines", "1", "--points", "2", "--out", str(out)])
+    assert rc == 0
+    assert "punctured: [3151,6,2362]_4" in capsys.readouterr().out
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PUNCTURE_DIGESTS}
+    assert got == PUNCTURE_DIGESTS
+
+
+def test_wrong_walked_vector_exits_1(dual_c1_file, tmp_path, capsys, off_by_one):
+    rc = main(["chain", "--theorem", "1", "--q", "4", "--k", "6", "--d", "2363"])
+    assert rc == 1
+    assert "differs from the kernel" in capsys.readouterr().err
+    rc = main(["puncture", "--in", str(dual_c1_file), "--lines", "1", "--points", "2"])
+    assert rc == 1
+    assert "differs from the kernel" in capsys.readouterr().err

@@ -335,6 +335,26 @@ def test_multiset_file_rejects_bad_input(tmp_path):
         read_multiset(path)
 
 
+@pytest.mark.parametrize("rows,line,message", [
+    (["1 1 0", "2 1 1", "1 1 0"], 4, "duplicate point"),
+    (["1 1 0", "x 0 1", "1 5 0"], 3, "non-integer entry"),
+    (["1 1 0", "1 2 1", "0 0 1"], 3, "point is not in canonical form"),
+    (["1 1 0", "1 0 0", "1 0 1 1"], 3, "the zero vector is not a projective point"),
+    (["1 1 0", "1 0 1 1", "1 0 0"], 3, "expected multiplicity plus 2 coordinates"),
+    (["1 1 3", "-5 0 1"], 2, "coordinate outside [0, 3)"),
+    (["1 1 0", "-99999999999999999999 0 1"], 3, "multiplicity must be positive"),
+    (["1 1 0", "1 0 99999999999999999999"], 3, "coordinate outside [0, 3)"),
+    (["1 1 0", "99999999999999999999 0 1", "1 0 0"], 3,
+     "multiplicity 99999999999999999999 exceeds the bound"),
+])
+def test_multiset_file_reports_its_first_bad_row(tmp_path, rows, line, message):
+    path = tmp_path / "bad.ms"
+    path.write_text("3 2\n" + "\n".join(rows) + "\n")
+    with pytest.raises((FileFormatError, TooLarge)) as err:
+        read_multiset(path)
+    assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
 def test_gmatrix_file_round_trip(tmp_path):
     F = field(3)
     pts = enumerate_points(F, 2)

@@ -1,7 +1,8 @@
 """Property suites over small spaces: the closed-form point index and its
 vectorized form, the multiset's count vector, the multiset file format,
-puncturing, the hyperplane kernel against naive incidence, and the
-codeword oracle against a full enumeration."""
+puncturing, the hyperplane kernel against naive incidence, the walked
+hyperplane vector of punctured codes against the kernel, and the codeword
+oracle against a full enumeration."""
 
 import tempfile
 from collections import Counter
@@ -23,6 +24,7 @@ from griesmer.pg import (
     enumerate_points,
     flat_points,
     hyperplane_multiplicities,
+    hyperplanes_containing,
     incident,
     normalize_point,
     point_digits,
@@ -144,6 +146,37 @@ def test_kernel_matches_naive_incidence(case):
         sum(mults[P] for P in support if incident(F, P, H)) for H in enumerate_points(F, r)
     ]
     assert got.tolist() == naive
+
+
+@PROPERTY
+@given(spaces(), st.data())
+def test_hyperplanes_containing_matches_naive_incidence(space, data):
+    F, r = space
+    pts = enumerate_points(F, r)
+    flat = span(F, data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=r + 1)))
+    on = flat_points(F, flat)
+    naive = [all(incident(F, P, H) for P in on) for H in pts]
+    assert hyperplanes_containing(F, flat).tolist() == naive
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+@PROPERTY
+@given(k=st.integers(2, 5), data=st.data())
+def test_walked_vector_matches_the_kernel(q, k, data):
+    F, r = field(q), k - 1
+    size = theta(r, q)
+    # every point 4 times over: d >= 4q^r, so after up to two removals of
+    # at most q each, every point and every line can still go
+    counts = np.full(size, 4, dtype=np.int64)
+    for i, m in data.draw(st.dictionaries(st.integers(0, size - 1), st.integers(1, 5), max_size=8)).items():
+        counts[i] += m
+    M = PointMultiset(F, r, counts)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        P, R = point_digits(q, r, [i, j]).tolist()
+        M = puncture_flat(M, span(F, [P, R])) if data.draw(st.booleans()) else puncture_point(M, P)
+        idx = np.flatnonzero(M.counts)
+        assert np.array_equal(M.hyperplane_mults(), hyperplane_multiplicities(F, r, idx, M.counts[idx]))
 
 
 def full_enumeration_oracle(M):

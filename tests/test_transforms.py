@@ -29,6 +29,8 @@ from griesmer.transforms import (
     projective_dual,
     puncture_flat,
     puncture_point,
+    recheck_hyperplanes,
+    simple_point,
 )
 
 
@@ -153,6 +155,21 @@ def test_puncture_point_steps(dual_c1_64, dual_c2_65):
         code = puncture_point(code, P)
     p = code_params(code)
     assert (p.n, p.k, p.d) == (12029, 6, 9622)
+
+
+def test_punctures_walk_the_vector_without_the_kernel(dual_c1_64, monkeypatch):
+    code_params(dual_c1_64)  # the dual's own vector comes from the kernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a puncture ran the hyperplane kernel")
+
+    monkeypatch.setattr(pg, "hyperplane_multiplicities", refuse)
+    out = puncture_flat(dual_c1_64, find_disjoint_lines(dual_c1_64, 1)[0])
+    out = puncture_point(out, simple_point(out))
+    p = code_params(out)
+    assert (p.n, p.k, p.d) == (3152, 6, 2363)
+    monkeypatch.undo()
+    recheck_hyperplanes(out)
 
 
 def test_puncture_point_requires_support(dual_c1_64):
