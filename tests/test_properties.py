@@ -1,5 +1,6 @@
 """Property suites over small spaces: the closed-form point index and its
-vectorized form, the multiset's count vector, the multiset file format,
+vectorized form, the multiset's count vector, the multiset file format
+and its reader against a row-by-row reference,
 puncturing, the hyperplane kernel against naive incidence, the walked
 hyperplane vector of punctured codes against the kernel, and the codeword
 oracle against a full enumeration."""
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from griesmer.errors import FileFormatError, TooLarge
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
@@ -21,6 +23,7 @@ from griesmer.mcode import (
     write_multiset,
 )
 from griesmer.pg import (
+    MAX_TRANSFORM_CELLS,
     enumerate_points,
     flat_points,
     hyperplane_multiplicities,
@@ -115,6 +118,73 @@ def test_multiset_file_round_trips_byte_for_byte(case):
         assert back == M and back.meta == M.meta
         write_multiset(back, path)
         assert path.read_bytes() == first
+
+
+def read_row_by_row(path):
+    """The counts of a multiset file, or the error for its first bad row:
+    every row checked in turn, each check in the order read_multiset
+    reports them."""
+    rows = [ln.split() for ln in Path(path).read_text(encoding="ascii").splitlines() if ln.strip()]
+    q, k = int(rows[0][0]), int(rows[0][1])
+    F = field(q)
+    counts = np.zeros(theta(k - 1, q), dtype=np.int64)
+    for ln_no, row in enumerate(rows[1:], start=2):
+        where = f"{path}:{ln_no}: "
+        if len(row) != k + 1:
+            raise FileFormatError(where + f"expected multiplicity plus {k} coordinates")
+        try:
+            m, *coords = [int(x) for x in row]
+        except ValueError:
+            raise FileFormatError(where + "non-integer entry") from None
+        if m < 1:
+            raise FileFormatError(where + "multiplicity must be positive")
+        if m > MAX_TRANSFORM_CELLS:
+            raise TooLarge(where + f"multiplicity {m} exceeds the bound {MAX_TRANSFORM_CELLS}")
+        if any(not 0 <= c < q for c in coords):
+            raise FileFormatError(where + f"coordinate outside [0, {q})")
+        if not any(coords):
+            raise FileFormatError(where + "the zero vector is not a projective point")
+        if list(normalize_point(F, coords)) != coords:
+            raise FileFormatError(where + "point is not in canonical form")
+        i = point_index(q, coords)
+        if counts[i]:
+            raise FileFormatError(where + "duplicate point")
+        counts[i] = m
+    if len(rows) == 1:
+        raise FileFormatError(f"{path}: no support points")
+    return counts
+
+
+_TOKENS = ["0", "1", "2", "3", "-1", "x", "1.0", "+2", "1_0", "8388608", "8388609",
+           "99999999999999999999", "-99999999999999999999"]
+
+
+@PROPERTY
+@given(q=st.sampled_from([2, 3, 4, 5]), k=st.integers(1, 3), data=st.data())
+def test_multiset_reader_matches_the_row_by_row_reference(q, k, data):
+    good = st.tuples(st.integers(1, 3), st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+    good = good.map(lambda mc: [str(mc[0]), *map(str, mc[1])])
+    spoiled = st.tuples(good, st.integers(0, k), st.sampled_from(_TOKENS)).map(
+        lambda g: g[0][: g[1]] + [g[2]] + g[0][g[1] + 1 :]
+    )
+    entry = st.one_of(st.integers(0, q - 1).map(str), st.sampled_from(_TOKENS))
+    anything = st.lists(entry, max_size=k + 2)  # any length, blank lines included
+    rows = data.draw(st.lists(st.one_of(good, good, spoiled, anything), max_size=6))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.ms"
+        path.write_text(f"{q} {k}\n" + "".join(" ".join(r) + "\n" for r in rows))
+
+        def outcome(read):
+            try:
+                return read(path)
+            except (FileFormatError, TooLarge) as exc:
+                return type(exc), str(exc)
+
+        want, got = outcome(read_row_by_row), outcome(read_multiset)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got.counts, want)
 
 
 @PROPERTY
