@@ -199,17 +199,31 @@ def _gate_dimension(k: int, allow_experimental: bool, what: str) -> None:
     raise OutOfScope(f"{what} needs k >= 6, got {k}")
 
 
-def _check_q_point_clear(base: PointMultiset, q_point) -> None:
+def _check_q_point_clear(F: Field, r: int, mvec, q_point) -> None:
     # adding Q with weight q keeps n-d only if no maximal hyperplane holds Q
-    F = base.field
-    mvec = base.hyperplane_mults()
     top = int(mvec.max())
-    pts = pg.enumerate_points(F, base.r)
+    pts = pg.enumerate_points(F, r)
     for idx in (mvec == top).nonzero()[0]:
         if pg.incident(F, q_point, pts[int(idx)]):
             raise ConfigDegenerate(
                 "a maximal-multiplicity hyperplane contains the extra point Q"
             )
+
+
+def _add_q_point(base: PointMultiset, family: str) -> PointMultiset:
+    """base plus Q with weight q; the base's vector, checked for Q, is the
+    new code's minus q on the hyperplanes through Q (one kernel call)."""
+    F, r, q = base.field, base.r, base.q
+    q_point = tuple(base.meta["construction"]["q_point"])
+    i = pg.point_index(q, q_point)
+    if base.counts[i]:
+        raise ConfigDegenerate("the extra point Q already lies in the base code")
+    counts = base.counts.copy()
+    counts[i] = q
+    M = PointMultiset(F, r, counts, meta=_config_meta_from(base, family))
+    through_q = pg.hyperplanes_containing(F, pg.Flat(r, (q_point,)))
+    _check_q_point_clear(F, r, M.hyperplane_mults() - q * through_q, q_point)
+    return M
 
 
 def _verified(M: PointMultiset, n: int, d: int, q: int, spec_index: int, spec_count: int) -> PointMultiset:
@@ -233,15 +247,8 @@ def code_c1(k: int, q: int, allow_experimental: bool = False) -> PointMultiset:
     base_code_1; the count of maximal hyperplanes must equal
     C(q, k-4) + C(q, k-3)."""
     _gate_dimension(k, allow_experimental, "code_c1")
-    base = base_code_1(k, q)
-    q_point = tuple(base.meta["construction"]["q_point"])
-    _check_q_point_clear(base, q_point)
-    counts = base.counts.copy()
-    counts[pg.point_index(q, q_point)] = q
-    meta = _config_meta_from(base, "c1")
-    M = PointMultiset(base.field, base.r, counts, meta=meta)
     return _verified(
-        M,
+        _add_q_point(base_code_1(k, q), "c1"),
         n=q * q + 2 * q - 1,
         d=q * q - (k - 4) * q,
         q=q,
@@ -255,15 +262,8 @@ def code_c2(k: int, q: int, allow_experimental: bool = False) -> PointMultiset:
     base_code_2; the count of maximal hyperplanes must equal
     C(q-1, k-3) + 2*C(q-1, k-4) + C(q-1, k-5)."""
     _gate_dimension(k, allow_experimental, "code_c2")
-    base = base_code_2(k, q)
-    q_point = tuple(base.meta["construction"]["q_point"])
-    _check_q_point_clear(base, q_point)
-    counts = base.counts.copy()
-    counts[pg.point_index(q, q_point)] = q
-    meta = _config_meta_from(base, "c2")
-    M = PointMultiset(base.field, base.r, counts, meta=meta)
     return _verified(
-        M,
+        _add_q_point(base_code_2(k, q), "c2"),
         n=q * q + 3 * q - 2,
         d=q * q - (k - 4) * q,
         q=q,

@@ -11,8 +11,8 @@ are computed exactly from hyperplane multiplicities: n - d is the largest
 one, the divisor is the gcd of the weights n - m(H), and the spectrum a_i
 counts hyperplanes of multiplicity i.  A brute-force codeword oracle is
 provided as an independent check; it never touches the hyperplane
-machinery.  It weighs one codeword per projective class over the s
-distinct support points, holding about q^(k - k//2) * s table cells.
+machinery.  It weighs one codeword per projective class from the zero
+counts of its first-half classes, streamed in blocks within the cell cap.
 
 File formats (plain text, exact round trip):
   multiset          header "q k", then one support line per point:
@@ -282,61 +282,74 @@ def _oracle_bound(explicit: int | None) -> int:
 def oracle_weight_distribution(M: PointMultiset, max_codewords: int | None = None) -> dict[int, int]:
     """Exact weight distribution by brute force; reads only the count vector.
 
-    The columns are the s support points, sorted stably by multiplicity: a
-    codeword's weight sums m times its nonzero symbols in each block of
-    multiplicity m.  The messages split at k//2, the field tables list each
-    half's codewords, and c + x has the weight of x compared with -c.  As c
-    and lambda*c share a weight, only the theta(k-1, q) messages with
-    leading nonzero digit 1 are weighed; their counts go times q - 1, plus
-    the zero codeword (a support that does not span has more weight-0
-    words).  Holds about q^(k - k//2) * s table cells and an n + 1 cell
-    histogram.  Refuses past GRIESMER_MAX_ORACLE (default 10^7 of the q^k
-    codewords), or when either cell count exceeds pg.MAX_TRANSFORM_CELLS,
-    before anything is built.
+    Messages split at h = k//2 into (u1, u2), points into (a, b).  With
+    T[u2, a, v] the multiplicity of the support points in class a with
+    <u2, b> = v, (-u1, u2) weighs n - sum_a T[u2, a, <u1, a>].  u1 = 0
+    meets every u2, other u1 only with leading digit 1, counted q - 1
+    times.  T is built by unweighted bincounts per multiplicity run, in
+    blocks of second-half messages that keep every array within
+    pg.MAX_TRANSFORM_CELLS cells.  Refuses past GRIESMER_MAX_ORACLE
+    (default 10^7 of the q^k codewords) or an n + 1 cell histogram above
+    the cap, before anything is built.
     """
     k, q, n = M.k, M.q, M.n
-    total = q**k
-    bound = _oracle_bound(max_codewords)
-    if total > bound:
-        raise TooLarge(f"{total} codewords exceed the oracle bound {bound}")
+    bound, cap = _oracle_bound(max_codewords), pg.MAX_TRANSFORM_CELLS
+    if q**k > bound:
+        raise TooLarge(f"{q**k} codewords exceed the oracle bound {bound}")
+    if n + 1 > cap:
+        raise TooLarge(f"the oracle needs {n + 1} histogram cells, above the bound {cap}")
     idx = np.flatnonzero(M.counts)
-    s, h = len(idx), k // 2
-    for cells, what in ((q ** (k - h) * s, "table"), (n + 1, "histogram")):
-        if cells > pg.MAX_TRANSFORM_CELLS:
-            raise TooLarge(
-                f"the oracle needs {cells} {what} cells, above the bound {pg.MAX_TRANSFORM_CELLS}"
-            )
-    mult = M.counts[idx]
-    order = np.argsort(mult, kind="stable")
-    mult = mult[order]
-    starts = np.flatnonzero(np.diff(mult, prepend=0))
-    blocks = list(zip(starts.tolist(), [*starts[1:].tolist(), s], mult[starts].tolist()))
-    G = pg.point_digits(q, M.r, idx[order]).T
+    idx = idx[np.argsort(M.counts[idx], kind="stable")]
+    mult, h, j = M.counts[idx], k // 2, k - k // 2
+    # point codes split into first-half classes and second halves, as digits
+    heads, cls = np.unique(pg.point_codes(q, M.r)[idx] // q**j, return_inverse=True)
+    tails, tail = np.unique(pg.point_codes(q, M.r)[idx] % q**j, return_inverse=True)
+    A = heads // q ** np.arange(h - 1, -1, -1)[:, None] % q
+    B = tails // q ** np.arange(j - 1, -1, -1)[:, None] % q
+    c = len(heads)
     add, mul = M.field.tables
 
-    def codewords(rows) -> np.ndarray:
-        C = np.zeros((1, s), dtype=add.dtype)
+    def codewords(rows, start) -> np.ndarray:
+        # row i is start plus the combination of rows with base-q digits i
+        C = start[None]
         for g in rows:
-            C = add[C[:, None, :], mul[:, g]].reshape(-1, s)
+            C = add[C[:, None, :], mul[:, g]].reshape(-1, C.shape[1])
         return C
 
-    def normalized(j: int) -> list[int]:
-        # row i of a j-row table is the message with base-q digits i
-        return [c for m in range(j) for c in range(q**m, 2 * q**m)]
-
-    # -x runs over the second half's codewords as x does, so comparing x
-    # with c instead of -c gives the same counts
-    outer, inner = codewords(G[:h]), codewords(G[h:])
-    pairs = [(c, inner) for c in outer[normalized(h)]]
-    pairs.append((outer[0], inner[normalized(k - h)]))
+    # the cell of T[u2] that each normalized u1 reads for each class
+    normalized = [u for e in range(h) for u in range(q**e, 2 * q**e)]
+    picks = codewords(A, np.zeros(c, add.dtype))[normalized] + np.arange(c) * q
+    # cells per second-half message; a block holds q^t messages
+    t = 0
+    while t < j and q ** (t + 1) * max(c * q, len(picks), len(tails)) <= cap:
+        t += 1
+    R, chunk = q**t, max(1, min(c * q, cap // q**t))
+    starts = np.flatnonzero(np.diff(mult, prepend=0)).tolist()
+    segments = []  # multiplicity, classes, per point class key and second half
+    for start, end in zip(starts, [*starts[1:], len(idx)]):
+        for lo in range(start, end, chunk):
+            hi = min(lo + chunk, end)
+            u, local = np.unique(cls[lo:hi], return_inverse=True)
+            segments.append((int(mult[lo]), u, local * q, tail[lo:hi]))
     weights = np.zeros(n + 1, dtype=np.int64)
-    for c, X in pairs:
-        differ = X != c
-        w = sum(m * np.count_nonzero(differ[:, lo:hi], axis=1) for lo, hi, m in blocks)
-        weights += np.bincount(w, minlength=n + 1)
-    weights *= q - 1
-    weights[0] += 1
-    return {int(w): int(c) for w, c in enumerate(weights) if c}
+    for block in range(0, q**j, R):
+        base = np.zeros(len(tails), add.dtype)
+        for i in range(j - t):  # the digits the block's messages share
+            base = add[base, mul[block // q ** (j - 1 - i) % q, B[i]]]
+        D = codewords(B[j - t :], base)
+        T = np.zeros((R, c, q), dtype=np.int64)
+        for m, u, local, cols in segments:
+            keys = np.add.outer(np.arange(0, R * len(u) * q, len(u) * q), local)
+            keys += D[:, cols]
+            T[:, u] += m * np.bincount(keys.ravel(), minlength=R * len(u) * q).reshape(R, len(u), q)
+        T = T.reshape(R, c * q)
+        zeros = np.zeros((R, len(picks)), dtype=np.int64)
+        for p in picks.T:
+            zeros += T[:, p]
+        weights += (q - 1) * np.bincount(n - zeros.ravel(), minlength=n + 1)
+        weights += np.bincount(n - T[:, ::q].sum(axis=1), minlength=n + 1)  # u1 = 0
+    nonzero = np.flatnonzero(weights)
+    return dict(zip(nonzero.tolist(), weights[nonzero].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +445,9 @@ def read_multiset(path) -> PointMultiset:
     if len(repeats):
         end, error = int(repeats.min()), "duplicate point"
     if end < len(body):
-        where = f"{path}:{end + 2}: "
+        # rows skip blank lines; name the row's line in the file
+        lines = [i for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        where = f"{path}:{lines[end + 1]}: "
         if error is None:
             _check_multiplicity(int(body[end][0]), where)
         raise FileFormatError(where + error)

@@ -53,6 +53,17 @@ def test_verify_oracle(tmp_path, capsys):
     assert "codewords agree" in capsys.readouterr().out
 
 
+def test_verify_oracle_on_the_k7_chain_head(tmp_path, capsys):
+    # the paper's [67188, 7, 53750]_5 head: 19516 support points, which the
+    # oracle weighs in 32 first-half classes
+    out = tmp_path / "head.ms"
+    assert main(["chain", "--theorem", "1", "--q", "5", "--k", "7", "--d", "53750",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--expect-d", "53750", "--oracle"]) == 0
+    assert "oracle: 78125 codewords agree with the hyperplane computation" in capsys.readouterr().out
+
+
 def test_verify_mismatch_exit_1(tmp_path, capsys):
     out = tmp_path / "b1.ms"
     main(["construct", "--family", "base1", "--q", "3", "--k", "5", "--out", str(out)])

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from griesmer import constructs, pg
 from griesmer.constructs import (
     arc_check,
     base_code_1,
@@ -9,9 +11,10 @@ from griesmer.constructs import (
     line_config,
     normal_rational_curve,
 )
-from griesmer.errors import ArcConditionViolated, OutOfScope, SpectrumMismatch
+from griesmer.errors import ArcConditionViolated, ConfigDegenerate, OutOfScope, SpectrumMismatch
 from griesmer.gf import field
 from griesmer.mcode import (
+    PointMultiset,
     code_params,
     hyperplane_spectrum,
     is_divisible,
@@ -165,14 +168,43 @@ def test_no_maximal_hyperplane_contains_q_point():
         base_mults = dict(M.mults)
         Q = tuple(M.meta["construction"]["q_point"])
         del base_mults[Q]
-        from griesmer.mcode import PointMultiset
-
         base = PointMultiset(M.field, M.r, base_mults)
         mvec = base.hyperplane_mults()
         top = int(mvec.max())
         pts = enumerate_points(M.field, M.r)
         for idx in (mvec == top).nonzero()[0]:
             assert not incident(M.field, Q, pts[int(idx)])
+
+
+@pytest.mark.parametrize("build,base_of", [(code_c1, base_code_1), (code_c2, base_code_2)])
+@pytest.mark.parametrize("k,q", [(6, 4), (6, 5), (7, 5)])
+def test_family_code_derives_the_base_vector(monkeypatch, build, base_of, k, q):
+    # the Q check reads the base's vector off the family code's, so a
+    # family code costs one kernel call
+    seen, calls = [], []
+    check, kernel = constructs._check_q_point_clear, pg.hyperplane_multiplicities
+
+    def spy_check(F, r, mvec, q_point):
+        seen.append(mvec)
+        check(F, r, mvec, q_point)
+
+    def spy_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(constructs, "_check_q_point_clear", spy_check)
+    monkeypatch.setattr(pg, "hyperplane_multiplicities", spy_kernel)
+    build(k, q)
+    assert len(seen) == len(calls) == 1
+    assert np.array_equal(seen[0], base_of(k, q).hyperplane_mults())
+
+
+def test_family_code_needs_q_off_the_base():
+    base = base_code_1(6, 4)
+    counts = base.counts.copy()
+    counts[pg.point_index(4, tuple(base.meta["construction"]["q_point"]))] = 1
+    with pytest.raises(ConfigDegenerate, match="already lies"):
+        constructs._add_q_point(PointMultiset(base.field, base.r, counts, meta=base.meta), "c1")
 
 
 def test_dimension_gate():

@@ -163,16 +163,32 @@ def test_oracle_respects_bound():
         oracle_weight_distribution(M, max_codewords=7)
 
 
-def test_oracle_refuses_its_table_footprint(monkeypatch):
-    # simplex(2, 3): the kernel needs 2^3 = 8 cells, the oracle's second
-    # half 2^(3 - 1) * n = 4 * 7 = 28
-    M = simplex(2, 3)
-    code_params(M)
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 27)
-    with pytest.raises(TooLarge):
-        oracle_weight_distribution(M)
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 28)
-    assert oracle_weight_distribution(M) == {0: 1, 4: 7}
+def test_oracle_streams_under_small_caps(monkeypatch):
+    # below the default cap the second-half messages go in blocks and the
+    # points in chunks.  simplex(2, 3) has c = 2 first-half classes and 4
+    # distinct second halves, so each message takes 4 cells: every cap
+    # under 16 splits its 4 messages into blocks, and every cap under 28
+    # was refused when the oracle held a 4 x 7 table.  The 6-point code of
+    # PG(3, 3) takes 15 cells per message: each of its 9 messages is a
+    # block of its own.  Only the n + 1 cell histogram bounds the cap.
+    codes = [
+        simplex(2, 3),
+        PointMultiset(field(3), 3, {(1, 0, 0, 0): 3, (0, 1, 0, 0): 1, (1, 1, 1, 0): 2,
+                                    (0, 0, 1, 2): 1, (1, 2, 0, 1): 2, (0, 0, 0, 1): 3}),
+        PointMultiset(field(2), 2, np.full(7, 5)),
+    ]
+    want = [oracle_weight_distribution(M) for M in codes]
+    assert want[0] == {0: 1, 4: 7} and want[2] == {0: 1, 20: 7}
+    for M, dist in zip(codes, want):
+        for cap in range(M.n + 1, 28):
+            monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", cap)
+            assert oracle_weight_distribution(M) == dist
+    # every point five times over: n = 35, so cap 36 is the least it accepts
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 36)
+    assert oracle_weight_distribution(codes[2]) == want[2]
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 35)
+    with pytest.raises(TooLarge, match="histogram"):
+        oracle_weight_distribution(codes[2])
 
 
 def test_oracle_refuses_its_histogram_before_allocating():
@@ -190,16 +206,25 @@ def test_oracle_refuses_its_histogram_before_allocating():
     assert peak < 1 << 20  # refused before the histogram exists
 
 
-def test_oracle_table_holds_support_points_not_columns(monkeypatch):
-    # simplex(2, 3) with every point five times: the second half's table
-    # over the n = 35 columns would hold 2^2 * 35 = 140 cells, over the
-    # s = 7 support points 28
-    M = PointMultiset(field(2), 2, np.full(7, 5))
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 100)
-    assert oracle_weight_distribution(M) == {0: 1, 20: 7}
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 27)
-    with pytest.raises(TooLarge, match="table"):
-        oracle_weight_distribution(M)
+def test_oracle_memory_follows_the_cap(monkeypatch):
+    # 200 points of PG(4, 9): one unblocked pass over the 9^3 second-half
+    # messages peaks near 2.8 MB; blocked, the peak stays within six int64
+    # arrays of cap cells plus 64 KB for the per-point arrays
+    rng = np.random.default_rng(1)
+    counts = np.zeros(theta(4, 9), dtype=np.int64)
+    counts[rng.choice(len(counts), 200, replace=False)] = rng.integers(1, 4, 200)
+    M = PointMultiset(field(9), 4, counts)
+    want = oracle_weight_distribution(M)
+    for cap in (1 << 11, 1 << 14):
+        monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", cap)
+        tracemalloc.start()
+        try:
+            got = oracle_weight_distribution(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 6 * 8 * cap + (1 << 16)
 
 
 def test_oracle_never_runs_the_hyperplane_kernel(monkeypatch):
@@ -346,6 +371,8 @@ def test_multiset_file_rejects_bad_input(tmp_path):
     (["1 1 0", "1 0 99999999999999999999"], 3, "coordinate outside [0, 3)"),
     (["1 1 0", "99999999999999999999 0 1", "1 0 0"], 3,
      "multiplicity 99999999999999999999 exceeds the bound"),
+    (["1 1 0", "", "1 1 0"], 4, "duplicate point"),
+    (["", "1 1 0", "1 1 0"], 4, "duplicate point"),
 ])
 def test_multiset_file_reports_its_first_bad_row(tmp_path, rows, line, message):
     path = tmp_path / "bad.ms"

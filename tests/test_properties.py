@@ -1,12 +1,16 @@
 """Property suites over small spaces: the closed-form point index and its
 vectorized form, the multiset's count vector, the multiset file format
-and its reader against a row-by-row reference,
-puncturing, the hyperplane kernel against naive incidence, the walked
-hyperplane vector of punctured codes against the kernel, and the codeword
-oracle against a full enumeration."""
+and its reader against a row-by-row reference, malformed files through
+the CLI, puncturing, the hyperplane kernel against naive incidence, the
+walked hyperplane vector of punctured codes against the kernel, and the
+codeword oracle, at the default and at lowered cell caps, against a full
+enumeration."""
 
+import io
+import json
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from griesmer import pg
+from griesmer.cli import main
 from griesmer.errors import FileFormatError, TooLarge
 from griesmer.gf import field
 from griesmer.mcode import (
@@ -30,6 +36,7 @@ from griesmer.pg import (
     hyperplanes_containing,
     incident,
     normalize_point,
+    point_codes,
     point_digits,
     point_index,
     rank,
@@ -123,12 +130,13 @@ def test_multiset_file_round_trips_byte_for_byte(case):
 def read_row_by_row(path):
     """The counts of a multiset file, or the error for its first bad row:
     every row checked in turn, each check in the order read_multiset
-    reports them."""
-    rows = [ln.split() for ln in Path(path).read_text(encoding="ascii").splitlines() if ln.strip()]
-    q, k = int(rows[0][0]), int(rows[0][1])
+    reports them, and named by its line in the file."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    rows = [(ln_no, ln.split()) for ln_no, ln in enumerate(lines, start=1) if ln.strip()]
+    q, k = int(rows[0][1][0]), int(rows[0][1][1])
     F = field(q)
     counts = np.zeros(theta(k - 1, q), dtype=np.int64)
-    for ln_no, row in enumerate(rows[1:], start=2):
+    for ln_no, row in rows[1:]:
         where = f"{path}:{ln_no}: "
         if len(row) != k + 1:
             raise FileFormatError(where + f"expected multiplicity plus {k} coordinates")
@@ -185,6 +193,101 @@ def test_multiset_reader_matches_the_row_by_row_reference(q, k, data):
         assert got == want
     else:
         assert np.array_equal(got.counts, want)
+
+
+def _spoiled(row, q, k, data):
+    """Rows to put in place of a valid multiset row: no reader may accept
+    them."""
+    how = data.draw(st.sampled_from(
+        ["multiplicity", "coordinate", "short", "long", "zero", "scaled", "duplicate"]
+    ))
+    if how == "multiplicity":
+        bad = ["0", "-1", "x", "1.0", "", "99999999999999999999", "\u00e9"]
+        return [[data.draw(st.sampled_from(bad)), *row[1:]]]
+    if how == "coordinate":
+        i = data.draw(st.integers(1, k))
+        bad = ["-1", str(q), "x", "1.0", "", "99999999999999999999"]
+        return [row[:i] + [data.draw(st.sampled_from(bad))] + row[i + 1 :]]
+    if how == "short":
+        return [row[:-1]]
+    if how == "long":
+        return [row + ["0"]]
+    if how == "duplicate":
+        return [row, [str(data.draw(st.integers(1, 5))), *row[1:]]]
+    if how == "scaled" and q > 2:  # the leading 1 becomes lam != 1
+        lam = data.draw(st.integers(2, q - 1))
+        return [[row[0], *(str(field(q).mul(lam, int(c))) for c in row[1:])]]
+    return [[row[0]] + ["0"] * k]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(q=st.sampled_from([2, 3, 4, 5]), k=st.integers(2, 4), data=st.data())
+def test_malformed_files_exit_2(q, k, data):
+    # a spanning code (the unit vectors plus random points) and a valid
+    # sidecar, then one spoiled header, body or sidecar: verify and
+    # puncture both exit 2 with a message and never raise
+    size = theta(k - 1, q)
+    units = {point_index(q, tuple(int(i == j) for j in range(k))) for i in range(k)}
+    idx = sorted(units | data.draw(st.sets(st.integers(0, size - 1), max_size=4)))
+    rows = [[str(data.draw(st.integers(1, 5))), *map(str, P)]
+            for P in point_digits(q, k - 1, idx).tolist()]
+    header, meta = f"{q} {k}", {"skew_region": [1] + [0] * (k - 1), "history": []}
+
+    def hyperplane(v):
+        return (isinstance(v, list) and len(v) == k and any(v)
+                and all(type(c) is int and 0 <= c < q for c in v))
+
+    def construction(v):
+        l0 = v.get("l0") if isinstance(v, dict) else None
+        return isinstance(l0, list) and len(l0) >= 2 and hyperplane(l0[1])
+
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers(-1, q) | st.floats(-1, q) | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=k + 1)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=8,
+    )
+    meta_text = None
+    part = data.draw(st.sampled_from(["header", "row", "no rows", "sidecar"]))
+    if part == "header":
+        header = data.draw(st.sampled_from([
+            "", "x", f"{q}", f"{q} {k} 1", f"x {k}", f"{q} {k}.0", f"{q} 0", f"{q} -1",
+            f"{q} {k + 1}", f"{q} {k - 1}", f"1 {k}", f"0 {k}", f"6 {k}", f"{q} 99", "256 3",
+        ]))
+    elif part == "row":
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i : i + 1] = _spoiled(rows[i], q, k, data)
+    elif part == "no rows":
+        rows = []
+    else:
+        key = data.draw(st.sampled_from(["text", "object", "skew_region", "history", "construction"]))
+        if key == "text":
+            meta_text = data.draw(st.sampled_from(["", "{", "[1,", "nope", "NaN", "{\"history\": }", "\u00e9"]))
+        elif key == "object":
+            meta_text = json.dumps(data.draw(values.filter(lambda v: not isinstance(v, dict))))
+        elif key == "skew_region":
+            meta["skew_region"] = data.draw(values.filter(lambda v: not hyperplane(v)))
+        elif key == "history":
+            meta["history"] = data.draw(values.filter(lambda v: not isinstance(v, list)))
+        else:
+            meta["construction"] = data.draw(st.one_of(
+                values.filter(lambda v: not construction(v)),
+                values.map(lambda v: {"l0": [[1] + [0] * (k - 1), v]}).filter(lambda v: not construction(v)),
+            ))
+    # blank lines are skipped wherever they are
+    body = [" ".join(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 2))):
+        body.insert(data.draw(st.integers(0, len(body))), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.ms"
+        path.write_bytes(("\n".join([header, *body]) + "\n").encode("utf-8"))
+        sidecar = Path(str(path) + ".meta.json")
+        sidecar.write_bytes((meta_text if meta_text is not None else json.dumps(meta)).encode("utf-8"))
+        for argv in (["verify", "--in", str(path)], ["puncture", "--in", str(path), "--lines", "1"]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                rc = main(argv)
+            assert (rc, err.getvalue()[:14]) == (2, "invalid input:"), err.getvalue()
 
 
 @PROPERTY
@@ -289,3 +392,30 @@ def test_oracle_matches_the_full_enumeration(q, k, data):
     assert dist == full_enumeration_oracle(M)
     spans = rank(F, point_digits(q, k - 1, list(mults)).tolist()) == k
     assert (dist[0] == 1) == spans
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+@settings(PROPERTY, max_examples=30)  # a low cap makes hundreds of blocks
+@given(k=st.integers(1, 5), full=st.booleans(), data=st.data())
+def test_oracle_streams_to_the_full_enumeration(q, k, full, data):
+    # a point's first-half class is its first k//2 coordinates: a full
+    # support has a point in every class that occurs, a tiny one fewer
+    # points than q^(k//2); the cap goes as low as the n + 1 cell
+    # histogram allows, so the second half streams in many blocks
+    F, h = field(q), k // 2
+    classes = point_codes(q, k - 1) // q ** (k - h)
+    if full or k == 1:
+        picks = st.tuples(*(st.sampled_from(np.flatnonzero(classes == a).tolist())
+                            for a in np.unique(classes).tolist()))
+        points = set(data.draw(picks)) | data.draw(st.sets(st.integers(0, len(classes) - 1), max_size=3))
+    else:
+        tiny = min(q**h - 1, 8)
+        points = data.draw(st.sets(st.integers(0, len(classes) - 1), min_size=1, max_size=tiny))
+    counts = np.zeros(len(classes), dtype=np.int64)
+    counts[sorted(points)] = data.draw(st.lists(st.integers(1, 5), min_size=len(points), max_size=len(points)))
+    M = PointMultiset(F, k - 1, counts)
+    want = full_enumeration_oracle(M)
+    cap = data.draw(st.integers(M.n + 1, M.n + q**k))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pg, "MAX_TRANSFORM_CELLS", cap)
+        assert oracle_weight_distribution(M) == want
