@@ -61,13 +61,12 @@ def _family_tops(theorem: int, q: int, k: int) -> tuple[int, int]:
 
 
 def theorem_range(theorem: int, q: int, k: int) -> tuple[int, int]:
-    """Inclusive distance range (d_min, d_max) covered by a family."""
+    """Inclusive distance range (d_min, d_max) covered by a family at
+    k >= 5: theorem 1 needs q >= k-2, theorem 2 q >= max(5, k-2)."""
     if theorem not in (1, 2):
         raise OutOfScope(f"theorem must be 1 or 2, got {theorem}")
-    if k == 5:
-        raise OutOfScope("k=5 relies on an external construction; this library covers k >= 6")
-    if k < 6:
-        raise OutOfScope(f"need k >= 6, got {k}")
+    if k < 5:
+        raise OutOfScope(f"need k >= 5, got {k}")
     q_min = k - 2 if theorem == 1 else max(5, k - 2)
     if q < q_min:
         raise OutOfScope(f"theorem {theorem} needs q >= {q_min} at k={k}, got {q}")

@@ -47,11 +47,7 @@ def _describe(M) -> str:
 
 
 def _cmd_construct(args) -> int:
-    build = _FAMILIES[args.family]
-    if args.family in ("c1", "c2"):
-        M = build(args.k, args.q, allow_experimental=args.allow_experimental)
-    else:
-        M = build(args.k, args.q)
+    M = _FAMILIES[args.family](args.k, args.q)
     print(f"{args.family}: {_describe(M)}")
     if args.out:
         write_multiset(M, args.out)
@@ -167,8 +163,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     c.add_argument("--q", required=True, type=int)
     c.add_argument("--k", required=True, type=int)
-    c.add_argument("--allow-experimental", action="store_true",
-                   help="try k=5 for c1/c2 with all claims checked at runtime")
     c.add_argument("--out")
     c.set_defaults(func=_cmd_construct)
 

@@ -6,7 +6,7 @@ The raw material is a normal rational curve: the q+1 points
 Joining the curve points to a transversal line l0 through (1,0,...,0)
 yields q further lines; unions of those lines minus l0, weighted copies of
 a few special points, and one extra point Q off the configuration produce
-two families of q-divisible codes (code_c1 and code_c2 below).
+two families of q-divisible codes for every k >= 5 (code_c1 and code_c2).
 
 Nothing is taken on faith: every constructor recomputes the parameters,
 the divisibility, and the count of maximal-multiplicity hyperplanes from
@@ -28,10 +28,6 @@ from .errors import (
 )
 from .gf import Field, field
 from .mcode import PointMultiset, code_params, hyperplane_spectrum, is_divisible
-
-
-def _choose(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 def normal_rational_curve(k: int, q: int) -> list[tuple[int, ...]]:
@@ -186,19 +182,6 @@ def base_code_2(k: int, q: int) -> PointMultiset:
     return PointMultiset(field(q), k - 1, mults, meta=_config_meta(cfg, "base2"))
 
 
-def _gate_dimension(k: int, allow_experimental: bool, what: str) -> None:
-    if k >= 6:
-        return
-    if k == 5 and allow_experimental:
-        return
-    if k == 5:
-        raise OutOfScope(
-            f"{what} is only proven for k >= 6; pass allow_experimental to try k=5 "
-            "with every claim checked at runtime"
-        )
-    raise OutOfScope(f"{what} needs k >= 6, got {k}")
-
-
 def _check_q_point_clear(F: Field, r: int, mvec, q_point) -> None:
     # adding Q with weight q keeps n-d only if no maximal hyperplane holds Q
     top = int(mvec.max())
@@ -226,14 +209,14 @@ def _add_q_point(base: PointMultiset, family: str) -> PointMultiset:
     return M
 
 
-def _verified(M: PointMultiset, n: int, d: int, q: int, spec_index: int, spec_count: int) -> PointMultiset:
+def _verified(M: PointMultiset, n: int, d: int, spec_index: int, spec_count: int) -> PointMultiset:
     params = code_params(M)
     if (params.n, params.d) != (n, d):
         raise ParamMismatch(
-            f"built [{params.n},{params.k},{params.d}]_{q}, wanted [{n},{M.k},{d}]_{q}"
+            f"built [{params.n},{params.k},{params.d}]_{M.q}, wanted [{n},{M.k},{d}]_{M.q}"
         )
-    if not is_divisible(M, q):
-        raise ParamMismatch(f"weights are not all divisible by {q}")
+    if not is_divisible(M, M.q):
+        raise ParamMismatch(f"weights are not all divisible by {M.q}")
     got = hyperplane_spectrum(M).get(spec_index, 0)
     if got != spec_count:
         raise SpectrumMismatch(
@@ -242,31 +225,42 @@ def _verified(M: PointMultiset, n: int, d: int, q: int, spec_index: int, spec_co
     return M
 
 
-def code_c1(k: int, q: int, allow_experimental: bool = False) -> PointMultiset:
+def code_c1(k: int, q: int) -> PointMultiset:
     """[q^2+2q-1, k, q^2-(k-4)q]_q built by adding Q with weight q to
     base_code_1; the count of maximal hyperplanes must equal
-    C(q, k-4) + C(q, k-3)."""
-    _gate_dimension(k, allow_experimental, "code_c1")
+    C(q, k-4) + C(q, k-3), plus 2q^2 at k = 5.
+
+    The binomials count hyperplanes through l0.  One that meets l0 in a
+    single point holds at most 3q-1 of the code, the maximum only at
+    k = 5: through P_0 and Q (q^2 of them), or through Q_j, P_j and Q for
+    some j (q each)."""
+    if k < 5:
+        raise OutOfScope(f"code_c1 needs k >= 5, got {k}")
     return _verified(
         _add_q_point(base_code_1(k, q), "c1"),
         n=q * q + 2 * q - 1,
         d=q * q - (k - 4) * q,
-        q=q,
         spec_index=(k - 2) * q - 1,
-        spec_count=_choose(q, k - 4) + _choose(q, k - 3),
+        spec_count=comb(q, k - 4) + comb(q, k - 3) + (2 * q * q if k == 5 else 0),
     )
 
 
-def code_c2(k: int, q: int, allow_experimental: bool = False) -> PointMultiset:
+def code_c2(k: int, q: int) -> PointMultiset:
     """[q^2+3q-2, k, q^2-(k-4)q]_q built by adding Q with weight q to
     base_code_2; the count of maximal hyperplanes must equal
-    C(q-1, k-3) + 2*C(q-1, k-4) + C(q-1, k-5)."""
-    _gate_dimension(k, allow_experimental, "code_c2")
+    C(q-1, k-3) + 2*C(q-1, k-4) + C(q-1, k-5), plus 3q-1 at k = 5.
+
+    The binomials count hyperplanes through l0.  One that meets l0 in a
+    single point holds at most 4q-2 of the code, the maximum only at
+    k = 5: through P_q and Q meeting l0 in P_0 or Q_q (q each), or through
+    Q_j, P_j, P_q and Q for some j < q (one each)."""
+    if k < 5:
+        raise OutOfScope(f"code_c2 needs k >= 5, got {k}")
     return _verified(
         _add_q_point(base_code_2(k, q), "c2"),
         n=q * q + 3 * q - 2,
         d=q * q - (k - 4) * q,
-        q=q,
         spec_index=(k - 1) * q - 2,
-        spec_count=_choose(q - 1, k - 3) + 2 * _choose(q - 1, k - 4) + _choose(q - 1, k - 5),
+        spec_count=comb(q - 1, k - 3) + 2 * comb(q - 1, k - 4) + comb(q - 1, k - 5)
+        + (3 * q - 1 if k == 5 else 0),
     )

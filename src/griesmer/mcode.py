@@ -387,11 +387,20 @@ def write_multiset(M: PointMultiset, path) -> None:
         )
 
 
-def read_multiset(path) -> PointMultiset:
+def _read_ascii(path) -> str:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        data = Path(path).read_bytes()
+        return data.decode("ascii")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # number the line as the readers' splitlines() does
+        at = len((data[: exc.start] + b".").decode("ascii").splitlines())
+        raise FileFormatError(f"{path}:{at}: non-ASCII byte {data[exc.start]:#04x}") from exc
+
+
+def read_multiset(path) -> PointMultiset:
+    text = _read_ascii(path)
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not rows or len(rows[0]) != 2:
         raise FileFormatError(f"{path}: expected a 'q k' header")
@@ -504,10 +513,7 @@ def write_gmatrix(M: PointMultiset, path) -> None:
 
 
 def read_gmatrix(path) -> PointMultiset:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    text = _read_ascii(path)
     rows = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not rows or len(rows[0]) != 3:
         raise FileFormatError(f"{path}: expected a 'q k n' header")

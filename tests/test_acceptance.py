@@ -272,6 +272,13 @@ PINNED_CHAIN_Q5K7 = {
     "report.json": "cf2d92c8f5790052973b6388091f12459fd45d4808ba87e7994d6c419fa34deb",
 }
 
+# k = 5, the dimension in the paper's title: theorem 1 at q=4 and theorem
+# 2 at q=5, pinned from their first certified output
+PINNED_K5_TABLES_JSON = {
+    (1, 4): "ba2691bfc19c71508487f840b1d41ce056fb23e872c75b8a69220632f61b9d52",
+    (2, 5): "c2a2c1fbf2085e4de1bae552163c65fde200ff7b8f5b8e3a856ab6e24be153ad",
+}
+
 
 def _cli_stdout_digest(argv):
     buf = io.StringIO()
@@ -298,3 +305,11 @@ def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
     assert got == PINNED_CHAIN_Q5K7
     print("\nACCEPTANCE 10 PASS: table (2,5,6) and (1,4,6) JSON and the [67188,7,53750]_5 "
           "chain's stdout, multiset, sidecar and report match the pinned bytes")
+
+
+def test_criterion_10b_k5_tables_byte_identical():
+    for (theorem, q), digest in PINNED_K5_TABLES_JSON.items():
+        assert _cli_stdout_digest(
+            ["table", "--theorem", str(theorem), "--q", str(q), "--k", "5", "--format", "json"]
+        ) == digest
+    print("\nACCEPTANCE 10b PASS: table (1,4,5) and (2,5,5) JSON match the pinned bytes")

@@ -38,8 +38,12 @@ def test_theorem_ranges():
 
 
 def test_theorem_range_scope():
+    assert theorem_range(1, 4, 5) == (324, 336)
+    assert theorem_range(2, 5, 5) == (1280, 1300)
     with pytest.raises(OutOfScope):
-        theorem_range(1, 4, 5)  # k=5 comes from elsewhere
+        theorem_range(1, 4, 4)  # k >= 5
+    with pytest.raises(OutOfScope):
+        theorem_range(2, 4, 5)  # theorem 2 needs q >= 5 at k=5 too
     with pytest.raises(OutOfScope):
         theorem_range(1, 3, 6)  # q < k-2
     with pytest.raises(OutOfScope):
@@ -73,7 +77,8 @@ def test_plan_chain_rejects_out_of_range():
 
 @pytest.mark.parametrize(
     "theorem,q,k",
-    [(1, 4, 6), (1, 5, 6), (1, 5, 7), (1, 7, 6), (2, 5, 6), (2, 5, 7), (2, 7, 6), (2, 8, 6)],
+    [(1, 3, 5), (1, 4, 5), (1, 4, 6), (1, 5, 6), (1, 5, 7), (1, 7, 6), (2, 5, 5), (2, 5, 6),
+     (2, 5, 7), (2, 7, 6), (2, 8, 6)],
 )
 def test_every_plan_in_range_meets_the_bound(theorem, q, k):
     # the arithmetic identity behind the whole family: every in-range d
@@ -148,6 +153,22 @@ def test_report_json_schema(table1):
 def test_divisibility_of_tops(table1):
     top = table1[0]
     assert top.divisor % 4 ** (6 - 3) == 0
+
+
+@pytest.mark.parametrize("theorem,q,rows", [
+    (1, 3, 7), (1, 4, 13), (1, 5, 21), (1, 7, 43), (1, 8, 57), (1, 9, 73), (1, 11, 111),
+    (2, 5, 21), (2, 7, 43), (2, 8, 57), (2, 9, 73), (2, 11, 111),
+])
+def test_k5_tables_certify_every_row(theorem, q, rows):
+    # the dimension in the paper's title: every d in range, each on the
+    # length bound summed here from scratch
+    d_min, d_max = theorem_range(theorem, q, 5)
+    table = reproduce_table(theorem, q, 5)
+    assert len(table) == rows == d_max - d_min + 1
+    assert [r.d for r in table] == list(range(d_max, d_min - 1, -1))
+    for r in table:
+        assert r.k == 5 and r.is_griesmer
+        assert r.n == sum(-(-r.d // q**i) for i in range(5))
 
 
 def test_family_1_table_at_q5():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -78,13 +79,19 @@ def test_construct_invalid_q_exit_2(capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
-def test_construct_k5_needs_flag(capsys):
-    rc = main(["construct", "--family", "c1", "--q", "5", "--k", "5"])
-    assert rc == 2
-    # with the flag the runtime check fires instead: exit 1
-    rc = main(["construct", "--family", "c1", "--q", "5", "--k", "5", "--allow-experimental"])
-    assert rc == 1
-    assert "verification failed" in capsys.readouterr().err
+def test_construct_k5(capsys):
+    assert main(["construct", "--family", "c1", "--q", "5", "--k", "5"]) == 0
+    assert capsys.readouterr().out.startswith("c1: [34,5,20]_5 ")
+    assert main(["construct", "--family", "c2", "--q", "5", "--k", "4"]) == 2
+    # every family takes the same options, none of them a dimension switch
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("options:")[1]
+    assert set(re.findall(r"--[\w-]+", options)) == {"--help", "--family", "--q", "--k", "--out"}
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--family", "c1", "--q", "5", "--k", "5", "--experimental"])
+    assert exc.value.code == 2
 
 
 def test_chain_subcommand(tmp_path, capsys):

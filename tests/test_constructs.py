@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from griesmer.constructs import (
     line_config,
     normal_rational_curve,
 )
-from griesmer.errors import ArcConditionViolated, ConfigDegenerate, OutOfScope, SpectrumMismatch
+from griesmer.errors import ArcConditionViolated, ConfigDegenerate, OutOfScope
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
@@ -208,19 +210,34 @@ def test_family_code_needs_q_off_the_base():
 
 
 def test_dimension_gate():
+    p = code_params(code_c1(5, 5))
+    assert (p.n, p.k, p.d) == (34, 5, 20)
     with pytest.raises(OutOfScope):
-        code_c1(5, 5)
+        code_c1(4, 5)
     with pytest.raises(OutOfScope):
-        code_c2(4, 5, allow_experimental=True)
+        code_c2(4, 5)
 
 
-def test_k5_experimental_fails_spectrum_claim():
-    # the parameter claims survive at k=5 but the maximal-hyperplane count
-    # does not match the k>=6 formula, and the runtime check says so
-    with pytest.raises(SpectrumMismatch):
-        code_c1(5, 5, allow_experimental=True)
-    with pytest.raises(SpectrumMismatch):
-        code_c2(5, 5, allow_experimental=True)
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_k5_maximal_hyperplane_counts(q):
+    # the exact k=5 counts, C(q,1) + C(q,2) + 2q^2 for c1 and
+    # C(q-1,2) + 2(q-1) + 1 + 3q-1 for c2.  A hyperplane [h_0..h_4] holds
+    # P_0 = e_0 iff h_0 = 0 and Q_q = e_4 iff h_4 = 0, so the maximal ones
+    # split into those through l0, through P_0 only, through Q_q only and
+    # through another point of l0, as the constructors' docstrings count
+    for M, top, total, split in (
+        (code_c1(5, q), 3 * q - 1, q * (5 * q + 1) // 2,
+         (comb(q, 1) + comb(q, 2), q * q, q, q * q - q)),
+        (code_c2(5, q), 4 * q - 2, comb(q - 1, 2) + 5 * q - 2,
+         (comb(q - 1, 2) + 2 * (q - 1) + 1, q, q, q - 1)),
+    ):
+        p = code_params(M)
+        mvec = M.hyperplane_mults()
+        assert int(mvec.max()) == p.n - p.d == top
+        assert hyperplane_spectrum(M)[top] == total == sum(split)
+        h = pg.point_digits(q, 4, np.flatnonzero(mvec == top))
+        on_p0, on_qq = h[:, 0] == 0, h[:, 4] == 0
+        assert [int(np.sum(a & b)) for a in (on_p0, ~on_p0) for b in (on_qq, ~on_qq)] == list(split)
 
 
 def test_lambda_profile_of_c1():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -373,10 +374,11 @@ def test_multiset_file_rejects_bad_input(tmp_path):
      "multiplicity 99999999999999999999 exceeds the bound"),
     (["1 1 0", "", "1 1 0"], 4, "duplicate point"),
     (["", "1 1 0", "1 1 0"], 4, "duplicate point"),
+    (["1 1 0", "", "1 0 \u00e9", "x"], 4, "non-ASCII byte 0xc3"),
 ])
 def test_multiset_file_reports_its_first_bad_row(tmp_path, rows, line, message):
     path = tmp_path / "bad.ms"
-    path.write_text("3 2\n" + "\n".join(rows) + "\n")
+    path.write_text("3 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises((FileFormatError, TooLarge)) as err:
         read_multiset(path)
     assert str(err.value).startswith(f"{path}:{line}: {message}")
@@ -392,6 +394,13 @@ def test_gmatrix_file_round_trip(tmp_path):
     assert back == M
     header = path.read_text().splitlines()[0]
     assert header == "3 3 4"
+
+
+def test_gmatrix_file_reports_a_non_ascii_line(tmp_path):
+    path = tmp_path / "bad.gm"
+    path.write_text("3 2 3\n1 0 1\n0 1 \u0661\n", encoding="utf-8")  # an Arabic-Indic 1
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}:3: non-ASCII byte 0xd9$"):
+        read_gmatrix(path)
 
 
 def test_hyperplane_multiplicity_vs_flat_sum():

@@ -1,9 +1,11 @@
 """Property suites over small spaces: the closed-form point index and its
 vectorized form, the multiset's count vector, the multiset file format
-and its reader against a row-by-row reference, malformed files through
-the CLI, puncturing, the hyperplane kernel against naive incidence, the
-walked hyperplane vector of punctured codes against the kernel, and the
-codeword oracle, at the default and at lowered cell caps, against a full
+and its reader against a row-by-row reference, malformed multiset files
+through the CLI and malformed generator-matrix files through their
+reader, puncturing, the dual of random divisible codes against its
+closed forms, the hyperplane kernel against naive incidence, the walked
+hyperplane vector of punctured codes against the kernel, and the codeword
+oracle, at the default and at lowered cell caps, against a full
 enumeration."""
 
 import io
@@ -20,17 +22,21 @@ from hypothesis import strategies as st
 
 from griesmer import pg
 from griesmer.cli import main
-from griesmer.errors import FileFormatError, TooLarge
+from griesmer.errors import FileFormatError, InputError, TooLarge
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
+    code_params,
+    hyperplane_spectrum,
     oracle_weight_distribution,
+    read_gmatrix,
     read_multiset,
     write_multiset,
 )
 from griesmer.pg import (
     MAX_TRANSFORM_CELLS,
     enumerate_points,
+    flat_indices,
     flat_points,
     hyperplane_multiplicities,
     hyperplanes_containing,
@@ -44,7 +50,7 @@ from griesmer.pg import (
     theta,
     vector_indices,
 )
-from griesmer.transforms import puncture_flat, puncture_point
+from griesmer.transforms import projective_dual, puncture_flat, puncture_point
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -290,6 +296,56 @@ def test_malformed_files_exit_2(q, k, data):
             assert (rc, err.getvalue()[:14]) == (2, "invalid input:"), err.getvalue()
 
 
+@settings(PROPERTY, max_examples=60)
+@given(q=st.sampled_from([2, 3, 4, 5]), k=st.integers(2, 4), data=st.data())
+def test_malformed_gmatrix_files_raise_input_errors(q, k, data):
+    # the generator matrix of a spanning code, then one spoiled header, row
+    # count, entry or column: read_gmatrix raises an InputError, nothing else
+    size = theta(k - 1, q)
+    units = {point_index(q, tuple(int(i == j) for j in range(k))) for i in range(k)}
+    idx = sorted(units | data.draw(st.sets(st.integers(0, size - 1), max_size=4)))
+    G, n = point_digits(q, k - 1, idx).T.astype(str).tolist(), len(idx)
+    header = f"{q} {k} {n}"
+    part = data.draw(st.sampled_from(["header", "rows", "entry", "column"]))
+    if part == "header":
+        header = data.draw(st.sampled_from([
+            "", "x", f"{q} {k}", f"{q} {k} {n} 1", f"x {k} {n}", f"{q} {k}.0 {n}",
+            f"{q} {k + 1} {n}", f"{q} {k - 1} {n}", f"{q} {k} {n + 1}", f"{q} {k} {n - 1}",
+            f"{q} 0 0", f"{q} -1 {n}", f"0 {k} {n}", f"1 {k} {n}", f"6 {k} {n}", f"-{q} {k} {n}",
+            f"{q} {k} \u0661",
+        ]))
+    elif part == "rows":
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        how = data.draw(st.sampled_from(["drop", "extra", "short", "long", "repeat"]))
+        if how == "drop":
+            del G[i]
+        elif how == "extra":
+            G.insert(i, list(G[j]))
+        elif how == "short":
+            G[i] = G[i][:-1]
+        elif how == "long":
+            G[i] = G[i] + ["0"]
+        else:  # two equal rows: rank below k
+            G[i] = list(G[j])
+    elif part == "entry":
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1))
+        G[i][j] = data.draw(st.sampled_from(
+            ["x", "1.0", "0x1", "", "-1", str(q), "99999999999999999999", "\u00e9", "\u0661"]
+        ))
+    else:
+        j = data.draw(st.integers(0, n - 1))
+        for row in G:
+            row[j] = "0"
+    body = [" ".join(row) for row in G]
+    for _ in range(data.draw(st.integers(0, 2))):
+        body.insert(data.draw(st.integers(0, len(body))), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.gm"
+        path.write_bytes(("\n".join([header, *body]) + "\n").encode("utf-8"))
+        with pytest.raises(InputError):
+            read_gmatrix(path)
+
+
 @PROPERTY
 @given(point_dicts(r_min=2, r_max=3), st.data())
 def test_punctures_subtract_an_indicator(case, data):
@@ -305,6 +361,34 @@ def test_punctures_subtract_an_indicator(case, data):
     P = pts[data.draw(st.integers(0, len(pts) - 1))]
     out = puncture_point(M, P)
     assert np.array_equal(M.counts - out.counts, indicator(len(pts), [P], F.q))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(q=st.sampled_from([2, 3, 4, 5]), r=st.integers(2, 4), data=st.data())
+def test_dual_of_a_sum_of_lines_meets_the_closed_forms(q, r, data):
+    # a hyperplane holds a line or meets it in one point, so a sum of lines
+    # is q-divisible; its dual either is refused as input (the lines do
+    # not span, or cover every point) or matches the closed forms
+    F, size = field(q), theta(r, q)
+    counts = np.zeros(size, dtype=np.int64)
+    for _ in range(data.draw(st.integers((r + 2) // 2, 2 * r + 2))):
+        i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        counts[flat_indices(F, span(F, point_digits(q, r, [i, j]).tolist()))] += 1
+    M = PointMultiset(F, r, counts)
+    try:
+        dual = projective_dual(M, q)
+    except InputError:
+        return
+    p, dp = code_params(M), code_params(dual)
+    k, n, d = r + 1, p.n, p.d
+    t = q ** (k - 2) // q
+    n_star = n * t * q - (d // q) * (q**k - 1) // (q - 1)
+    d_star = ((n - d) * q - n) * t
+    assert (dp.n, dp.k, dp.d) == (n_star, k, d_star)
+    assert dp.divisor % t == 0
+    assert hyperplane_spectrum(dual) == {
+        n_star - d_star - j * t: lam for j, lam in enumerate(p.lam) if lam
+    }
 
 
 @PROPERTY
