@@ -190,9 +190,9 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
             cost = (1, 1)
             step = {"op": "puncture_point", "point": list(P)}
         else:
-            step = {"op": "puncture_line",
-                    "points": [list(P) for P in pg.flat_points(code.field, removal)]}
             code = puncture_flat(code, removal)
+            points = code.meta["history"][-1]["points"]
+            step = {"op": "puncture_line", "points": [list(P) for P in points]}
             cost = (q + 1, q)
         new = code_params(code)
         if (params.n - new.n, params.d - new.d) != cost:

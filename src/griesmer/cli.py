@@ -19,6 +19,7 @@ from .errors import CertificationFailed, InputError, VerificationFailure
 from .mcode import (
     code_params,
     hyperplane_spectrum,
+    open_output,
     oracle_weight_distribution,
     read_multiset,
     write_gmatrix,
@@ -96,7 +97,7 @@ def _cmd_chain(args) -> int:
         write_multiset(code, args.out)
         print(f"wrote {args.out}")
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
+        with open_output(args.report) as fh:
             json.dump(report.to_json(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"wrote {args.report}")

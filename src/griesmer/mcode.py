@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -360,6 +361,16 @@ def _meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+@contextmanager
+def open_output(path):
+    """open(path, "w") for ASCII text, raising FileFormatError on OSError."""
+    try:
+        with open(path, "w", encoding="ascii") as out:
+            yield out
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def write_multiset(M: PointMultiset, path) -> None:
     q, k = M.q, M.k
     idx = np.flatnonzero(M.counts)
@@ -372,7 +383,7 @@ def write_multiset(M: PointMultiset, path) -> None:
     head = [" ".join(t) for t in product(element, repeat=k - h)]
     tail = ["".join(" " + c for c in t) for t in product(element, repeat=h)]
     codes = pg.point_codes(q, M.r)
-    with open(path, "w", encoding="ascii") as out:
+    with open_output(path) as out:
         out.write(f"{q} {k}\n")
         for lo in range(0, len(idx), _WRITE_CHUNK):
             chunk = idx[lo : lo + _WRITE_CHUNK]
@@ -382,9 +393,8 @@ def write_multiset(M: PointMultiset, path) -> None:
                 for m, a, b in zip(M.counts[chunk].tolist(), hi.tolist(), low.tolist())
             ]))
     if M.meta:
-        _meta_path(path).write_text(
-            json.dumps(M.meta, sort_keys=True, indent=2) + "\n", encoding="ascii"
-        )
+        with open_output(_meta_path(path)) as out:
+            out.write(json.dumps(M.meta, sort_keys=True, indent=2) + "\n")
 
 
 def _read_ascii(path) -> str:
@@ -506,10 +516,10 @@ def _read_meta(mp: Path, q: int, k: int) -> dict:
 def write_gmatrix(M: PointMultiset, path) -> None:
     G = generator_matrix(M)
     k, n = G.shape
-    lines = [f"{M.q} {k} {n}"]
-    for row in G:
-        lines.append(" ".join(str(int(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open_output(path) as out:
+        out.write(f"{M.q} {k} {n}\n")
+        for row in G.tolist():
+            out.write(" ".join(map(str, row)) + "\n")
 
 
 def read_gmatrix(path) -> PointMultiset:

@@ -21,10 +21,8 @@ walk.
 Repeated line removals need pairwise disjoint lines inside the support;
 find_disjoint_lines runs a deterministic lexicographic backtracking
 search, by default inside the dual hyperplane recorded by the
-construction provenance.  The search works on enumeration indices: the
-region's support is an index array, and the candidate lines through each
-anchor come from one Field tables gather and pg.vector_indices, tested
-against the count vector.
+construction provenance.  It works on enumeration indices, with the
+points taken as a boolean mask and each anchor's lines gathered in blocks.
 """
 
 from __future__ import annotations
@@ -45,6 +43,9 @@ from .errors import (
     PointNotInSupport,
 )
 from .mcode import PointMultiset, code_params, hyperplane_spectrum
+
+# second points per _line_block gather, of (q-1)*_SKEW_BLOCK*(r+1) cells
+_SKEW_BLOCK = 64
 
 
 def _is_power_of(m: int, p: int) -> int | None:
@@ -220,26 +221,21 @@ def simple_point(M: PointMultiset) -> tuple[int, ...]:
     return tuple(pg.point_digits(M.q, M.r, simple[:1])[0].tolist())
 
 
-def _candidate_lines(F, r: int, counts: np.ndarray, region: np.ndarray):
-    """Lines whose q+1 points all lie in the support, in lexicographic
-    order, as ascending point indices.
-
-    region holds the ascending indices of the region's support points; a
-    line through two of them stays in the region.  Each line is generated
-    once, at its smallest point P from its second smallest R: the other
-    points P + lambda*R (lambda = 1..q-1) must all come after R and carry
-    multiplicity.  One gather per anchor P covers every R > P at once.
+def _line_block(F, counts, region, digits, i: int, lo: int) -> np.ndarray:
+    """Support lines through P = region[i] and an R in region[lo:][:_SKEW_BLOCK],
+    as rows of ascending point indices in order of R.  A line is taken at
+    its smallest point P from its second smallest R: P + lambda*R (lambda =
+    1..q-1) must come after R and carry multiplicity.  A line through two
+    region points stays in the region.
     """
     add, mul = F.tables
-    digits = pg.point_digits(F.q, r, region)
-    lam = np.arange(1, F.q)[:, None, None]
-    for i, P in enumerate(region.tolist()):
-        later = region[i + 1 :]
-        # others[l, j]: the index of P + (l+1) * R_j
-        others = pg.vector_indices(F, add[digits[i], mul[lam, digits[i + 1 :]]])
-        ok = (others > later).all(axis=0) & (counts[others] > 0).all(axis=0)
-        for j in np.flatnonzero(ok).tolist():
-            yield (P, int(later[j]), *sorted(others[:, j].tolist()))
+    later = region[lo : lo + _SKEW_BLOCK]
+    lam = np.arange(1, F.q)[:, None]
+    # others[j, l]: the index of P + (l+1) * R_j
+    others = pg.vector_indices(F, add[digits[i], mul[lam, digits[lo : lo + len(later), None]]])
+    ok = (others > later[:, None]).all(axis=1) & (counts[others] > 0).all(axis=1)
+    others = np.sort(others[ok], axis=1)
+    return np.column_stack([np.full(len(others), region[i]), later[ok], others])
 
 
 def find_disjoint_lines(
@@ -247,11 +243,13 @@ def find_disjoint_lines(
 ) -> list[pg.Flat]:
     """Pairwise disjoint lines with every point in the support.
 
-    Deterministic: candidates are enumerated in lexicographic order and a
-    depth-first search returns the first feasible combination, pulling
-    candidates lazily so small requests stop early.  When `within` is
-    omitted the search region defaults to the hyperplane recorded in the
-    construction provenance, else the whole space.
+    Deterministic: a depth-first search over the lines in lexicographic
+    order returns the first feasible combination.  The points taken are a
+    boolean mask: a taken anchor is skipped, a free one's lines come in
+    _line_block blocks, and the first row the mask leaves free is taken,
+    so small requests stop early.  When `within` is omitted the search
+    region defaults to the hyperplane recorded in the construction
+    provenance, else the whole space.
     """
     if count < 1:
         raise ValueError("need a positive number of lines")
@@ -263,45 +261,31 @@ def find_disjoint_lines(
         region = pool[M.counts[pool] > 0]
     else:
         region = np.flatnonzero(M.counts)
-    per_line = F.q + 1
-    if count * per_line > len(region):
+    if count * (F.q + 1) > len(region):
         raise NotEnoughLines(
-            f"{count} disjoint lines need {count * per_line} support points, "
+            f"{count} disjoint lines need {count * (F.q + 1)} support points, "
             f"the region has {len(region)}"
         )
 
-    lines: list[tuple[int, ...]] = []
-    feeder = _candidate_lines(F, M.r, M.counts, region)
-    exhausted = False
-
-    def line_at(idx: int):
-        nonlocal exhausted
-        while len(lines) <= idx and not exhausted:
-            nxt = next(feeder, None)
-            if nxt is None:
-                exhausted = True
-            else:
-                lines.append(nxt)
-        return lines[idx] if idx < len(lines) else None
-
-    chosen: list[tuple[int, ...]] = []
-    used: set[int] = set()
+    digits = pg.point_digits(F.q, M.r, region)
+    used = np.zeros(len(M.counts), dtype=bool)
+    chosen: list[np.ndarray] = []
 
     def extend(start: int) -> bool:
         if len(chosen) == count:
             return True
-        if (count - len(chosen)) * per_line > len(region) - len(used):
-            return False
-        idx = start
-        while (line := line_at(idx)) is not None:
-            if used.isdisjoint(line):
-                chosen.append(line)
-                used.update(line)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-                used.difference_update(line)
-            idx += 1
+        for i in range(start, len(region)):
+            if used[region[i]]:
+                continue
+            for lo in range(i + 1, len(region), _SKEW_BLOCK):
+                block = _line_block(F, M.counts, region, digits, i, lo)
+                for line in block[~used[block].any(axis=1)]:
+                    used[line] = True
+                    chosen.append(line)
+                    if extend(i + 1):  # every other line through P meets this one
+                        return True
+                    chosen.pop()
+                    used[line] = False
         return False
 
     if not extend(0):

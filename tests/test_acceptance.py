@@ -272,6 +272,9 @@ PINNED_CHAIN_Q5K7 = {
     "report.json": "cf2d92c8f5790052973b6388091f12459fd45d4808ba87e7994d6c419fa34deb",
 }
 
+# theorem 1, q=7, k=7: the skew-line search's blocks split inside an anchor
+PINNED_TABLE_1_Q7K7_JSON = "f81e0e8be170841a78976a9f084f58be66355ed810b00a94748137a1043ff9d6"
+
 # k = 5, the dimension in the paper's title: theorem 1 at q=4 and theorem
 # 2 at q=5, pinned from their first certified output
 PINNED_K5_TABLES_JSON = {
@@ -313,3 +316,10 @@ def test_criterion_10b_k5_tables_byte_identical():
             ["table", "--theorem", str(theorem), "--q", str(q), "--k", "5", "--format", "json"]
         ) == digest
     print("\nACCEPTANCE 10b PASS: table (1,4,5) and (2,5,5) JSON match the pinned bytes")
+
+
+def test_criterion_10c_q7_k7_table_byte_identical():
+    assert _cli_stdout_digest(
+        ["table", "--theorem", "1", "--q", "7", "--k", "7", "--format", "json"]
+    ) == PINNED_TABLE_1_Q7K7_JSON
+    print("\nACCEPTANCE 10c PASS: table (1,7,7) JSON matches the pinned bytes")

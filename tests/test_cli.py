@@ -177,6 +177,31 @@ def test_export_gmatrix(tmp_path, capsys):
     assert gm.read_text().splitlines()[0] == "3 5 11"
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "base1", "--q", "3", "--k", "5", "--out", "{bad}"],
+    ["dual", "--in", "{c1}", "--divisor", "4", "--out", "{bad}"],
+    ["puncture", "--in", "{c1}", "--points", "1", "--out", "{bad}"],
+    ["chain", "--theorem", "1", "--q", "4", "--k", "6", "--d", "2363", "--out", "{bad}"],
+    ["chain", "--theorem", "1", "--q", "4", "--k", "6", "--d", "2363", "--report", "{bad}"],
+    ["export", "--in", "{c1}", "--out", "{bad}"],
+], ids=["construct", "dual", "puncture", "chain-out", "chain-report", "export"])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    c1 = tmp_path / "c1.ms"
+    assert main(["construct", "--family", "c1", "--q", "4", "--k", "6", "--out", str(c1)]) == 0
+    capsys.readouterr()
+    paths = {"c1": str(c1), "bad": str(tmp_path / "missing" / "x.ms")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "invalid input: cannot write" in capsys.readouterr().err
+
+
+def test_unwritable_sidecar_exit_2(tmp_path, capsys):
+    # the multiset itself is written, its provenance sidecar is not
+    (tmp_path / "c1.ms.meta.json").mkdir()
+    out = tmp_path / "c1.ms"
+    assert main(["construct", "--family", "c1", "--q", "4", "--k", "6", "--out", str(out)]) == 2
+    assert f"invalid input: cannot write {out}.meta.json" in capsys.readouterr().err
+
+
 def test_verify_bad_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ms"
     bad.write_text("not a multiset\n")

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from griesmer import pg
+from griesmer import pg, transforms
 from griesmer.chains import _family_dual
 from griesmer.constructs import code_c1, code_c2
 from griesmer.errors import (
@@ -24,7 +27,7 @@ from griesmer.mcode import (
 )
 from griesmer.pg import enumerate_points, flat_points, span, theta
 from griesmer.transforms import (
-    _candidate_lines,
+    _line_block,
     find_disjoint_lines,
     projective_dual,
     puncture_flat,
@@ -251,13 +254,77 @@ def _reference_candidate_lines(F, region_support, support_set):
                 yield tuple(key)
 
 
+def _reference_find_disjoint_lines(M, count, within=None):
+    """The depth-first search the mask-and-block search replaced, fed by the
+    scalar candidate generator: returns the picked lines and how often it
+    backtracked."""
+    F = M.field
+    pool = pg.flat_points(F, within) if within is not None else enumerate_points(F, M.r)
+    region = [P for P in pool if M.counts[pg.point_index(F.q, P)]]
+    per_line = F.q + 1
+    if count * per_line > len(region):
+        raise NotEnoughLines("not enough support points")
+
+    lines: list[tuple] = []
+    feeder = _reference_candidate_lines(F, region, set(region))
+    exhausted = False
+    backtracks = 0
+
+    def line_at(idx):
+        nonlocal exhausted
+        while len(lines) <= idx and not exhausted:
+            nxt = next(feeder, None)
+            if nxt is None:
+                exhausted = True
+            else:
+                lines.append(nxt)
+        return lines[idx] if idx < len(lines) else None
+
+    chosen: list[tuple] = []
+    used: set = set()
+
+    def extend(start):
+        nonlocal backtracks
+        if len(chosen) == count:
+            return True
+        if (count - len(chosen)) * per_line > len(region) - len(used):
+            return False
+        idx = start
+        while (line := line_at(idx)) is not None:
+            if used.isdisjoint(line):
+                chosen.append(line)
+                used.update(line)
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+                used.difference_update(line)
+                backtracks += 1
+            idx += 1
+        return False
+
+    if not extend(0):
+        raise NotEnoughLines("no packing")
+    return [span(F, line[:2]) for line in chosen], backtracks
+
+
+def _all_candidate_lines(F, r, counts, region):
+    """Every block of every anchor, concatenated in search order."""
+    digits = pg.point_digits(F.q, r, region)
+    return [
+        tuple(line)
+        for i in range(len(region))
+        for lo in range(i + 1, len(region), transforms._SKEW_BLOCK)
+        for line in _line_block(F, counts, region, digits, i, lo).tolist()
+    ]
+
+
 @pytest.mark.parametrize("q,r,regional", [
     (2, 3, False), (3, 2, False), (3, 3, False), (4, 2, False), (4, 3, False),
     (5, 2, False), (7, 2, False),
     # a region is a hyperplane, so it needs r >= 3 to hold more than one line
     (2, 3, True), (3, 3, True), (4, 3, True), (5, 3, True), (3, 4, True),
 ])
-def test_candidate_lines_match_the_scalar_order(q, r, regional):
+def test_candidate_lines_match_the_scalar_order(q, r, regional, monkeypatch):
     F = field(q)
     pts = enumerate_points(F, r)
     rng = random.Random(100 * q + r)
@@ -273,9 +340,68 @@ def test_candidate_lines_match_the_scalar_order(q, r, regional):
         tuple(pg.point_index(q, P) for P in line)
         for line in _reference_candidate_lines(F, region_support, set(region_support))
     ]
-    got = list(_candidate_lines(F, r, counts, region[counts[region] > 0]))
     assert want  # the supports are dense enough to hold lines
-    assert got == want
+    # whole anchors in one block, and blocks that split every anchor
+    for block in (transforms._SKEW_BLOCK, 2):
+        monkeypatch.setattr(transforms, "_SKEW_BLOCK", block)
+        assert _all_candidate_lines(F, r, counts, region[counts[region] > 0]) == want
+
+
+@st.composite
+def _skew_cases(draw):
+    """A sum of random lines and stray points in PG(r, q), with an optional
+    hyperplane region that holds most of the lines."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    r = draw(st.integers(2, 4))
+    F = field(q)
+    pts = enumerate_points(F, r)
+    within = pg.hyperplane_flat(F, draw(st.sampled_from(pts))) if draw(st.booleans()) else None
+    pool = pg.flat_points(F, within) if within is not None else pts
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        P = draw(st.sampled_from(pool))
+        R = draw(st.sampled_from(pool if draw(st.integers(0, 3)) else pts))
+        if P != R:
+            lines.append(pg.line_points_through(F, P, R))
+    # lines that join two others, which a packing may have to step around
+    for _ in range(draw(st.integers(0, 3)) if len(lines) > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        P, R = draw(st.sampled_from(lines[i])), draw(st.sampled_from(lines[j]))
+        if P != R:
+            lines.append(pg.line_points_through(F, P, R))
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for P in [X for line in lines for X in line] + draw(st.lists(st.sampled_from(pts), min_size=1, max_size=q)):
+        counts[pg.point_index(q, P)] += 1
+    return PointMultiset(F, r, counts), within
+
+
+def test_find_disjoint_lines_matches_the_reference_search(monkeypatch):
+    backtracked = []
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_skew_cases(), st.integers(1, 3))
+    def check(case, block):
+        M, within = case
+        # blocks of one to three second points split every anchor's lines
+        monkeypatch.setattr(transforms, "_SKEW_BLOCK", block)
+        # every count from 1 to one past the largest packing
+        for count in itertools.count(1):
+            try:
+                want, backtracks = _reference_find_disjoint_lines(M, count, within)
+            except NotEnoughLines:
+                want = None
+            try:
+                got = find_disjoint_lines(M, count, within)
+            except NotEnoughLines:
+                got = None
+            assert got == want
+            if want is None:
+                break
+            backtracked.append(backtracks > 0)
+
+    check()
+    # some searches found their lines only after undoing a pick
+    assert any(backtracked)
 
 
 # the lines the scalar search picked on the family duals, in order
@@ -291,6 +417,21 @@ PICKED_LINES = {
          ((1, 0, 0, 1, 1, 2), (0, 0, 1, 0, 0, 0)), ((1, 0, 0, 1, 2, 2), (0, 0, 1, 1, 4, 0))],
         [((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)), ((1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 4, 0)),
          ((1, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 4)), ((1, 0, 0, 0, 1, 2), (0, 0, 0, 1, 1, 3))],
+    ),
+    # large enough that the lines through one anchor span several blocks
+    (1, 7, 7): (
+        [((1, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 1, 0)),
+         ((1, 0, 0, 0, 1, 0, 2), (0, 0, 0, 1, 6, 0, 0)),
+         ((1, 0, 0, 0, 1, 1, 2), (0, 0, 0, 1, 0, 6, 0)),
+         ((1, 0, 0, 0, 1, 2, 2), (0, 0, 0, 1, 1, 5, 0)),
+         ((1, 0, 0, 0, 1, 3, 2), (0, 0, 0, 1, 2, 4, 0)),
+         ((1, 0, 0, 0, 1, 4, 2), (0, 0, 0, 1, 3, 3, 0))],
+        [((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)),
+         ((1, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 6, 0)),
+         ((1, 0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 0, 6)),
+         ((1, 0, 0, 0, 0, 1, 2), (0, 0, 0, 0, 1, 1, 5)),
+         ((1, 0, 0, 0, 0, 1, 3), (0, 0, 0, 0, 1, 2, 4)),
+         ((1, 0, 0, 0, 0, 1, 4), (0, 0, 0, 0, 1, 3, 3))],
     ),
 }
 
