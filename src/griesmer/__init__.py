@@ -20,7 +20,7 @@ from .constructs import (
     line_config,
     normal_rational_curve,
 )
-from .gf import Field, FieldSpec, field, field_arith, field_create
+from .gf import Field, FieldSpec, field, field_create
 from .mcode import (
     CodeParams,
     PointMultiset,

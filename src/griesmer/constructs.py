@@ -58,7 +58,7 @@ def arc_check(F: Field, points, ambient: pg.Flat) -> bool:
     if len(pts) < r + 1:
         return False
     for subset in combinations(pts, r + 1):
-        if pg.rank(F, subset, stop_at=r + 1) < r + 1:
+        if pg.rank(F, subset) < r + 1:
             return False
     # P lies in the ambient flat iff adding it to the basis keeps the rank
     return all(pg.rank(F, ambient.basis + (P,)) == r + 1 for P in pts)

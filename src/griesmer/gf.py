@@ -120,7 +120,13 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def field_create(q: int, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
+def _mul(a: int, b: int, p: int, h: int, modulus) -> int:
+    """Product of two packed encodings, reduced by the monic modulus."""
+    poly = _poly_rem(_poly_mul(_digits(a, p, h), _digits(b, p, h), p), modulus, p)
+    return sum(c * p**i for i, c in enumerate(poly))
+
+
+def field_create(q: int) -> FieldSpec:
     """Build the canonical FieldSpec for GF(q).
 
     The modulus is the smallest-encoded monic irreducible of degree h over
@@ -128,8 +134,8 @@ def field_create(q: int, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
     smallest-encoded element of multiplicative order exactly q - 1.
     """
     p, h = _prime_power(q)
-    if q > max_q:
-        raise TooLarge(f"field size {q} exceeds the configured bound {max_q}")
+    if q > MAX_FIELD_SIZE:
+        raise TooLarge(f"field size {q} exceeds the bound {MAX_FIELD_SIZE}")
 
     modulus: tuple[int, ...] | None = None
     for low in range(p**h):
@@ -139,23 +145,12 @@ def field_create(q: int, max_q: int = MAX_FIELD_SIZE) -> FieldSpec:
             break
     assert modulus is not None  # an irreducible exists for every degree
 
-    mod_list = list(modulus)
-
-    def as_poly(a: int) -> list[int]:
-        return _poly_trim(_digits(a, p, h))
-
-    def as_enc(poly: list[int]) -> int:
-        return sum(c * p**i for i, c in enumerate(poly))
-
-    def mul(a: int, b: int) -> int:
-        return as_enc(_poly_rem(_poly_mul(as_poly(a), as_poly(b), p), mod_list, p))
-
     def power(a: int, e: int) -> int:
         r = 1
         while e:
             if e & 1:
-                r = mul(r, a)
-            a = mul(a, a)
+                r = _mul(r, a, p, h, modulus)
+            a = _mul(a, a, p, h, modulus)
             e >>= 1
         return r
 
@@ -181,23 +176,13 @@ class Field:
         self._ppow = [p**i for i in range(h)]
         self._dig = [tuple(_digits(a, p, h)) for a in range(q)]
 
-        mod_list = list(spec.modulus)
-
-        def raw_mul(a: int, b: int) -> int:
-            poly = _poly_rem(
-                _poly_mul(_poly_trim(_digits(a, p, h)), _poly_trim(_digits(b, p, h)), p),
-                mod_list,
-                p,
-            )
-            return sum(c * p**i for i, c in enumerate(poly))
-
         exp = [0] * (q - 1)
         log = [-1] * q
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = raw_mul(x, spec.alpha)
+            x = _mul(x, spec.alpha, p, h, spec.modulus)
         if x != 1:
             raise NotAPrimePower(f"alpha={spec.alpha} does not have order {q - 1}")
         self._exp = exp
@@ -236,9 +221,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -285,11 +267,6 @@ class Field:
             inv[1:] = np.array(self._exp, dtype=dt)[-log % (q - 1)]
             self._inverses = inv
         return self._inverses
-
-
-def field_arith(spec: FieldSpec) -> Field:
-    """Arithmetic table/context for a FieldSpec."""
-    return Field(spec)
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,8 @@ multiset has any.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -39,8 +38,6 @@ from . import pg
 from .errors import FileFormatError, NotFullRank, TooLarge, ZeroColumn
 from .gf import Field, field
 
-DEFAULT_MAX_ORACLE = 10**7
-_ORACLE_ENV = "GRIESMER_MAX_ORACLE"
 _WRITE_CHUNK = 4096  # support points formatted per write
 
 
@@ -253,7 +250,7 @@ def generator_matrix(M: PointMultiset) -> np.ndarray:
     return G
 
 
-def multiset_from_matrix(G, q: int, meta: dict | None = None) -> PointMultiset:
+def multiset_from_matrix(G, q: int) -> PointMultiset:
     """Inverse of generator_matrix: proportional columns collapse to one point."""
     F = field(q)
     G = np.asarray(G, dtype=np.int64)
@@ -265,7 +262,7 @@ def multiset_from_matrix(G, q: int, meta: dict | None = None) -> PointMultiset:
         if not any(col):
             raise ZeroColumn(f"column {j} is zero (code would not have full support)")
     # the constructor normalizes each column, so proportional ones add up
-    M = PointMultiset(F, k - 1, Counter(cols), meta=meta)
+    M = PointMultiset(F, k - 1, Counter(cols))
     try:
         code_params(M)
     except NotFullRank as exc:
@@ -273,14 +270,7 @@ def multiset_from_matrix(G, q: int, meta: dict | None = None) -> PointMultiset:
     return M
 
 
-def _oracle_bound(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(_ORACLE_ENV)
-    return int(env) if env else DEFAULT_MAX_ORACLE
-
-
-def oracle_weight_distribution(M: PointMultiset, max_codewords: int | None = None) -> dict[int, int]:
+def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
     """Exact weight distribution by brute force; reads only the count vector.
 
     Messages split at h = k//2 into (u1, u2), points into (a, b).  With
@@ -289,14 +279,12 @@ def oracle_weight_distribution(M: PointMultiset, max_codewords: int | None = Non
     meets every u2, other u1 only with leading digit 1, counted q - 1
     times.  T is built by unweighted bincounts per multiplicity run, in
     blocks of second-half messages that keep every array within
-    pg.MAX_TRANSFORM_CELLS cells.  Refuses past GRIESMER_MAX_ORACLE
-    (default 10^7 of the q^k codewords) or an n + 1 cell histogram above
-    the cap, before anything is built.
+    pg.MAX_TRANSFORM_CELLS cells, so it runs on every code whose space
+    pg.check_space admits.  Refuses an n + 1 cell histogram above the cap,
+    before anything is built.
     """
     k, q, n = M.k, M.q, M.n
-    bound, cap = _oracle_bound(max_codewords), pg.MAX_TRANSFORM_CELLS
-    if q**k > bound:
-        raise TooLarge(f"{q**k} codewords exceed the oracle bound {bound}")
+    cap = pg.MAX_TRANSFORM_CELLS
     if n + 1 > cap:
         raise TooLarge(f"the oracle needs {n + 1} histogram cells, above the bound {cap}")
     idx = np.flatnonzero(M.counts)
@@ -363,15 +351,24 @@ def _meta_path(path) -> Path:
 
 @contextmanager
 def open_output(path):
-    """open(path, "w") for ASCII text, raising FileFormatError on OSError."""
+    """open(path, "w") for ASCII text, raising FileFormatError on OSError;
+    written beside path, the text replaces it only if the block completes."""
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.tmp")
     try:
-        with open(path, "w", encoding="ascii") as out:
+        with open(staged, "w", encoding="ascii") as out:
             yield out
+        staged.replace(path)
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            staged.unlink()
 
 
 def write_multiset(M: PointMultiset, path) -> None:
+    """Write M and its provenance sidecar, both or neither (the sidecar's
+    block runs inside the multiset's); without provenance, drop a stale one."""
     q, k = M.q, M.k
     idx = np.flatnonzero(M.counts)
     # a point's code is its coordinates read in base q: split it into the
@@ -392,9 +389,15 @@ def write_multiset(M: PointMultiset, path) -> None:
                 f"{m} {head[a]}{tail[b]}\n"
                 for m, a, b in zip(M.counts[chunk].tolist(), hi.tolist(), low.tolist())
             ]))
-    if M.meta:
-        with open_output(_meta_path(path)) as out:
-            out.write(json.dumps(M.meta, sort_keys=True, indent=2) + "\n")
+        meta = _meta_path(path)
+        if M.meta:
+            with open_output(meta) as side:
+                side.write(json.dumps(M.meta, sort_keys=True, indent=2) + "\n")
+        else:
+            try:
+                meta.unlink(missing_ok=True)
+            except OSError as exc:
+                raise FileFormatError(f"cannot write {meta}: {exc}") from exc
 
 
 def _read_ascii(path) -> str:

@@ -212,33 +212,9 @@ class Flat:
         return len(self.basis) - 1
 
 
-def rref(F: Field, rows) -> tuple[tuple[int, ...], ...]:
-    """Unique reduced row echelon form over GF(q), zero rows dropped."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    width = len(mat[0])
-    lead = 0
-    for col in range(width):
-        pivot = next((i for i in range(lead, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[lead], mat[pivot] = mat[pivot], mat[lead]
-        inv = F.inv(mat[lead][col])
-        if inv != 1:
-            mat[lead] = [F.mul(inv, x) for x in mat[lead]]
-        for i in range(len(mat)):
-            if i != lead and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[lead])]
-        lead += 1
-        if lead == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:lead])
-
-
-def rank(F: Field, rows, stop_at: int | None = None) -> int:
-    """Rank over GF(q); stops early once stop_at is reached."""
+def _echelon(F: Field, rows) -> dict[int, list[int]]:
+    """Forward elimination: {pivot column: row} for a basis of the rows'
+    span, each row 1 at its pivot column and 0 before it."""
     echelon: dict[int, list[int]] = {}
     for row in rows:
         v = list(row)
@@ -257,9 +233,25 @@ def rank(F: Field, rows, stop_at: int | None = None) -> int:
                 break
             f = v[col]
             v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, basis_row)]
-        if stop_at is not None and len(echelon) >= stop_at:
-            return len(echelon)
-    return len(echelon)
+    return echelon
+
+
+def rank(F: Field, rows) -> int:
+    """Rank over GF(q): the number of pivots forward elimination finds."""
+    return len(_echelon(F, rows))
+
+
+def rref(F: Field, rows) -> tuple[tuple[int, ...], ...]:
+    """Unique reduced row echelon form over GF(q), zero rows dropped:
+    _echelon's rows in pivot order, each pivot column cleared from the
+    other rows (in any order: a pivot row is already 0 at cleared ones)."""
+    echelon = _echelon(F, rows)
+    for col, pivot_row in echelon.items():
+        for other, row in echelon.items():
+            if other != col and row[col]:
+                f = row[col]
+                echelon[other] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, pivot_row)]
+    return tuple(tuple(echelon[col]) for col in sorted(echelon))
 
 
 def span(F: Field, points) -> Flat:

@@ -271,26 +271,31 @@ def find_disjoint_lines(
     used = np.zeros(len(M.counts), dtype=bool)
     chosen: list[np.ndarray] = []
 
-    def extend(start: int) -> bool:
-        if len(chosen) == count:
-            return True
+    def free_lines(start: int):
+        # one search level's lines, read with the mask as the level left it
         for i in range(start, len(region)):
             if used[region[i]]:
                 continue
             for lo in range(i + 1, len(region), _SKEW_BLOCK):
                 block = _line_block(F, M.counts, region, digits, i, lo)
                 for line in block[~used[block].any(axis=1)]:
-                    used[line] = True
-                    chosen.append(line)
-                    if extend(i + 1):  # every other line through P meets this one
-                        return True
-                    chosen.pop()
-                    used[line] = False
-        return False
+                    yield i, line
 
-    if not extend(0):
-        raise NotEnoughLines(
-            f"fewer than {count} pairwise disjoint support lines exist in the region"
-        )
+    # a stack, not recursion: one level per picked line plus the open one
+    levels = [free_lines(0)]
+    while len(chosen) < count:
+        step = next(levels[-1], None)
+        if step is None:  # backtrack: drop the level, undo the line before it
+            levels.pop()
+            if not levels:
+                raise NotEnoughLines(
+                    f"fewer than {count} pairwise disjoint support lines exist in the region"
+                )
+            used[chosen.pop()] = False
+            continue
+        i, line = step
+        used[line] = True
+        chosen.append(line)
+        levels.append(free_lines(i + 1))  # every other line through P meets this one
     ends = pg.point_digits(F.q, M.r, [line[:2] for line in chosen]).tolist()
     return [pg.span(F, pair) for pair in ends]

@@ -275,6 +275,9 @@ PINNED_CHAIN_Q5K7 = {
 # theorem 1, q=7, k=7: the skew-line search's blocks split inside an anchor
 PINNED_TABLE_1_Q7K7_JSON = "f81e0e8be170841a78976a9f084f58be66355ed810b00a94748137a1043ff9d6"
 
+# theorem 2, q=9, k=6: products in GF(9) and 252 arc rank checks
+PINNED_TABLE_2_Q9K6_JSON = "405efcd2e71a06ee85ef144c3710fed06e6ef9c25e50a194deba1aa9cb020fb6"
+
 # k = 5, the dimension in the paper's title: theorem 1 at q=4 and theorem
 # 2 at q=5, pinned from their first certified output
 PINNED_K5_TABLES_JSON = {
@@ -323,3 +326,10 @@ def test_criterion_10c_q7_k7_table_byte_identical():
         ["table", "--theorem", "1", "--q", "7", "--k", "7", "--format", "json"]
     ) == PINNED_TABLE_1_Q7K7_JSON
     print("\nACCEPTANCE 10c PASS: table (1,7,7) JSON matches the pinned bytes")
+
+
+def test_criterion_10d_q9_k6_table_byte_identical():
+    assert _cli_stdout_digest(
+        ["table", "--theorem", "2", "--q", "9", "--k", "6", "--format", "json"]
+    ) == PINNED_TABLE_2_Q9K6_JSON
+    print("\nACCEPTANCE 10d PASS: table (2,9,6) JSON matches the pinned bytes")

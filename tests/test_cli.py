@@ -195,11 +195,13 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
 
 
 def test_unwritable_sidecar_exit_2(tmp_path, capsys):
-    # the multiset itself is written, its provenance sidecar is not
+    # the provenance sidecar cannot be written, so neither file is
     (tmp_path / "c1.ms.meta.json").mkdir()
     out = tmp_path / "c1.ms"
     assert main(["construct", "--family", "c1", "--q", "4", "--k", "6", "--out", str(out)]) == 2
     assert f"invalid input: cannot write {out}.meta.json" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c1.ms.meta.json"]
 
 
 def test_verify_bad_file_exit_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from griesmer.errors import NotAPrimePower, TooLarge
-from griesmer.gf import field, field_arith, field_create
+from griesmer.gf import Field, field, field_create
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -127,7 +128,7 @@ def test_pow_matches_repeated_multiplication(q):
 
 def test_field_arith_from_spec():
     spec = field_create(8)
-    F = field_arith(spec)
+    F = Field(spec)
     assert F.mul(2, F.inv(2)) == 1
     # q = 8: x^3 = x + 1 under the modulus x^3 + x + 1
     assert spec.modulus == (1, 1, 0, 1)
@@ -155,3 +156,26 @@ def test_gcd_of_q_minus_one_orders():
             acc = F.mul(acc, e)
             order += 1
         assert order == 8 // math.gcd(i, 8)
+
+
+# sha256 of the canonical (q, modulus, alpha) and (q, alpha powers) of
+# every field up to 1024, pinned from an earlier release: the files this
+# package writes depend on both
+PINNED_SPECS = "c27d3e22758aa2e2edbbf986b4c7c5bbc4d857335b5d14a1ef463afbf660106e"
+PINNED_ALPHA_POWERS = "2c8b422003bce1ce9320ee5709768a210a882432e83d6deacf4fc53a503e3f43"
+
+
+def test_field_specs_and_alpha_powers_are_pinned():
+    specs = []
+    for q in range(2, 1025):
+        try:
+            specs.append(field_create(q))
+        except NotAPrimePower:
+            pass
+    assert len(specs) == 198
+
+    def digest(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    assert digest([(s.q, s.modulus, s.alpha) for s in specs]) == PINNED_SPECS
+    assert digest([(s.q, tuple(Field(s)._exp)) for s in specs]) == PINNED_ALPHA_POWERS

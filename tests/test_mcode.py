@@ -14,6 +14,7 @@ from griesmer.errors import (
     ZeroColumn,
 )
 from griesmer import pg
+from griesmer.constructs import code_c1
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
@@ -158,12 +159,6 @@ def test_code_params_requires_spanning_support():
         code_params(M)
 
 
-def test_oracle_respects_bound():
-    M = simplex(2, 3)
-    with pytest.raises(TooLarge):
-        oracle_weight_distribution(M, max_codewords=7)
-
-
 def test_oracle_streams_under_small_caps(monkeypatch):
     # below the default cap the second-half messages go in blocks and the
     # points in chunks.  simplex(2, 3) has c = 2 first-half classes and 4
@@ -269,15 +264,6 @@ def test_count_vector_constructor():
             PointMultiset(F, 2, bad)
 
 
-def test_oracle_env_bound(monkeypatch):
-    M = simplex(2, 3)
-    monkeypatch.setenv("GRIESMER_MAX_ORACLE", "7")
-    with pytest.raises(TooLarge):
-        oracle_weight_distribution(M)
-    monkeypatch.setenv("GRIESMER_MAX_ORACLE", "8")
-    assert oracle_weight_distribution(M) == {0: 1, 4: 7}
-
-
 def test_multiset_file_round_trip(tmp_path):
     F = field(4)
     pts = enumerate_points(F, 3)
@@ -293,6 +279,20 @@ def test_multiset_file_round_trip(tmp_path):
     first = path.read_text()
     write_multiset(back, path)
     assert path.read_text() == first
+
+
+def test_rewrite_without_meta_drops_the_old_sidecar(tmp_path):
+    F = field(4)
+    path = tmp_path / "code.ms"
+    with_meta = code_c1(6, 4)
+    assert with_meta.meta
+    write_multiset(with_meta, path)
+    bare = PointMultiset(F, 3, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 1})
+    write_multiset(bare, path)
+    back = read_multiset(path)
+    assert back == bare
+    assert back.meta == {}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["code.ms"]
 
 
 def _reference_multiset_text(M):

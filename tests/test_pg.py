@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from griesmer.errors import DimensionMismatch, TooLarge
 from griesmer.gf import field
@@ -149,12 +151,92 @@ def test_rref_gives_canonical_flats():
     assert L1 == L2
 
 
-def test_rank_early_stop():
+def test_rank_of_dependent_rows():
     F = field(2)
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
     assert rank(F, rows) == 3
-    assert rank(F, rows, stop_at=2) == 2
+    assert rank(F, rows[:3]) == 2
     assert rank(F, [(0, 0, 0)]) == 0
+
+
+def _reference_rref(F, rows):
+    """The separate Gauss-Jordan pass rref used before it shared rank's
+    forward elimination."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return ()
+    width = len(mat[0])
+    lead = 0
+    for col in range(width):
+        pivot = next((i for i in range(lead, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[lead], mat[pivot] = mat[pivot], mat[lead]
+        inv = F.inv(mat[lead][col])
+        if inv != 1:
+            mat[lead] = [F.mul(inv, x) for x in mat[lead]]
+        for i in range(len(mat)):
+            if i != lead and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[lead])]
+        lead += 1
+        if lead == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:lead])
+
+
+def _reference_rank(F, rows):
+    """rank's forward elimination as it was before rref shared it."""
+    echelon = {}
+    for row in rows:
+        v = list(row)
+        col = 0
+        width = len(v)
+        while col < width:
+            if v[col] == 0:
+                col += 1
+                continue
+            basis_row = echelon.get(col)
+            if basis_row is None:
+                inv = F.inv(v[col])
+                if inv != 1:
+                    v = [F.mul(inv, x) for x in v]
+                echelon[col] = v
+                break
+            f = v[col]
+            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, basis_row)]
+    return len(echelon)
+
+
+@st.composite
+def _matrices(draw):
+    """1-8 rows of width 1-7 over a small field, with zero rows, repeats
+    and combinations of earlier rows among them."""
+    F = field(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16])))
+    width = draw(st.integers(1, 7))
+    element = st.integers(0, F.q - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "combination"])) if rows else "new"
+        if kind == "new":
+            rows.append(tuple(draw(st.lists(element, min_size=width, max_size=width))))
+        elif kind == "zero":
+            rows.append((0,) * width)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(element)
+            rows.append(tuple(F.add(x, F.mul(c, y)) for x, y in zip(a, b)))
+    return F, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_matrices())
+def test_rank_and_rref_match_the_separate_eliminations(case):
+    F, rows = case
+    want = _reference_rref(F, rows)
+    assert rref(F, rows) == want
+    assert rank(F, rows) == _reference_rank(F, rows) == len(want)
 
 
 def test_hyperplane_flat_matches_incidence():

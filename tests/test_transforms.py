@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -447,6 +449,21 @@ def test_find_disjoint_lines_keeps_the_picked_flats(family):
     bare = PointMultiset(dual.field, dual.r, dual.counts)
     got = find_disjoint_lines(bare, q - 1)
     assert got == [pg.Flat(k - 1, basis) for basis in whole_space]
+
+
+def test_find_disjoint_lines_runs_within_a_tight_recursion_limit():
+    # 60 lines on the full support of PG(7, 2); a recursive search takes
+    # one frame per picked line and failed here
+    F = field(2)
+    M = PointMultiset(F, 7, np.ones(theta(7, 2), dtype=np.int64))
+    want, _ = _reference_find_disjoint_lines(M, 60)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = find_disjoint_lines(M, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_dual_divisor_must_give_integer_t():
