@@ -70,6 +70,8 @@ def theorem_range(theorem: int, q: int, k: int) -> tuple[int, int]:
     q_min = k - 2 if theorem == 1 else max(5, k - 2)
     if q < q_min:
         raise OutOfScope(f"theorem {theorem} needs q >= {q_min} at k={k}, got {q}")
+    # before q^(k-1), which a huge k makes slow to compute
+    pg.check_space(q, k)
     _, d_top = _family_tops(theorem, q, k)
     return d_top - q * q + q, d_top
 

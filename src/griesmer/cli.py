@@ -67,6 +67,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_puncture(args) -> int:
+    if args.points < 0:
+        raise ValueError(f"need a nonnegative number of points, got {args.points}")
     M = read_multiset(args.infile)
     if args.lines:
         for line in find_disjoint_lines(M, args.lines):

@@ -112,12 +112,12 @@ def line_config(k: int, q: int) -> LineConfig:
     if sum(1 for P in l0 if P[-1] == 0) != 1:
         raise ConfigDegenerate("transversal line must meet the hyperplane only at P_0")
 
+    # l_i joins P_i and Q_i, i = 1..q: all q lines in one call
+    line_idx = pg.line_indices(F, arc[1:], l0[1:])
     lines = []
     seen: set[tuple[int, ...]] = set()
-    for i in range(1, q + 1):
-        li = tuple(
-            sorted(pg.line_points_through(F, arc[i], l0[i]), key=pg.point_key)
-        )
+    for i, digits in enumerate(pg.point_digits(q, k - 1, line_idx).tolist(), 1):
+        li = tuple(map(tuple, digits))
         off = set(li) - l0_set
         if len(off) != q:
             raise ConfigDegenerate(f"line {i} shares more than one point with l0")

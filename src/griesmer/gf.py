@@ -133,9 +133,10 @@ def field_create(q: int) -> FieldSpec:
     GF(p) (trial division suffices at these sizes) and alpha the
     smallest-encoded element of multiplicative order exactly q - 1.
     """
-    p, h = _prime_power(q)
+    # the bound comes first: trial division runs up to sqrt(q)
     if q > MAX_FIELD_SIZE:
         raise TooLarge(f"field size {q} exceeds the bound {MAX_FIELD_SIZE}")
+    p, h = _prime_power(q)
 
     modulus: tuple[int, ...] | None = None
     for low in range(p**h):

@@ -144,8 +144,8 @@ class PointMultiset:
     def support(self) -> tuple[tuple[int, ...], ...]:
         """The points with positive multiplicity, in enumeration order."""
         if self._support is None:
-            pts = pg.enumerate_points(self.field, self.r)
-            self._support = tuple(pts[i] for i in np.flatnonzero(self.counts).tolist())
+            digits = pg.point_digits(self.q, self.r, np.flatnonzero(self.counts))
+            self._support = tuple(map(tuple, digits.tolist()))
         return self._support
 
     @property
@@ -162,10 +162,6 @@ class PointMultiset:
         if len(P) != self.k or any(not (0 <= c < self.q) for c in P):
             return None
         return pg.point_index(self.q, pg.normalize_point(self.field, P))
-
-    def mult(self, P) -> int:
-        i = self.index(P)
-        return 0 if i is None else int(self.counts[i])
 
     def hyperplane_mults(self) -> np.ndarray:
         """m(H) for every hyperplane, indexed like pg.enumerate_points: the

@@ -15,10 +15,10 @@ point tuples at all.  Array code works on those indices: point_digits
 turns indices into coordinate rows (the base-q digits of point_codes),
 vector_indices turns any nonzero coordinate rows back into indices (scaled
 by their leading entry's inverse with Field tables gathers),
-flat_indices lists a flat's points that way, and hyperplanes_containing
-marks the hyperplanes through a flat.  The point tuples of
-enumerate_points are built and cached only for the public API and for
-output.
+flat_indices lists a flat's points that way, line_indices the lines
+through pairs of points, and hyperplanes_containing marks the hyperplanes
+through a flat.  The point tuples of enumerate_points are built on demand,
+only for the public API.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .gf import Field
 # where either count exceeds the cap raise TooLarge (check_space)
 MAX_TRANSFORM_CELLS = 1 << 23
 
-_POINTS_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 _CODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -56,14 +55,6 @@ def normalize_point(F: Field, coords) -> tuple[int, ...]:
                 return coords
             s = F.inv(c)
             return tuple(F.mul(s, x) for x in coords)
-    raise ValueError("the zero vector is not a projective point")
-
-
-def point_key(P: tuple[int, ...]) -> tuple:
-    """Sort key matching enumeration order for canonical points."""
-    for i, c in enumerate(P):
-        if c != 0:
-            return (i, P[i + 1 :])
     raise ValueError("the zero vector is not a projective point")
 
 
@@ -159,20 +150,14 @@ def vector_indices(F: Field, vectors) -> np.ndarray:
 
 def enumerate_points(F: Field, r: int) -> tuple[tuple[int, ...], ...]:
     """All theta(r, q) canonical points of PG(r, q), in enumeration order."""
-    key = (F.q, r)
-    cached = _POINTS_CACHE.get(key)
-    if cached is None:
-        q = F.q
-        check_space(q, r + 1)
-        pts = []
-        for pivot in range(r + 1):
-            head = (0,) * pivot + (1,)
-            for tail in product(range(q), repeat=r - pivot):
-                pts.append(head + tail)
-        cached = tuple(pts)
-        assert len(cached) == theta(r, q)
-        _POINTS_CACHE[key] = cached
-    return cached
+    check_space(F.q, r + 1)
+    pts = []
+    for pivot in range(r + 1):
+        head = (0,) * pivot + (1,)
+        for tail in product(range(F.q), repeat=r - pivot):
+            pts.append(head + tail)
+    assert len(pts) == theta(r, F.q)
+    return tuple(pts)
 
 
 def dot(F: Field, u, v) -> int:
@@ -330,16 +315,19 @@ def hyperplane_flat(F: Field, coeffs) -> Flat:
     return Flat(r=k - 1, basis=rref(F, rows))
 
 
-def line_points_through(F: Field, P, R) -> list[tuple[int, ...]]:
-    """The q+1 points of the line joining two distinct points."""
-    if tuple(P) == tuple(R):
-        raise ValueError("a line needs two distinct points")
-    pts = [normalize_point(F, R)]
-    for lam in range(F.q):
-        vec = [F.add(a, F.mul(lam, b)) for a, b in zip(P, R)]
-        pts.append(normalize_point(F, vec))
-    assert len(set(pts)) == F.q + 1
-    return pts
+def line_indices(F: Field, P, R) -> np.ndarray:
+    """Ascending enumeration indices of the q+1 points on the line through
+    the points P and R: R, and P + c*R for every c in GF(q).
+
+    P and R are coordinate rows of shape (..., k) whose leading axes
+    broadcast; the result has shape (..., q+1).  Two rows that span no line
+    give a zero vector, which vector_indices refuses (ValueError).
+    """
+    add, mul = F.tables
+    P, R = np.asarray(P)[..., None, :], np.asarray(R)[..., None, :]
+    vecs = add[P, mul[np.arange(F.q)[:, None], R]]
+    ends = np.broadcast_to(R, vecs.shape[:-2] + R.shape[-2:])
+    return np.sort(vector_indices(F, np.concatenate([ends, vecs], axis=-2)), axis=-1)
 
 
 def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:

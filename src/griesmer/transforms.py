@@ -224,18 +224,14 @@ def simple_point(M: PointMultiset) -> tuple[int, ...]:
 def _line_block(F, counts, region, digits, i: int, lo: int) -> np.ndarray:
     """Support lines through P = region[i] and an R in region[lo:][:_SKEW_BLOCK],
     as rows of ascending point indices in order of R.  A line is taken at
-    its smallest point P from its second smallest R: P + lambda*R (lambda =
-    1..q-1) must come after R and carry multiplicity.  A line through two
-    region points stays in the region.
+    its smallest point P from its second smallest R: its sorted row must
+    start [P, R], and every point must carry multiplicity.  A line through
+    two region points stays in the region.
     """
-    add, mul = F.tables
     later = region[lo : lo + _SKEW_BLOCK]
-    lam = np.arange(1, F.q)[:, None]
-    # others[j, l]: the index of P + (l+1) * R_j
-    others = pg.vector_indices(F, add[digits[i], mul[lam, digits[lo : lo + len(later), None]]])
-    ok = (others > later[:, None]).all(axis=1) & (counts[others] > 0).all(axis=1)
-    others = np.sort(others[ok], axis=1)
-    return np.column_stack([np.full(len(others), region[i]), later[ok], others])
+    lines = pg.line_indices(F, digits[i], digits[lo : lo + len(later)])
+    ok = (lines[:, 0] == region[i]) & (lines[:, 1] == later) & (counts[lines] > 0).all(axis=1)
+    return lines[ok]
 
 
 def find_disjoint_lines(

@@ -249,6 +249,12 @@ def test_puncture_negative_lines_exit_2(tmp_path, capsys):
     main(["construct", "--family", "base1", "--q", "3", "--k", "5", "--out", str(src)])
     rc = main(["puncture", "--in", str(src), "--lines", "-1"])
     assert rc == 2
+    capsys.readouterr()
+    rc = main(["puncture", "--in", str(src), "--points", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "punctured" not in captured.out
+    assert "nonnegative number of points" in captured.err
 
 
 def test_puncture_points_without_simple_point_exit_2(tmp_path, capsys):
@@ -328,6 +334,29 @@ def test_dual_bad_construction_exit_2(dual_c1_file, tmp_path, capsys, constructi
     rc = main(["dual", "--in", str(target), "--divisor", "4", "--out", str(tmp_path / "d.ms")])
     assert rc == 2
     assert "construction.l0[1] must be 6 integers in [0, 4)" in capsys.readouterr().err
+
+
+MERSENNE_61 = 2**61 - 1  # prime: trial division up to its root would run for hours
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "c1", "--q", str(MERSENNE_61), "--k", "5"],
+    ["chain", "--theorem", "1", "--q", str(MERSENNE_61), "--k", "5", "--d", "1"],
+    ["table", "--theorem", "1", "--q", str(MERSENNE_61), "--k", "5"],
+    ["chain", "--theorem", "1", "--q", "1000003", "--k", str(10**6), "--d", "1"],
+    ["table", "--theorem", "1", "--q", "1000003", "--k", str(10**6)],
+], ids=["construct-q", "chain-q", "table-q", "chain-k", "table-k"])
+def test_huge_q_or_k_is_refused_at_the_bound(argv):
+    # in a child with a timeout, so a size computed before the bound check
+    # fails this test instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(griesmer.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "griesmer.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert re.search(r"(exceeds|above) the bound \d+$", proc.stderr.strip())
+    assert len(proc.stderr) < 300
 
 
 def test_python_m_cli_runs_main():

@@ -264,6 +264,22 @@ def test_count_vector_constructor():
             PointMultiset(F, 2, bad)
 
 
+@pytest.mark.parametrize("q,k", [(4, 6), (5, 5)])
+def test_support_and_mults_need_no_point_enumeration(q, k, monkeypatch):
+    M = code_c1(k, q)
+    pts = enumerate_points(M.field, M.r)
+    want = [(P, int(m)) for P, m in zip(pts, M.counts.tolist()) if m]
+
+    def refuse(*args):
+        raise AssertionError("the point tuples of the whole space were built")
+
+    monkeypatch.setattr(pg, "enumerate_points", refuse)
+    fresh = PointMultiset(M.field, M.r, M.counts)
+    assert list(fresh.support) == [P for P, _ in want]
+    assert list(fresh.mults.items()) == want
+    assert all(type(c) is int for P in fresh.support for c in P)
+
+
 def test_multiset_file_round_trip(tmp_path):
     F = field(4)
     pts = enumerate_points(F, 3)

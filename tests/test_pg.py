@@ -17,10 +17,10 @@ from griesmer.pg import (
     hyperplane_flat,
     hyperplane_multiplicities,
     incident,
-    line_points_through,
+    line_indices,
     normalize_point,
+    point_digits,
     point_index,
-    point_key,
     rank,
     rref,
     span,
@@ -49,7 +49,7 @@ def test_enumerate_counts_and_canonical(r, q, count):
     assert len(set(pts)) == count
     for P in pts:
         assert normalize_point(F, P) == P
-    assert list(pts) == sorted(pts, key=point_key)
+    assert [point_index(q, P) for P in pts] == list(range(count))
 
 
 def test_incident_examples():
@@ -246,16 +246,78 @@ def test_hyperplane_flat_matches_incidence():
     for H in [pts[0], pts[7], pts[-1]]:
         flat = hyperplane_flat(F, H)
         assert flat.dim == r - 1
-        want = sorted((P for P in pts if incident(F, P, H)), key=point_key)
+        want = [P for P in pts if incident(F, P, H)]
         assert flat_points(F, flat) == want
+
+
+def _line_points_through(F, P, R):
+    """The scalar line builder line_indices replaced: the q+1 points of the
+    line joining two distinct points, as tuples."""
+    if tuple(P) == tuple(R):
+        raise ValueError("a line needs two distinct points")
+    pts = [normalize_point(F, R)]
+    for lam in range(F.q):
+        vec = [F.add(a, F.mul(lam, b)) for a, b in zip(P, R)]
+        pts.append(normalize_point(F, vec))
+    assert len(set(pts)) == F.q + 1
+    return pts
 
 
 def test_line_points_through():
     F = field(3)
-    pts = line_points_through(F, (1, 0, 0), (0, 1, 2))
+    pts = _line_points_through(F, (1, 0, 0), (0, 1, 2))
     assert len(pts) == 4
     L = span(F, [(1, 0, 0), (0, 1, 2)])
-    assert sorted(pts, key=point_key) == flat_points(F, L)
+    assert sorted(pts, key=lambda P: point_index(3, P)) == flat_points(F, L)
+    assert line_indices(F, (1, 0, 0), (0, 1, 2)).tolist() == [
+        point_index(3, P) for P in flat_points(F, L)
+    ]
+
+
+@st.composite
+def _point_pairs(draw):
+    """A field, a dimension and a list of distinct point pairs of PG(r, q)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    r = draw(st.integers(1, 4))
+    size = theta(r, q)
+    pairs = draw(st.lists(
+        st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True),
+        min_size=1, max_size=6,
+    ))
+    return field(q), r, np.array(pairs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_point_pairs())
+def test_line_indices_match_the_scalar_builder(case):
+    F, r, pairs = case
+    q = F.q
+    ends = point_digits(q, r, pairs)
+    want = [
+        sorted(point_index(q, X) for X in _line_points_through(F, tuple(P), tuple(R)))
+        for P, R in ends.tolist()
+    ]
+    # one pair at a time, and every pair in one broadcast call
+    for (P, R), line in zip(ends, want):
+        assert line_indices(F, P, R).tolist() == line
+    assert line_indices(F, ends[:, 0], ends[:, 1]).tolist() == want
+    # every other endpoint, as a (m, 1, k) stack, against the first one
+    first = ends[0, 0]
+    others = np.array([X for X in ends.reshape(-1, r + 1).tolist() if X != first.tolist()])
+    if len(others):
+        got = line_indices(F, others[:, None], first)
+        assert got.shape == (len(others), 1, q + 1)
+        assert got[:, 0].tolist() == [
+            sorted(point_index(q, X) for X in _line_points_through(F, tuple(R), tuple(first)))
+            for R in others.tolist()
+        ]
+
+
+def test_line_indices_refuses_a_repeated_point():
+    F = field(5)
+    P = point_digits(5, 2, [17])[0]
+    with pytest.raises(ValueError, match="zero vector"):
+        line_indices(F, P, P)
 
 
 @pytest.mark.parametrize(
@@ -266,7 +328,7 @@ def test_hyperplane_multiplicities_against_naive(r, q):
     pts = enumerate_points(F, r)
     # a deterministic ragged multiset spread over the whole enumeration
     support = [pts[(i * 7 + 1) % len(pts)] for i in range(12)]
-    support = sorted(set(support), key=point_key)
+    support = sorted(set(support), key=lambda P: point_index(q, P))
     weights = [(i * 5 + 2) % 4 + 1 for i in range(len(support))]
     naive = [sum(w for P, w in zip(support, weights) if incident(F, P, H)) for H in pts]
     got = hyperplane_multiplicities(F, r, [point_index(q, P) for P in support], weights)

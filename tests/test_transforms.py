@@ -238,6 +238,17 @@ def test_find_disjoint_lines_impossible(dual_c1_64):
         find_disjoint_lines(dual_c1_64, theta(5, 4))
 
 
+def _line_points_through(F, P, R):
+    """The scalar line builder pg.line_indices replaced: the q+1 points of
+    the line joining two distinct points, as tuples."""
+    pts = [pg.normalize_point(F, R)]
+    for lam in range(F.q):
+        vec = [F.add(a, F.mul(lam, b)) for a, b in zip(P, R)]
+        pts.append(pg.normalize_point(F, vec))
+    assert len(set(pts)) == F.q + 1
+    return pts
+
+
 def _reference_candidate_lines(F, region_support, support_set):
     """The scalar candidate generator the index-space search replaced: lines
     whose q+1 points all lie in the support, in lexicographic order, each
@@ -247,9 +258,9 @@ def _reference_candidate_lines(F, region_support, support_set):
         for R in region_support[i + 1 :]:
             if R in covered:
                 continue
-            pts = pg.line_points_through(F, P, R)
+            pts = _line_points_through(F, P, R)
             covered.update(pts)
-            key = sorted(pts, key=pg.point_key)
+            key = sorted(pts, key=lambda X: pg.point_index(F.q, X))
             if key[0] != P:
                 continue  # generated at its own anchor instead
             if all(pt in support_set for pt in pts):
@@ -364,13 +375,13 @@ def _skew_cases(draw):
         P = draw(st.sampled_from(pool))
         R = draw(st.sampled_from(pool if draw(st.integers(0, 3)) else pts))
         if P != R:
-            lines.append(pg.line_points_through(F, P, R))
+            lines.append(_line_points_through(F, P, R))
     # lines that join two others, which a packing may have to step around
     for _ in range(draw(st.integers(0, 3)) if len(lines) > 1 else 0):
         i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
         P, R = draw(st.sampled_from(lines[i])), draw(st.sampled_from(lines[j]))
         if P != R:
-            lines.append(pg.line_points_through(F, P, R))
+            lines.append(_line_points_through(F, P, R))
     counts = np.zeros(len(pts), dtype=np.int64)
     for P in [X for line in lines for X in line] + draw(st.lists(st.sampled_from(pts), min_size=1, max_size=q)):
         counts[pg.point_index(q, P)] += 1
