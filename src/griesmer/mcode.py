@@ -18,14 +18,17 @@ File formats (plain text, exact round trip):
   multiset          header "q k", then one support line per point:
                     "multiplicity c0 c1 ... c_{k-1}" using element encodings
   generator matrix  header "q k n", then k rows of n element encodings
-A JSON sidecar "<path>.meta.json" carries construction provenance when the
-multiset has any.
+Entries are whitespace-separated and blank lines are skipped.  A file of
+digits, spaces and newlines, as the writers make, is parsed by numpy's C
+reader; any other file (CRLF, tabs, bad rows) by a row scan that names
+the first bad row's line.  A JSON sidecar "<path>.meta.json" carries
+construction provenance when the multiset has any.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import product
@@ -57,7 +60,7 @@ class CodeParams:
     lam: tuple[int, ...]
 
 
-def _check_multiplicity(m: int, where: str = "") -> int:
+def _check_multiplicity(m: int) -> int:
     """Return m, or raise TooLarge when it exceeds pg.MAX_TRANSFORM_CELLS.
 
     The bound keeps lambda_counts' bincount (gamma0 + 1 cells) within the
@@ -66,9 +69,7 @@ def _check_multiplicity(m: int, where: str = "") -> int:
     store, so no oversized value ever reaches an array.
     """
     if m > pg.MAX_TRANSFORM_CELLS:
-        raise TooLarge(
-            f"{where}multiplicity {m} exceeds the bound {pg.MAX_TRANSFORM_CELLS}"
-        )
+        raise TooLarge(f"multiplicity {m} exceeds the bound {pg.MAX_TRANSFORM_CELLS}")
     return m
 
 
@@ -253,12 +254,16 @@ def multiset_from_matrix(G, q: int) -> PointMultiset:
     if G.ndim != 2 or G.shape[0] < 1:
         raise FileFormatError("generator matrix must be two-dimensional")
     k = G.shape[0]
-    cols = [tuple(col) for col in G.T.tolist()]
-    for j, col in enumerate(cols):
-        if not any(col):
-            raise ZeroColumn(f"column {j} is zero (code would not have full support)")
-    # the constructor normalizes each column, so proportional ones add up
-    M = PointMultiset(F, k - 1, Counter(cols))
+    zero = np.flatnonzero(~G.any(axis=0))
+    if len(zero):
+        raise ZeroColumn(f"column {zero[0]} is zero (code would not have full support)")
+    pg.check_space(q, k)
+    bad = np.flatnonzero(((G < 0) | (G >= q)).any(axis=0))
+    if len(bad):
+        raise ValueError(f"coordinate out of range in {tuple(G[:, bad[0]].tolist())}")
+    # proportional columns span one point, so their counts add up
+    counts = np.bincount(pg.vector_indices(F, G.T), minlength=pg.theta(k - 1, q))
+    M = PointMultiset(F, k - 1, counts)
     try:
         code_params(M)
     except NotFullRank as exc:
@@ -408,39 +413,82 @@ def _read_ascii(path) -> str:
         raise FileFormatError(f"{path}:{at}: non-ASCII byte {data[exc.start]:#04x}") from exc
 
 
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each nonblank line, as splitlines() cuts them."""
+    return [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _head(text: str) -> list[str]:
+    """The tokens of _rows(text)[0], without splitting the rest."""
+    first = text.lstrip().partition("\n")[0]
+    return first.splitlines()[0].split() if first else []
+
+
+def _table(text: str, width: int) -> np.ndarray | None:
+    """The rows after the header as an int64 array from numpy's C reader, or
+    None for the row scan: when a byte is not a digit, space or newline
+    (splitlines() also cuts lines at \\r, \\x0b, \\x0c and \\x1c-\\x1e), when
+    no row follows, or when numpy refuses a token or rows are not `width` wide."""
+    if text.encode("ascii").translate(None, b"0123456789 \n"):
+        return None
+    body = text.lstrip().partition("\n")[2]
+    if not body.strip():  # loadtxt warns on an empty input
+        return None
+    try:
+        vals = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return vals if vals.shape[1] == width else None
+
+
+def _entry(token: str) -> int:
+    """int(token) clamped to +-2^62, past every bound here.  A signed digit
+    run is read by its significant digits: int() refuses a string of more
+    than 4300 digits, leading zeros included."""
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isdecimal():
+        digits = digits.lstrip("0") or "0"
+        return (-1 if token[0] == "-" else 1) * (1 << 62 if len(digits) > 18 else int(digits))
+    return min(max(int(token), -(1 << 62)), 1 << 62)
+
+
 def read_multiset(path) -> PointMultiset:
     text = _read_ascii(path)
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 2:
+    head = _head(text)
+    if len(head) != 2:
         raise FileFormatError(f"{path}: expected a 'q k' header")
     try:
-        q, k = int(rows[0][0]), int(rows[0][1])
+        q, k = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header") from exc
     if k < 1:
         raise FileFormatError(f"{path}: dimension must be positive")
     pg.check_space(q, k)
     F = field(q)
-    body = rows[1:]
-    if not body:
-        raise FileFormatError(f"{path}: no support points")
+    vals = _table(text, k + 1)
+    if vals is not None:
+        count = end = len(vals)
+    else:
+        body = [row for _, row in _rows(text)[1:]]
+        if not body:
+            raise FileFormatError(f"{path}: no support points")
+        count = len(body)
+        end = next((i for i, row in enumerate(body) if len(row) != k + 1), count)
+        error = f"expected multiplicity plus {k} coordinates"
+        try:
+            vals = np.array(body[:end], dtype=np.int64).reshape(end, k + 1)
+        except (ValueError, OverflowError):
+            vals = []
+            for i, row in enumerate(body[:end]):
+                try:
+                    vals.append([_entry(x) for x in row])
+                except ValueError:
+                    end, error = i, "non-integer entry"
+                    break
+            vals = np.array(vals, dtype=np.int64).reshape(end, k + 1)
     # Rows are checked as arrays, one check at a time.  Each check runs on
     # the rows before the first failure found so far, so the first bad row
     # is reported with the first check it fails, as a row-by-row scan would.
-    end = next((i for i, row in enumerate(body) if len(row) != k + 1), len(body))
-    error = f"expected multiplicity plus {k} coordinates"
-    try:
-        vals = np.array(body[:end], dtype=np.int64).reshape(end, k + 1)
-    except (ValueError, OverflowError):
-        vals, big = [], 1 << 62
-        for i, row in enumerate(body[:end]):
-            try:
-                # every entry past +-2^62 fails a range check below anyway
-                vals.append([min(max(int(x), -big), big) for x in row])
-            except ValueError:
-                end, error = i, "non-integer entry"
-                break
-        vals = np.array(vals, dtype=np.int64).reshape(end, k + 1)
     m, coords = vals[:, 0], vals[:, 1:]
 
     def lead(c):  # each row's leading nonzero entry
@@ -462,12 +510,12 @@ def read_multiset(path) -> PointMultiset:
     repeats = order[1:][idx[order][1:] == idx[order][:-1]]
     if len(repeats):
         end, error = int(repeats.min()), "duplicate point"
-    if end < len(body):
-        # rows skip blank lines; name the row's line in the file
-        lines = [i for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-        where = f"{path}:{lines[end + 1]}: "
-        if error is None:
-            _check_multiplicity(int(body[end][0]), where)
+    if end < count:
+        line, row = _rows(text)[end + 1]
+        where = f"{path}:{line}: "
+        if error is None:  # the entry as str(int()) gives it, past int()'s digit limit
+            m = row[0].lstrip("+").replace("_", "").lstrip("0")
+            raise TooLarge(f"{where}multiplicity {m} exceeds the bound {pg.MAX_TRANSFORM_CELLS}")
         raise FileFormatError(where + error)
     counts = np.zeros(pg.theta(k - 1, q), dtype=np.int64)
     counts[idx] = m
@@ -523,19 +571,24 @@ def write_gmatrix(M: PointMultiset, path) -> None:
 
 def read_gmatrix(path) -> PointMultiset:
     text = _read_ascii(path)
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 3:
+    head = _head(text)
+    if len(head) != 3:
         raise FileFormatError(f"{path}: expected a 'q k n' header")
     try:
-        q, k, n = (int(x) for x in rows[0])
+        q, k, n = (int(x) for x in head)
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header") from exc
-    if len(rows) != k + 1 or any(len(r) != n for r in rows[1:]):
+    G = _table(text, n)
+    if G is None:
+        rows = [row for _, row in _rows(text)[1:]]
+        if len(rows) != k or any(len(r) != n for r in rows):
+            raise FileFormatError(f"{path}: expected {k} rows of {n} entries")
+        try:
+            G = np.array([[_entry(x) for x in r] for r in rows], dtype=np.int64)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: non-integer entry") from exc
+    elif len(G) != k:
         raise FileFormatError(f"{path}: expected {k} rows of {n} entries")
-    try:
-        G = [[int(x) for x in r] for r in rows[1:]]
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: non-integer entry") from exc
-    if any(not (0 <= x < q) for r in G for x in r):
+    if ((G < 0) | (G >= q)).any():
         raise FileFormatError(f"{path}: entry outside [0, {q})")
     return multiset_from_matrix(G, q)

@@ -146,10 +146,18 @@ def test_multiset_from_matrix_collapses_proportional_columns():
 
 
 def test_multiset_from_matrix_errors():
-    with pytest.raises(ZeroColumn):
+    with pytest.raises(ZeroColumn, match="^column 1 is zero"):
         multiset_from_matrix([[1, 0], [0, 0]], 2)
-    with pytest.raises(NotFullRank):
+    # the first zero column, before any entry out of range
+    with pytest.raises(ZeroColumn, match="^column 2 is zero"):
+        multiset_from_matrix([[1, 0, 0, 5, 0], [0, 1, 0, 0, 0]], 3)
+    with pytest.raises(NotFullRank, match="^matrix rank is below the number of rows$"):
         multiset_from_matrix([[1, 1], [1, 1]], 2)
+    # the first column out of range is named
+    with pytest.raises(ValueError, match=r"^coordinate out of range in \(2, 1\)$"):
+        multiset_from_matrix([[1, 2, 0, 3], [0, 1, 1, 0]], 2)
+    with pytest.raises(ValueError, match=r"^coordinate out of range in \(-1, 1\)$"):
+        multiset_from_matrix([[1, 0, -1], [0, 1, 1]], 3)
 
 
 def test_code_params_requires_spanning_support():
@@ -390,7 +398,17 @@ def test_multiset_file_rejects_bad_input(tmp_path):
      "multiplicity 99999999999999999999 exceeds the bound"),
     (["1 1 0", "", "1 1 0"], 4, "duplicate point"),
     (["", "1 1 0", "1 1 0"], 4, "duplicate point"),
-    (["1 1 0", "", "1 0 \u00e9", "x"], 4, "non-ASCII byte 0xc3"),
+    (["1 1 0", "", "1 0 \u00e9", "x"], 4, "non-ASCII byte 0xc3"),    (["1 1 0", "+0099999999999999999999 0 1"], 3,
+     "multiplicity 99999999999999999999 exceeds the bound"),
+    # past int()'s 4300-digit limit, the entry is still read as a number
+    pytest.param(["1 1 0", "9" * 5000 + " 0 1"], 3, f"multiplicity {'9' * 5000} exceeds the bound",
+                 id="5000-digit-multiplicity"),
+    pytest.param(["1 1 0", "1 0 " + "9" * 5000], 3, "coordinate outside [0, 3)",
+                 id="5000-digit-coordinate"),
+    pytest.param(["1 1 0", "-" + "9" * 5000 + " 0 1"], 3, "multiplicity must be positive",
+                 id="negative-5000-digit-multiplicity"),
+    (["1 1 0", "1 1 0\r"], 3, "duplicate point"),
+    (["1 1 0 1", "1 0 1 1"], 2, "expected multiplicity plus 2 coordinates"),
 ])
 def test_multiset_file_reports_its_first_bad_row(tmp_path, rows, line, message):
     path = tmp_path / "bad.ms"
@@ -410,6 +428,22 @@ def test_gmatrix_file_round_trip(tmp_path):
     assert back == M
     header = path.read_text().splitlines()[0]
     assert header == "3 3 4"
+
+
+def test_gmatrix_file_entries_past_the_int_digit_limit_are_out_of_range(tmp_path):
+    path = tmp_path / "big.gm"
+    path.write_text("3 2 3\n1 0 1\n0 1 " + "0" * 5000 + "1\n")
+    assert read_gmatrix(path).mults == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    path.write_text("3 2 3\r\n1 0 1\r\n0 1 " + "9" * 5000 + "\r\n")
+    with pytest.raises(FileFormatError, match=r"big\.gm: entry outside \[0, 3\)$"):
+        read_gmatrix(path)
+
+
+def test_gmatrix_file_rows_of_another_width_are_refused(tmp_path):
+    path = tmp_path / "wide.gm"
+    path.write_text("3 2 3\n1 0 1 1\n0 1 1 2\n")
+    with pytest.raises(FileFormatError, match=r"wide\.gm: expected 2 rows of 3 entries$"):
+        read_gmatrix(path)
 
 
 def test_gmatrix_file_reports_a_non_ascii_line(tmp_path):

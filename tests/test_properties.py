@@ -13,6 +13,7 @@ import json
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griesmer import pg
+from griesmer import mcode, pg
+from griesmer.chains import build_chain, plan_chain
 from griesmer.cli import main
 from griesmer.errors import FileFormatError, InputError, TooLarge
 from griesmer.gf import field
@@ -31,6 +33,7 @@ from griesmer.mcode import (
     oracle_weight_distribution,
     read_gmatrix,
     read_multiset,
+    write_gmatrix,
     write_multiset,
 )
 from griesmer.pg import (
@@ -133,11 +136,22 @@ def test_multiset_file_round_trips_byte_for_byte(case):
         assert path.read_bytes() == first
 
 
+def clamped_int(x):
+    """int(x), except that a signed digit run of more than 18 significant
+    digits, past every bound, reads as 10^19 with its sign: int() refuses
+    a string of more than 4300 digits, leading zeros included."""
+    sign, digits = (-1, x[1:]) if x[0] == "-" else (1, x.removeprefix("+"))
+    if digits.isdecimal():
+        digits = digits.lstrip("0") or "0"
+        return sign * (10**19 if len(digits) > 18 else int(digits))
+    return int(x)
+
+
 def read_row_by_row(path):
     """The counts of a multiset file, or the error for its first bad row:
     every row checked in turn, each check in the order read_multiset
     reports them, and named by its line in the file."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = Path(path).read_bytes().decode("ascii").splitlines()
     rows = [(ln_no, ln.split()) for ln_no, ln in enumerate(lines, start=1) if ln.strip()]
     q, k = int(rows[0][1][0]), int(rows[0][1][1])
     F = field(q)
@@ -147,13 +161,13 @@ def read_row_by_row(path):
         if len(row) != k + 1:
             raise FileFormatError(where + f"expected multiplicity plus {k} coordinates")
         try:
-            m, *coords = [int(x) for x in row]
+            m, *coords = [clamped_int(x) for x in row]
         except ValueError:
             raise FileFormatError(where + "non-integer entry") from None
         if m < 1:
             raise FileFormatError(where + "multiplicity must be positive")
-        if m > MAX_TRANSFORM_CELLS:
-            raise TooLarge(where + f"multiplicity {m} exceeds the bound {MAX_TRANSFORM_CELLS}")
+        if m > MAX_TRANSFORM_CELLS:  # Decimal prints the entry past int()'s digit limit
+            raise TooLarge(where + f"multiplicity {Decimal(row[0])} exceeds the bound {MAX_TRANSFORM_CELLS}")
         if any(not 0 <= c < q for c in coords):
             raise FileFormatError(where + f"coordinate outside [0, {q})")
         if not any(coords):
@@ -170,7 +184,14 @@ def read_row_by_row(path):
 
 
 _TOKENS = ["0", "1", "2", "3", "-1", "x", "1.0", "+2", "1_0", "8388608", "8388609",
-           "99999999999999999999", "-99999999999999999999"]
+           "99999999999999999999", "-99999999999999999999", "9" * 5000, "0" * 5000 + "1"]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except (FileFormatError, TooLarge) as exc:
+        return type(exc), str(exc)
 
 
 @PROPERTY
@@ -184,21 +205,49 @@ def test_multiset_reader_matches_the_row_by_row_reference(q, k, data):
     entry = st.one_of(st.integers(0, q - 1).map(str), st.sampled_from(_TOKENS))
     anything = st.lists(entry, max_size=k + 2)  # any length, blank lines included
     rows = data.draw(st.lists(st.one_of(good, good, spoiled, anything), max_size=6))
+    # digits, spaces and newlines, which numpy reads, or any separators,
+    # line breaks and trailing blanks, which leave the file to the row scan;
+    # a separator splitlines() cuts at (\x0b, \x0c, \x1c) splits its row
+    odd = data.draw(st.booleans())
+    blanks = [" ", "  ", "\t", " \t "] if odd else [" ", "  "]
+    seps = st.sampled_from(blanks + ["\x0b", "\x0c", "\x1c"] if odd else blanks)
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c"] if odd else ["\n"])
+    trail = data.draw(st.sampled_from(["", " ", " \t"] if odd else ["", " "]))
+    lines = [data.draw(st.sampled_from(blanks)).join([str(q), str(k)])]
+    lines += [data.draw(seps).join(r) for r in rows]
+    text = "".join(data.draw(breaks) for _ in range(data.draw(st.integers(0, 2))))
+    text += "".join(ln + trail + data.draw(breaks) for ln in lines)
+    if data.draw(st.booleans()):  # a last row without a line break
+        text = text[: -2 if text.endswith("\r\n") else -1]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "code.ms"
-        path.write_text(f"{q} {k}\n" + "".join(" ".join(r) + "\n" for r in rows))
-
-        def outcome(read):
-            try:
-                return read(path)
-            except (FileFormatError, TooLarge) as exc:
-                return type(exc), str(exc)
-
-        want, got = outcome(read_row_by_row), outcome(read_multiset)
+        path.write_bytes(text.encode("ascii"))
+        want, got = _outcome(read_row_by_row, path), _outcome(read_multiset, path)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert np.array_equal(got.counts, want)
+
+
+def test_a_written_code_reads_back_through_numpy(tmp_path, monkeypatch):
+    # [12022, 6, 9616]_5: 3882 support points; its CRLF copy takes the row scan
+    code, _ = build_chain(plan_chain(2, 5, 6, 9616))
+    path, crlf = tmp_path / "code.ms", tmp_path / "crlf.ms"
+    write_multiset(code, path)
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    back = read_multiset(path)
+    assert back == code and back.n == 12022
+    assert np.array_equal(back.counts, read_row_by_row(path))
+    assert read_multiset(crlf) == code
+    gm = tmp_path / "code.gm"
+    write_gmatrix(code, gm)
+    assert read_gmatrix(gm) == code
+
+    def scan(text):
+        raise AssertionError("the row scan read a written file")
+
+    monkeypatch.setattr(mcode, "_rows", scan)
+    assert read_multiset(path) == code and read_gmatrix(gm) == code
 
 
 def _spoiled(row, q, k, data):
