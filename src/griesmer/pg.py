@@ -17,8 +17,8 @@ vector_indices turns any nonzero coordinate rows back into indices (scaled
 by their leading entry's inverse with Field tables gathers),
 flat_indices lists a flat's points that way, line_indices the lines
 through pairs of points, and hyperplanes_containing marks the hyperplanes
-through a flat.  The point tuples of enumerate_points are built on demand,
-only for the public API.
+through a flat from split-digit tables.  The point tuples of
+enumerate_points are built on demand, only for the public API.
 """
 
 from __future__ import annotations
@@ -272,25 +272,25 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
     """Boolean vector, indexed like enumerate_points, True at the
     hyperplanes H that contain the flat.
 
-    H contains the flat exactly when H.b = 0 for every basis row b.  The
-    dot products build up one coordinate at a time with Field tables
-    gathers, each from one base-q digit of point_codes, so no (theta, k)
-    digit table is ever held; coordinates where every b is 0 are skipped.
+    H contains the flat exactly when H.b = 0 for every basis row b.  With
+    each point code split as hi * q^h + lo (h = k//2), that holds exactly
+    when head[hi] == tail[lo]: head holds b's first k-h coordinates dotted
+    with every vector of GF(q)^(k-h), tail minus its last h dotted with
+    every vector of GF(q)^h, both built by Field tables gathers.
     """
     add, mul = F.tables
     q, k = F.q, flat.r + 1
-    # codes stay below q^k and dot * q + term below q^2, both at most
-    # MAX_TRANSFORM_CELLS (check_space), so int32 holds every value
-    codes = point_codes(q, flat.r).astype(np.int32)
-    dots = np.zeros((len(flat.basis), len(codes)), dtype=np.int32)
-    for i in range(k):
-        col = [b[i] for b in flat.basis]
-        if any(col):
-            digit = codes // q ** (k - 1 - i) % q
-            for dot, c in zip(dots, col):
-                if c:
-                    dot[:] = add.ravel().take(dot * q + mul[c].take(digit))
-    return ~dots.any(axis=0)
+    h = k // 2
+    hi, lo = np.divmod(point_codes(q, flat.r), q**h)
+    through = np.ones(len(hi), dtype=bool)
+    for b in flat.basis:
+        head, tail = np.zeros(1, add.dtype), np.zeros(1, add.dtype)
+        for c in b[: k - h]:
+            head = add[head[:, None], mul[c]].ravel()
+        for c in b[k - h :]:
+            tail = add[tail[:, None], mul[F.neg(c)]].ravel()
+        through &= head[hi] == tail[lo]
+    return through
 
 
 def flat_points(F: Field, flat: Flat) -> list[tuple[int, ...]]:
@@ -348,7 +348,9 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     A[0, H].  Hyperplanes with leading coordinate 0 ignore x_1, so the same
     steps run again on W summed over x_1, one dimension down.  Each fold
     moves the folded axis to the end, so every gather reads whole
-    contiguous rows and the final axes come out in enumeration order.
+    contiguous rows and the final axes come out in enumeration order.  A
+    fold gathers every c at once unless that exceeds q^k cells (only the
+    top pass's full folds), so the peak stays four q^k-cell arrays.
 
     The cost is about k * q^(k+1) integer additions whatever the support
     size.  Spaces that check_space refuses raise TooLarge before anything
@@ -373,18 +375,20 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
         A = W.reshape(q, -1)
         for f in range(j - 1):
             # only s = 0 is read after the last fold
-            A = _fold(A, rows if f < j - 2 else rows[:, :1], dt)
+            A = _fold(A, rows if f < j - 2 else rows[:, :1], dt, q**k)
         out.append(A[0])
         W = W.reshape(q, -1).sum(axis=0, dtype=dt)
     return np.concatenate(out).astype(np.int64)
 
 
-def _fold(A: np.ndarray, rows: np.ndarray, dt) -> np.ndarray:
-    """(q, a, rest) -> (len(rows[0]), rest, c): sum_a A[s - a*c, a, rest]."""
-    q = len(rows)
+def _fold(A: np.ndarray, rows: np.ndarray, dt, cells: int) -> np.ndarray:
+    """(q, a, rest) -> (len(rows[0]), rest, c): sum_a A[s - a*c, a, rest],
+    one gather for every c if it holds at most `cells` cells, else per c."""
+    q, s = rows.shape[:2]
     rest = A.size // (q * q)
     A2 = A.reshape(q * q, rest)
-    B = np.empty((q, rows.shape[1], rest), dtype=dt)
-    for c in range(q):
-        np.sum(A2[rows[c]], axis=1, dtype=dt, out=B[c])
-    return np.ascontiguousarray(B.transpose(1, 2, 0)).reshape(rows.shape[1], -1)
+    B = np.empty((q, s, rest), dtype=dt)
+    step = q if s * A.size <= cells else 1
+    for c in range(0, q, step):
+        np.sum(A2[rows[c : c + step]], axis=2, dtype=dt, out=B[c : c + step])
+    return np.ascontiguousarray(B.transpose(1, 2, 0)).reshape(s, -1)

@@ -125,6 +125,11 @@ def _carried_meta(M: PointMultiset, step: dict) -> dict:
     return meta
 
 
+def _check_ambient(M: PointMultiset, flat: pg.Flat) -> None:
+    if flat.r != M.r:
+        raise FlatNotInSupport(f"the flat lives in PG({flat.r}, {M.q}), not PG({M.r}, {M.q})")
+
+
 def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     """Remove one unit of multiplicity from every point of the flat.
 
@@ -133,8 +138,7 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     theta_{t-1} points, so m'(H) <= n - d - theta_{t-1} < n - theta_t = n'.
     """
     F = M.field
-    if flat.r != M.r:
-        raise FlatNotInSupport(f"the flat lives in PG({flat.r}, {F.q}), not PG({M.r}, {F.q})")
+    _check_ambient(M, flat)
     idx = pg.flat_indices(F, flat)
     if (M.counts[idx] < 1).any():
         raise FlatNotInSupport("the flat has a point with multiplicity 0")
@@ -245,7 +249,8 @@ def find_disjoint_lines(
     _line_block blocks, and the first row the mask leaves free is taken,
     so small requests stop early.  When `within` is omitted the search
     region defaults to the hyperplane recorded in the construction
-    provenance, else the whole space.
+    provenance, else the whole space.  A `within` flat of another space
+    raises FlatNotInSupport.
     """
     if count < 1:
         raise ValueError("need a positive number of lines")
@@ -253,6 +258,7 @@ def find_disjoint_lines(
     if within is None and "skew_region" in M.meta:
         within = pg.hyperplane_flat(F, tuple(M.meta["skew_region"]))
     if within is not None:
+        _check_ambient(M, within)
         pool = pg.flat_indices(F, within)
         region = pool[M.counts[pool] > 0]
     else:

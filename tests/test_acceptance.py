@@ -275,6 +275,10 @@ PINNED_CHAIN_Q5K7 = {
 # theorem 1, q=7, k=7: the skew-line search's blocks split inside an anchor
 PINNED_TABLE_1_Q7K7_JSON = "f81e0e8be170841a78976a9f084f58be66355ed810b00a94748137a1043ff9d6"
 
+# theorem 1, q=8, k=7: GF(8) products, and point codes split into four
+# head digits and a three-digit tail by hyperplanes_containing
+PINNED_TABLE_1_Q8K7_JSON = "9564ba98e183b5764a8d24fd07b4f8e4430e199e0cdbb6862e235258130c4001"
+
 # theorem 2, q=9, k=6: products in GF(9) and 252 arc rank checks
 PINNED_TABLE_2_Q9K6_JSON = "405efcd2e71a06ee85ef144c3710fed06e6ef9c25e50a194deba1aa9cb020fb6"
 
@@ -333,3 +337,10 @@ def test_criterion_10d_q9_k6_table_byte_identical():
         ["table", "--theorem", "2", "--q", "9", "--k", "6", "--format", "json"]
     ) == PINNED_TABLE_2_Q9K6_JSON
     print("\nACCEPTANCE 10d PASS: table (2,9,6) JSON matches the pinned bytes")
+
+
+def test_criterion_10e_q8_k7_table_byte_identical():
+    assert _cli_stdout_digest(
+        ["table", "--theorem", "1", "--q", "8", "--k", "7", "--format", "json"]
+    ) == PINNED_TABLE_1_Q8K7_JSON
+    print("\nACCEPTANCE 10e PASS: table (1,8,7) JSON matches the pinned bytes")

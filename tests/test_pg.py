@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -16,9 +18,11 @@ from griesmer.pg import (
     flat_points,
     hyperplane_flat,
     hyperplane_multiplicities,
+    hyperplanes_containing,
     incident,
     line_indices,
     normalize_point,
+    point_codes,
     point_digits,
     point_index,
     rank,
@@ -350,6 +354,68 @@ def test_hyperplane_multiplicities_cap():
         with pytest.raises(TooLarge):
             hyperplane_multiplicities(F, k_over - 1, [point_index(q, point)], [1])
     assert field(4099)._tables is None  # rejected before they are built
+
+
+def test_kernel_peak_memory_is_four_spaces():
+    # a 19516-point support of PG(6, 5), the size of the k=7 chain's dual:
+    # the folds' working arrays stay within four q^k-cell arrays of the
+    # working dtype, with the field tables and point codes built beforehand
+    F, q, r = field(5), 5, 6
+    support = np.arange(15, theta(r, q))
+    weights = np.ones(len(support), dtype=np.int64)
+    F.tables
+    point_codes(q, r)
+    tracemalloc.start()
+    try:
+        hyperplane_multiplicities(F, r, support, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * q ** (r + 1) * np.dtype(np.int32).itemsize + 64 * 1024
+
+
+def _digit_pass_hyperplanes_containing(F, flat):
+    """The indicator built one coordinate at a time from the base-q digits
+    of the point codes, each dot product with Field tables takes: the
+    reference for the split-table hyperplanes_containing."""
+    add, mul = F.tables
+    q, k = F.q, flat.r + 1
+    codes = point_codes(q, flat.r).astype(np.int32)
+    dots = np.zeros((len(flat.basis), len(codes)), dtype=np.int32)
+    for i in range(k):
+        col = [b[i] for b in flat.basis]
+        if any(col):
+            digit = codes // q ** (k - 1 - i) % q
+            for dot, c in zip(dots, col):
+                if c:
+                    dot[:] = add.ravel().take(dot * q + mul[c].take(digit))
+    return ~dots.any(axis=0)
+
+
+@pytest.mark.parametrize(
+    "q,r",
+    [
+        (q, r)
+        for q in (2, 3, 4, 5, 7, 8, 9, 16)
+        for r in range(7)
+        if q ** (r + 1) <= MAX_TRANSFORM_CELLS
+    ],
+)
+def test_hyperplanes_containing_matches_the_digit_pass(q, r):
+    # points, lines and planes spanned by random points; a t-flat's
+    # indicator holds the theta(r - t - 1) points of its dual flat
+    F, rng = field(q), random.Random(q * 10 + r)
+    for t in range(min(2, r) + 1):
+        flats = []
+        while len(flats) < 2:
+            idx = [rng.randrange(theta(r, q)) for _ in range(t + 1)]
+            flat = span(F, map(tuple, point_digits(q, r, idx).tolist()))
+            if flat.dim == t:
+                flats.append(flat)
+        for flat in flats:
+            got = hyperplanes_containing(F, flat)
+            assert got.tolist() == _digit_pass_hyperplanes_containing(F, flat).tolist()
+            assert got.sum() == theta(r - t - 1, q)
 
 
 def test_rref_unique_for_full_space():

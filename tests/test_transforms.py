@@ -233,6 +233,18 @@ def test_find_disjoint_lines_respects_region(dual_c1_64):
             assert incident(dual_c1_64.field, P, coeffs)
 
 
+@pytest.mark.parametrize("r", [4, 2])
+def test_find_disjoint_lines_refuses_a_region_of_another_space(r):
+    # a plane of PG(4, 2) or of PG(2, 2) is no region of PG(3, 2): the
+    # first used to index past the count vector, the second to search
+    # the plane's coordinates read as points of PG(3, 2)
+    F = field(2)
+    M = PointMultiset(F, 3, np.ones(theta(3, 2), dtype=np.int64))
+    plane = span(F, [(1,) + (0,) * r, (0, 1) + (0,) * (r - 1), (0,) * r + (1,)])
+    with pytest.raises(FlatNotInSupport):
+        find_disjoint_lines(M, 1, within=plane)
+
+
 def test_find_disjoint_lines_impossible(dual_c1_64):
     with pytest.raises(NotEnoughLines):
         find_disjoint_lines(dual_c1_64, theta(5, 4))
