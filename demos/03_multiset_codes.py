@@ -3,8 +3,8 @@
 The columns of a generator matrix, read as points of PG(k-1, q) with
 multiplicities, determine everything: n is the total multiplicity, n - d
 the largest hyperplane multiplicity, and the weight distribution follows
-from the hyperplane spectrum.  An independent brute-force enumeration of
-all q^k codewords cross-checks the geometry.
+from the hyperplane spectrum.  An independent oracle weighs all q^k
+codewords by exact character sums and cross-checks the geometry.
 """
 
 from griesmer import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import pg
 from .constructs import code_c1, code_c2
-from .errors import CertificationFailed, OutOfScope, PlanInfeasible
+from .errors import CertificationFailed, InputError, OutOfScope, PlanInfeasible
 from .mcode import PointMultiset, code_params, hyperplane_spectrum
 from .transforms import (
     find_disjoint_lines,
@@ -175,7 +175,8 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
 
     A removal is a support line (a Flat) or None, the smallest
     multiplicity-1 point.  Each must cost exactly (q+1, q) or (1, 1) in
-    (n, d) and leave a code on the length bound.  Each removal walks the
+    (n, d) and leave a code on the length bound; one the puncture refuses
+    (InputError) is a CertificationFailed too.  Each removal walks the
     hyperplane vector instead of recomputing it, so the last code of a walk
     that removed anything is checked once against the kernel before it is
     yielded.  The yielded steps list grows as the walk goes on, so a
@@ -186,16 +187,19 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
     steps = list(steps)
     yield code, params, steps
     for i, removal in enumerate(removals, start=1):
-        if removal is None:
-            P = simple_point(code)
-            code = puncture_point(code, P)
-            cost = (1, 1)
-            step = {"op": "puncture_point", "point": list(P)}
-        else:
-            code = puncture_flat(code, removal)
-            points = code.meta["history"][-1]["points"]
-            step = {"op": "puncture_line", "points": [list(P) for P in points]}
-            cost = (q + 1, q)
+        try:
+            if removal is None:
+                P = simple_point(code)
+                code = puncture_point(code, P)
+                cost = (1, 1)
+                step = {"op": "puncture_point", "point": list(P)}
+            else:
+                code = puncture_flat(code, removal)
+                points = code.meta["history"][-1]["points"]
+                step = {"op": "puncture_line", "points": [list(P) for P in points]}
+                cost = (q + 1, q)
+        except InputError as exc:  # the walk chose the removal, so it is not bad input
+            raise CertificationFailed(f"removal {i} failed: {exc}") from exc
         new = code_params(code)
         if (params.n - new.n, params.d - new.d) != cost:
             raise CertificationFailed(

@@ -204,7 +204,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--expect-k", type=int)
     v.add_argument("--expect-d", type=int)
     v.add_argument("--oracle", action="store_true",
-                   help="also enumerate all q^k codewords and cross-check")
+                   help="also weigh all q^k codewords by exact character sums and cross-check")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("export", help="write the generator matrix of a multiset file")

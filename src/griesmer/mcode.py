@@ -9,10 +9,11 @@ projective dual is one vector expression, a puncture subtracts an
 indicator, and the multiplicity profile is a bincount.  All parameters
 are computed exactly from hyperplane multiplicities: n - d is the largest
 one, the divisor is the gcd of the weights n - m(H), and the spectrum a_i
-counts hyperplanes of multiplicity i.  A brute-force codeword oracle is
+counts hyperplanes of multiplicity i.  An exact codeword oracle is
 provided as an independent check; it never touches the hyperplane
-machinery.  It weighs one codeword per projective class from the zero
-counts of its first-half classes, streamed in blocks within the cell cap.
+machinery.  It counts every hyperplane's points by additive character
+sums over one Fourier transform of the count vector, taken modulo a
+prime.
 
 File formats (plain text, exact round trip):
   multiset          header "q k", then one support line per point:
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
@@ -272,74 +275,48 @@ def multiset_from_matrix(G, q: int) -> PointMultiset:
 
 
 def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
-    """Exact weight distribution by brute force; reads only the count vector.
+    """Exact weight distribution by character sums; reads only the count
+    vector, point codes and digits, Field.tables and scalar field operations.
 
-    Messages split at h = k//2 into (u1, u2), points into (a, b).  With
-    T[u2, a, v] the multiplicity of the support points in class a with
-    <u2, b> = v, (-u1, u2) weighs n - sum_a T[u2, a, <u1, a>].  u1 = 0
-    meets every u2, other u1 only with leading digit 1, counted q - 1
-    times.  T is built by unweighted bincounts per multiplicity run, in
-    blocks of second-half messages that keep every array within
-    pg.MAX_TRANSFORM_CELLS cells, so it runs on every code whose space
-    pg.check_space admits.  Refuses an n + 1 cell histogram above the cap,
-    before anything is built.
+    With q = p^h, a vector's base-q code read in base p is its vector in
+    F_p^(hk).  W holds the counts at the point codes, and its Fourier
+    transform W^(u) = sum_x W[x] w^<u,x> is taken modulo the least prime
+    P = 1 (mod p) above n, w of order p mod P: one p x p product per
+    base-p digit, reduced after each so no sum reaches p * P^2 < 2^63
+    (TooLarge before anything is built otherwise).  Summing the characters
+    over lambda in GF(q) counts the x with H.x = 0: q * m(H) = sum_lambda
+    W^(T(lambda H)), where T[c] = sum_j Tr(c x^j) p^j (the identity for
+    prime q).  m(H) <= n < P, so m(H) mod P is exact, and each of the
+    q - 1 messages spanning H weighs n - m(H).
     """
-    k, q, n = M.k, M.q, M.n
-    cap = pg.MAX_TRANSFORM_CELLS
-    if n + 1 > cap:
-        raise TooLarge(f"the oracle needs {n + 1} histogram cells, above the bound {cap}")
-    idx = np.flatnonzero(M.counts)
-    idx = idx[np.argsort(M.counts[idx], kind="stable")]
-    mult, h, j = M.counts[idx], k // 2, k - k // 2
-    # point codes split into first-half classes and second halves, as digits
-    heads, cls = np.unique(pg.point_codes(q, M.r)[idx] // q**j, return_inverse=True)
-    tails, tail = np.unique(pg.point_codes(q, M.r)[idx] % q**j, return_inverse=True)
-    A = heads // q ** np.arange(h - 1, -1, -1)[:, None] % q
-    B = tails // q ** np.arange(j - 1, -1, -1)[:, None] % q
-    c = len(heads)
-    add, mul = M.field.tables
-
-    def codewords(rows, start) -> np.ndarray:
-        # row i is start plus the combination of rows with base-q digits i
-        C = start[None]
-        for g in rows:
-            C = add[C[:, None, :], mul[:, g]].reshape(-1, C.shape[1])
-        return C
-
-    # the cell of T[u2] that each normalized u1 reads for each class
-    normalized = [u for e in range(h) for u in range(q**e, 2 * q**e)]
-    picks = codewords(A, np.zeros(c, add.dtype))[normalized] + np.arange(c) * q
-    # cells per second-half message; a block holds q^t messages
-    t = 0
-    while t < j and q ** (t + 1) * max(c * q, len(picks), len(tails)) <= cap:
-        t += 1
-    R, chunk = q**t, max(1, min(c * q, cap // q**t))
-    starts = np.flatnonzero(np.diff(mult, prepend=0)).tolist()
-    segments = []  # multiplicity, classes, per point class key and second half
-    for start, end in zip(starts, [*starts[1:], len(idx)]):
-        for lo in range(start, end, chunk):
-            hi = min(lo + chunk, end)
-            u, local = np.unique(cls[lo:hi], return_inverse=True)
-            segments.append((int(mult[lo]), u, local * q, tail[lo:hi]))
-    weights = np.zeros(n + 1, dtype=np.int64)
-    for block in range(0, q**j, R):
-        base = np.zeros(len(tails), add.dtype)
-        for i in range(j - t):  # the digits the block's messages share
-            base = add[base, mul[block // q ** (j - 1 - i) % q, B[i]]]
-        D = codewords(B[j - t :], base)
-        T = np.zeros((R, c, q), dtype=np.int64)
-        for m, u, local, cols in segments:
-            keys = np.add.outer(np.arange(0, R * len(u) * q, len(u) * q), local)
-            keys += D[:, cols]
-            T[:, u] += m * np.bincount(keys.ravel(), minlength=R * len(u) * q).reshape(R, len(u), q)
-        T = T.reshape(R, c * q)
-        zeros = np.zeros((R, len(picks)), dtype=np.int64)
-        for p in picks.T:
-            zeros += T[:, p]
-        weights += (q - 1) * np.bincount(n - zeros.ravel(), minlength=n + 1)
-        weights += np.bincount(n - T[:, ::q].sum(axis=1), minlength=n + 1)  # u1 = 0
-    nonzero = np.flatnonzero(weights)
-    return dict(zip(nonzero.tolist(), weights[nonzero].tolist()))
+    F, q, n, p, h = M.field, M.q, M.n, M.field.p, M.field.h
+    P = n + 1  # the least prime P = 1 (mod p) above n, unless p * P^2 reaches 2^63 first
+    while p * P * P < 1 << 63 and (
+        P % p != 1 or any(P % d == 0 for d in range(2, math.isqrt(P) + 1))
+    ):
+        P += 1
+    if p * P * P >= 1 << 63:
+        raise TooLarge(f"the oracle's modulus {P} for n = {n} overflows int64")
+    w = next(x for g in range(2, P) if (x := pow(g, (P - 1) // p, P)) != 1)
+    omega = np.array([[pow(w, a * b, P) for b in range(p)] for a in range(p)], dtype=np.int64)
+    W = np.zeros(q**M.k, dtype=np.int64)
+    W[pg.point_codes(q, M.r)] = M.counts
+    for _ in range(h * M.k):  # transform the leading base-p digit and move it last
+        W = W.reshape(p, -1).T @ omega
+        W %= P
+    W = W.ravel()
+    _, mul = F.tables
+    trace = np.array([reduce(F.add, [F.pow(a, p**i) for i in range(h)]) for a in range(q)])
+    T = trace[mul[:, p ** np.arange(h)]] @ p ** np.arange(h)
+    digits = pg.point_digits(q, M.r, np.arange(pg.theta(M.r, q)))
+    place = q ** np.arange(M.r, -1, -1)
+    # with row = mul[lambda], T[row][digits] @ place is the cell of lambda H
+    total = sum(W[T[row][digits] @ place] for row in mul)
+    weights, counts = np.unique(n - total % P * pow(q, -1, P) % P, return_counts=True)
+    dist = {0: 1}
+    for weight, count in zip(weights.tolist(), counts.tolist()):
+        dist[weight] = dist.get(weight, 0) + (q - 1) * count
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import griesmer
+from griesmer import chains, pg
 from griesmer.cli import main
 from griesmer.errors import TooLarge
 from griesmer.mcode import code_params, read_gmatrix, read_multiset
@@ -55,14 +57,32 @@ def test_verify_oracle(tmp_path, capsys):
 
 
 def test_verify_oracle_on_the_k7_chain_head(tmp_path, capsys):
-    # the paper's [67188, 7, 53750]_5 head: 19516 support points, which the
-    # oracle weighs in 32 first-half classes
+    # the paper's [67188, 7, 53750]_5 head: 19516 support points, whose
+    # oracle transform runs over the 5^7 vectors of GF(5)^7
     out = tmp_path / "head.ms"
     assert main(["chain", "--theorem", "1", "--q", "5", "--k", "7", "--d", "53750",
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["verify", "--in", str(out), "--expect-d", "53750", "--oracle"]) == 0
     assert "oracle: 78125 codewords agree with the hyperplane computation" in capsys.readouterr().out
+
+
+def test_verify_oracle_catches_a_spoiled_kernel_entry(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "b1.ms"
+    main(["construct", "--family", "base1", "--q", "3", "--k", "5", "--out", str(out)])
+    capsys.readouterr()
+    kernel = pg.hyperplane_multiplicities
+
+    def spoiled(*args):
+        m = kernel(*args)
+        m[0] -= 1  # moves one hyperplane to the next multiplicity down
+        return m
+
+    monkeypatch.setattr(pg, "hyperplane_multiplicities", spoiled)
+    assert main(["verify", "--in", str(out), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"^FAIL weight \d+: oracle count", captured.err, re.M)
+    assert "codewords agree" not in captured.out
 
 
 def test_verify_mismatch_exit_1(tmp_path, capsys):
@@ -394,3 +414,30 @@ def test_wrong_walked_vector_exits_1(dual_c1_file, tmp_path, capsys, off_by_one)
     rc = main(["puncture", "--in", str(dual_c1_file), "--lines", "1", "--points", "2"])
     assert rc == 1
     assert "differs from the kernel" in capsys.readouterr().err
+
+
+@pytest.fixture
+def unsupported_simple_point(monkeypatch):
+    """chains.simple_point names a point of multiplicity 0, which
+    puncture_point refuses with an InputError."""
+
+    def zero_point(M):
+        return tuple(pg.point_digits(M.q, M.r, np.flatnonzero(M.counts == 0)[:1])[0].tolist())
+
+    monkeypatch.setattr(chains, "simple_point", zero_point)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--theorem", "1", "--q", "5", "--k", "5"],
+    ["chain", "--theorem", "1", "--q", "5", "--k", "5", "--d", "899"],  # one point removal
+])
+def test_a_refused_removal_is_a_certification_failure(unsupported_simple_point, tmp_path, capsys, argv):
+    # the walk chose the point, so the refusal is the pipeline's fault: exit 1
+    out = tmp_path / "code.ms"
+    if argv[0] == "chain":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"^verification failed: removal 1 failed: .* has multiplicity 0$", captured.err, re.M)
+    assert not out.exists()

@@ -14,6 +14,7 @@ from griesmer.errors import (
     ZeroColumn,
 )
 from griesmer import pg
+from griesmer.cli import main
 from griesmer.constructs import code_c1
 from griesmer.gf import field
 from griesmer.mcode import (
@@ -167,75 +168,55 @@ def test_code_params_requires_spanning_support():
         code_params(M)
 
 
-def test_oracle_streams_under_small_caps(monkeypatch):
-    # below the default cap the second-half messages go in blocks and the
-    # points in chunks.  simplex(2, 3) has c = 2 first-half classes and 4
-    # distinct second halves, so each message takes 4 cells: every cap
-    # under 16 splits its 4 messages into blocks, and every cap under 28
-    # was refused when the oracle held a 4 x 7 table.  The 6-point code of
-    # PG(3, 3) takes 15 cells per message: each of its 9 messages is a
-    # block of its own.  Only the n + 1 cell histogram bounds the cap.
-    codes = [
-        simplex(2, 3),
-        PointMultiset(field(3), 3, {(1, 0, 0, 0): 3, (0, 1, 0, 0): 1, (1, 1, 1, 0): 2,
-                                    (0, 0, 1, 2): 1, (1, 2, 0, 1): 2, (0, 0, 0, 1): 3}),
-        PointMultiset(field(2), 2, np.full(7, 5)),
-    ]
-    want = [oracle_weight_distribution(M) for M in codes]
-    assert want[0] == {0: 1, 4: 7} and want[2] == {0: 1, 20: 7}
-    for M, dist in zip(codes, want):
-        for cap in range(M.n + 1, 28):
-            monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", cap)
-            assert oracle_weight_distribution(M) == dist
-    # every point five times over: n = 35, so cap 36 is the least it accepts
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 36)
-    assert oracle_weight_distribution(codes[2]) == want[2]
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 35)
-    with pytest.raises(TooLarge, match="histogram"):
-        oracle_weight_distribution(codes[2])
-
-
-def test_oracle_refuses_its_histogram_before_allocating():
-    # PG(1, 2) with a point of multiplicity cap: the table needs 2 * 3
-    # cells, the weight histogram n + 1 = cap + 3
+def test_oracle_refuses_an_overflowing_modulus_before_allocating(tmp_path, capsys):
+    # every point of PG(8, 2) at the largest multiplicity: n = 511 * 2^23,
+    # so the modulus P > n has 2 * P^2 above 2^63 and the transform would
+    # overflow int64
     cap = pg.MAX_TRANSFORM_CELLS
-    M = PointMultiset(field(2), 1, np.array([cap, 1, 1]))
+    M = PointMultiset(field(2), 8, np.full(theta(8, 2), cap))
+    assert M.n == 511 * cap
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="histogram"):
+        with pytest.raises(TooLarge, match="overflows int64"):
             oracle_weight_distribution(M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # refused before the histogram exists
+    assert peak < 1 << 20  # refused before the 2^9-cell transform exists
+    path = tmp_path / "huge.ms"
+    write_multiset(M, path)
+    assert main(["verify", "--in", str(path), "--oracle"]) == 2
+    assert "overflows int64" in capsys.readouterr().err
 
 
-def test_oracle_memory_follows_the_cap(monkeypatch):
-    # 200 points of PG(4, 9): one unblocked pass over the 9^3 second-half
-    # messages peaks near 2.8 MB; blocked, the peak stays within six int64
-    # arrays of cap cells plus 64 KB for the per-point arrays
+def test_oracle_memory_is_two_transform_arrays():
+    # 200 points of PG(4, 9).  The transform holds its input and its
+    # product, two int64 arrays of q^k cells; reading it back holds one of
+    # them, the theta x k digit table and one temporary of that size
+    # (point_digits' quotients, then each lambda's digit cells), so two of
+    # each bound the peak
+    q, k = 9, 5
     rng = np.random.default_rng(1)
-    counts = np.zeros(theta(4, 9), dtype=np.int64)
+    counts = np.zeros(theta(k - 1, q), dtype=np.int64)
     counts[rng.choice(len(counts), 200, replace=False)] = rng.integers(1, 4, 200)
-    M = PointMultiset(field(9), 4, counts)
-    want = oracle_weight_distribution(M)
-    for cap in (1 << 11, 1 << 14):
-        monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", cap)
-        tracemalloc.start()
-        try:
-            got = oracle_weight_distribution(M)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak < 6 * 8 * cap + (1 << 16)
+    M = PointMultiset(field(q), k - 1, counts)
+    want = oracle_weight_distribution(M)  # caches the point codes and field tables
+    tracemalloc.start()
+    try:
+        got = oracle_weight_distribution(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 * 8 * q**k + 2 * theta(k - 1, q) * k * 8
 
 
 def test_oracle_never_runs_the_hyperplane_kernel(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle ran the hyperplane kernel")
+        raise AssertionError("the oracle ran the hyperplane machinery")
 
-    monkeypatch.setattr(pg, "hyperplane_multiplicities", refuse)
+    for name in ("hyperplane_multiplicities", "hyperplanes_containing", "_fold"):
+        monkeypatch.setattr(pg, name, refuse)
     # fresh multisets, so no parameters are cached; the second one's
     # support lies on the line x0 = 0 and does not span: the weight is
     # 2*[u1 != 0] + [u2 != 0] whatever u0 is

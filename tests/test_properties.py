@@ -5,8 +5,7 @@ through the CLI and malformed generator-matrix files through their
 reader, puncturing, the dual of random divisible codes against its
 closed forms, the hyperplane kernel against naive incidence, the walked
 hyperplane vector of punctured codes against the kernel, and the codeword
-oracle, at the default and at lowered cell caps, against a full
-enumeration."""
+oracle against a full enumeration."""
 
 import io
 import json
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griesmer import mcode, pg
+from griesmer import mcode
 from griesmer.chains import build_chain, plan_chain
 from griesmer.cli import main
 from griesmer.errors import FileFormatError, InputError, TooLarge
@@ -45,7 +44,6 @@ from griesmer.pg import (
     hyperplanes_containing,
     incident,
     normalize_point,
-    point_codes,
     point_digits,
     point_index,
     rank,
@@ -525,30 +523,3 @@ def test_oracle_matches_the_full_enumeration(q, k, data):
     assert dist == full_enumeration_oracle(M)
     spans = rank(F, point_digits(q, k - 1, list(mults)).tolist()) == k
     assert (dist[0] == 1) == spans
-
-
-@pytest.mark.parametrize("q", SMALL_Q)
-@settings(PROPERTY, max_examples=30)  # a low cap makes hundreds of blocks
-@given(k=st.integers(1, 5), full=st.booleans(), data=st.data())
-def test_oracle_streams_to_the_full_enumeration(q, k, full, data):
-    # a point's first-half class is its first k//2 coordinates: a full
-    # support has a point in every class that occurs, a tiny one fewer
-    # points than q^(k//2); the cap goes as low as the n + 1 cell
-    # histogram allows, so the second half streams in many blocks
-    F, h = field(q), k // 2
-    classes = point_codes(q, k - 1) // q ** (k - h)
-    if full or k == 1:
-        picks = st.tuples(*(st.sampled_from(np.flatnonzero(classes == a).tolist())
-                            for a in np.unique(classes).tolist()))
-        points = set(data.draw(picks)) | data.draw(st.sets(st.integers(0, len(classes) - 1), max_size=3))
-    else:
-        tiny = min(q**h - 1, 8)
-        points = data.draw(st.sets(st.integers(0, len(classes) - 1), min_size=1, max_size=tiny))
-    counts = np.zeros(len(classes), dtype=np.int64)
-    counts[sorted(points)] = data.draw(st.lists(st.integers(1, 5), min_size=len(points), max_size=len(points)))
-    M = PointMultiset(F, k - 1, counts)
-    want = full_enumeration_oracle(M)
-    cap = data.draw(st.integers(M.n + 1, M.n + q**k))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pg, "MAX_TRANSFORM_CELLS", cap)
-        assert oracle_weight_distribution(M) == want
