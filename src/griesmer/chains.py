@@ -142,7 +142,7 @@ class VerificationReport:
 def _report(M: PointMultiset, provenance: list[dict]) -> VerificationReport:
     p = code_params(M)
     g = griesmer_bound(M.q, p.k, p.d)
-    spectrum = tuple(sorted(hyperplane_spectrum(M).items()))
+    spectrum = tuple(hyperplane_spectrum(M).items())  # ascending in i
     return VerificationReport(
         q=M.q, k=p.k, n=p.n, d=p.d, divisor=p.divisor, gamma0=p.gamma0,
         spectrum=spectrum, griesmer_n=g, is_griesmer=(p.n == g),

@@ -7,19 +7,20 @@ indexed like pg.enumerate_points.  Hyperplanes share that enumeration, so
 the hyperplane-multiplicity vector lines up with the count vector: the
 projective dual is one vector expression, a puncture subtracts an
 indicator, and the multiplicity profile is a bincount.  All parameters
-are computed exactly from hyperplane multiplicities: n - d is the largest
-one, the divisor is the gcd of the weights n - m(H), and the spectrum a_i
-counts hyperplanes of multiplicity i.  An exact codeword oracle is
-provided as an independent check; it never touches the hyperplane
-machinery.  It counts every hyperplane's points by additive character
-sums over one Fourier transform of the count vector, taken modulo a
-prime.
+are read exactly off the spectrum a_i, the count of hyperplanes of
+multiplicity i, which each PointMultiset sorts once and keeps with its
+hyperplane vector and parameters: n - d is its largest i, and the divisor
+the gcd of the weights n - i.  An exact codeword oracle is provided as
+an independent check; it never touches the hyperplane machinery.  It
+counts every hyperplane's points by additive character sums over one
+Fourier transform of the count vector, taken modulo a prime.
 
 File formats (plain text, exact round trip):
   multiset          header "q k", then one support line per point:
                     "multiplicity c0 c1 ... c_{k-1}" using element encodings
   generator matrix  header "q k n", then k rows of n element encodings
-Entries are whitespace-separated and blank lines are skipped.  A file of
+Entries are whitespace-separated and blank lines are skipped.  Both
+writers gather their lines from one table of byte strings.  A file of
 digits, spaces and newlines, as the writers make, is parsed by numpy's C
 reader; any other file (CRLF, tabs, bad rows) by a row scan that names
 the first bad row's line.  A JSON sidecar "<path>.meta.json" carries
@@ -28,13 +29,11 @@ construction provenance when the multiset has any.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
+from functools import cached_property, reduce
 from pathlib import Path
 from types import MappingProxyType
 
@@ -44,7 +43,7 @@ from . import pg
 from .errors import FileFormatError, NotFullRank, TooLarge, ZeroColumn
 from .gf import Field, field
 
-_WRITE_CHUNK = 4096  # support points formatted per write
+_WRITE_CHUNK = 2048  # points per write: index rows near 128 KiB add no peak RSS
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class CodeParams:
 def _check_multiplicity(m: int) -> int:
     """Return m, or raise TooLarge when it exceeds pg.MAX_TRANSFORM_CELLS.
 
-    The bound keeps lambda_counts' bincount (gamma0 + 1 cells) within the
+    The bound keeps code_params' bincount (gamma0 + 1 cells) within the
     cap + 1, and n, a sum of theta(r, q) < cap bounded entries, below 2^46,
     exact in int64 and in the kernel's sums.  Callers check before they
     store, so no oversized value ever reaches an array.
@@ -125,8 +124,6 @@ class PointMultiset:
         self.meta = dict(meta or {})
         self._support: tuple[tuple[int, ...], ...] | None = None
         self._mults: MappingProxyType | None = None
-        self._mvec: np.ndarray | None = None
-        self._params: CodeParams | None = None
 
     @property
     def q(self) -> int:
@@ -169,18 +166,35 @@ class PointMultiset:
 
     def hyperplane_mults(self) -> np.ndarray:
         """m(H) for every hyperplane, indexed like pg.enumerate_points: the
-        kernel's, unless a puncture stored the vector it walked."""
-        if self._mvec is None:
-            idx = np.flatnonzero(self.counts)
-            self._mvec = pg.hyperplane_multiplicities(
-                self.field, self.r, idx, self.counts[idx]
-            )
-            self._mvec.setflags(write=False)
+        kernel's, unless _walked gave the code the vector a puncture walked."""
         return self._mvec
 
-    def lambda_counts(self) -> tuple[int, ...]:
-        # holes are the zero entries, so bincount's first cell counts them
-        return tuple(np.bincount(self.counts).tolist())
+    @cached_property
+    def _mvec(self) -> np.ndarray:
+        idx = np.flatnonzero(self.counts)
+        mvec = pg.hyperplane_multiplicities(self.field, self.r, idx, self.counts[idx])
+        mvec.setflags(write=False)
+        return mvec
+
+    @cached_property
+    def _spectrum(self) -> dict[int, int]:
+        """{i: a_i} over the multiplicities i that occur, ascending: one
+        sort of the hyperplane vector, kept for every later reader."""
+        vals, counts = np.unique(self._mvec, return_counts=True)
+        return dict(zip(vals.tolist(), counts.tolist()))
+
+    @cached_property
+    def _params(self) -> CodeParams:
+        """code_params, read off the spectrum (a gcd over distinct weights)."""
+        n, spectrum = self.n, self._spectrum
+        d = n - max(spectrum)
+        # the support spans iff no hyperplane holds all of it
+        if d == 0:
+            raise NotFullRank(f"support spans a proper subspace of PG({self.r}, {self.q})")
+        return CodeParams(
+            n=n, k=self.k, d=d, divisor=math.gcd(*(n - i for i in spectrum)),
+            gamma0=self.gamma0, lam=tuple(np.bincount(self.counts).tolist()),
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -199,6 +213,14 @@ class PointMultiset:
         )
 
 
+def _walked(F: Field, r: int, counts, meta: dict, mvec: np.ndarray) -> PointMultiset:
+    """A new code whose hyperplane vector is mvec, walked by a puncture."""
+    M = PointMultiset(F, r, counts, meta=meta)
+    M._mvec = mvec
+    mvec.setflags(write=False)
+    return M
+
+
 def multiset_multiplicity(M: PointMultiset, points) -> int:
     """Total multiplicity of a point set: sum of mult(P) over the set."""
     canonical = {M.index(P) for P in points} - {None}
@@ -206,35 +228,22 @@ def multiset_multiplicity(M: PointMultiset, points) -> int:
 
 
 def hyperplane_spectrum(M: PointMultiset) -> dict[int, int]:
-    """Counts a_i of hyperplanes with multiplicity i (only nonzero entries)."""
-    vals, counts = np.unique(M.hyperplane_mults(), return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, counts)}
+    """Counts a_i of hyperplanes with multiplicity i (only nonzero entries),
+    in ascending i; a copy of the one M keeps."""
+    return dict(M._spectrum)
 
 
 def code_params(M: PointMultiset) -> CodeParams:
     """Exact [n, k, d]_q parameters plus divisor and multiplicity profile."""
-    if M._params is not None:
-        return M._params
-    k = M.k
-    mvec = M.hyperplane_mults()
-    n = M.n
-    d = n - int(mvec.max())
-    # the support spans iff no hyperplane holds all of it
-    if d == 0:
-        raise NotFullRank(f"support spans a proper subspace of PG({M.r}, {M.q})")
-    divisor = int(np.gcd.reduce(n - mvec))
-    M._params = CodeParams(
-        n=n, k=k, d=d, divisor=divisor, gamma0=M.gamma0, lam=M.lambda_counts()
-    )
     return M._params
 
 
 def is_divisible(M: PointMultiset, m: int) -> bool:
-    """True iff every codeword weight n - m(H) is divisible by m (> 1)."""
+    """True iff every codeword weight n - m(H) is divisible by m (> 1): m
+    divides each weight iff it divides each distinct one."""
     if m <= 1:
         raise ValueError(f"divisibility modulus must exceed 1, got {m}")
-    mvec = M.hyperplane_mults()
-    return not (((M.n - mvec) % m) != 0).any()
+    return all((M.n - i) % m == 0 for i in M._spectrum)
 
 
 def generator_matrix(M: PointMultiset) -> np.ndarray:
@@ -337,36 +346,41 @@ def open_output(path):
         with open(staged, "w", encoding="ascii") as out:
             yield out
         staged.replace(path)
-    except OSError as exc:
-        raise FileFormatError(f"cannot write {path}: {exc}") from exc
-    finally:
+    except BaseException as exc:  # a staged file exists only on failure
         with suppress(OSError):
             staged.unlink()
+        if isinstance(exc, OSError):
+            raise FileFormatError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _write_rows(out, cells: np.ndarray, columns) -> None:
+    """Write one line per row of the index columns: the cells it names, each
+    b" ..." or empty, less the first space.  The cells, an "S" array, and a
+    newline are one NUL-padded table the lines are gathered from as bytes;
+    one mask drops the padding and each line's leading space."""
+    table = np.append(cells, b"\n")
+    ends = np.full(len(columns[0]), len(cells))
+    lines = np.take(table, np.column_stack([*columns, ends])).view(np.uint8)
+    lines[:, 0] = 0
+    out.write(lines[lines != 0].tobytes().decode("ascii"))
 
 
 def write_multiset(M: PointMultiset, path) -> None:
     """Write M and its provenance sidecar, both or neither (the sidecar's
     block runs inside the multiset's); without provenance, drop a stale one."""
-    q, k = M.q, M.k
-    idx = np.flatnonzero(M.counts)
-    # a point's code is its coordinates read in base q: split it into the
-    # first k - h and the last h digits and look both up in string tables
-    # (q^(k-h) + q^h entries), so a line costs one format and no str() per
-    # coordinate; points go in chunks to keep the strings small
-    h = k // 2
-    element = [str(c) for c in range(q)]
-    head = [" ".join(t) for t in product(element, repeat=k - h)]
-    tail = ["".join(" " + c for c in t) for t in product(element, repeat=h)]
-    codes = pg.point_codes(q, M.r)
+    q, idx = M.q, np.flatnonzero(M.counts)
+    elements = [f" {c}" for c in range(q)]
     with open_output(path) as out:
-        out.write(f"{q} {k}\n")
+        out.write(f"{q} {M.k}\n")
         for lo in range(0, len(idx), _WRITE_CHUNK):
             chunk = idx[lo : lo + _WRITE_CHUNK]
-            hi, low = np.divmod(codes[chunk], q**h)
-            out.write("".join([
-                f"{m} {head[a]}{tail[b]}\n"
-                for m, a, b in zip(M.counts[chunk].tolist(), hi.tolist(), low.tolist())
-            ]))
+            m = M.counts[chunk]
+            mults = np.sort(m)
+            mults = mults[np.diff(mults, prepend=-1) > 0]  # distinct, after the q elements
+            cells = np.array(elements + [f" {v}" for v in mults.tolist()], dtype="S")
+            which = q + np.searchsorted(mults, m)
+            _write_rows(out, cells, [which, pg.point_digits(q, M.r, chunk)])
         meta = _meta_path(path)
         if M.meta:
             with open_output(meta) as side:
@@ -378,27 +392,31 @@ def write_multiset(M: PointMultiset, path) -> None:
                 raise FileFormatError(f"cannot write {meta}: {exc}") from exc
 
 
-def _read_ascii(path) -> str:
+def _read(path, header: str) -> tuple[str, list[int]]:
+    """An ASCII file's text and the integers of its header, the tokens of
+    _rows(text)[0] (found without splitting the rest), named by header."""
     try:
         data = Path(path).read_bytes()
-        return data.decode("ascii")
+        text = data.decode("ascii")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # number the line as the readers' splitlines() does
         at = len((data[: exc.start] + b".").decode("ascii").splitlines())
         raise FileFormatError(f"{path}:{at}: non-ASCII byte {data[exc.start]:#04x}") from exc
+    first = text.lstrip().partition("\n")[0]
+    head = first.splitlines()[0].split() if first else []
+    if len(head) != len(header.split()):
+        raise FileFormatError(f"{path}: expected a '{header}' header")
+    try:
+        return text, [int(x) for x in head]
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: malformed header") from exc
 
 
 def _rows(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of each nonblank line, as splitlines() cuts them."""
     return [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-
-
-def _head(text: str) -> list[str]:
-    """The tokens of _rows(text)[0], without splitting the rest."""
-    first = text.lstrip().partition("\n")[0]
-    return first.splitlines()[0].split() if first else []
 
 
 def _table(text: str, width: int) -> np.ndarray | None:
@@ -412,7 +430,7 @@ def _table(text: str, width: int) -> np.ndarray | None:
     if not body.strip():  # loadtxt warns on an empty input
         return None
     try:
-        vals = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+        vals = np.loadtxt(body.splitlines(), dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
     return vals if vals.shape[1] == width else None
@@ -430,14 +448,7 @@ def _entry(token: str) -> int:
 
 
 def read_multiset(path) -> PointMultiset:
-    text = _read_ascii(path)
-    head = _head(text)
-    if len(head) != 2:
-        raise FileFormatError(f"{path}: expected a 'q k' header")
-    try:
-        q, k = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed header") from exc
+    text, (q, k) = _read(path, "q k")
     if k < 1:
         raise FileFormatError(f"{path}: dimension must be positive")
     pg.check_space(q, k)
@@ -452,17 +463,14 @@ def read_multiset(path) -> PointMultiset:
         count = len(body)
         end = next((i for i, row in enumerate(body) if len(row) != k + 1), count)
         error = f"expected multiplicity plus {k} coordinates"
-        try:
-            vals = np.array(body[:end], dtype=np.int64).reshape(end, k + 1)
-        except (ValueError, OverflowError):
-            vals = []
-            for i, row in enumerate(body[:end]):
-                try:
-                    vals.append([_entry(x) for x in row])
-                except ValueError:
-                    end, error = i, "non-integer entry"
-                    break
-            vals = np.array(vals, dtype=np.int64).reshape(end, k + 1)
+        vals = []
+        for i, row in enumerate(body[:end]):
+            try:
+                vals.append([_entry(x) for x in row])
+            except ValueError:
+                end, error = i, "non-integer entry"
+                break
+        vals = np.array(vals, dtype=np.int64).reshape(end, k + 1)
     # Rows are checked as arrays, one check at a time.  Each check runs on
     # the rows before the first failure found so far, so the first bad row
     # is reported with the first check it fails, as a row-by-row scan would.
@@ -542,19 +550,11 @@ def write_gmatrix(M: PointMultiset, path) -> None:
     k, n = G.shape
     with open_output(path) as out:
         out.write(f"{M.q} {k} {n}\n")
-        for row in G.tolist():
-            out.write(" ".join(map(str, row)) + "\n")
+        _write_rows(out, np.array([f" {c}" for c in range(M.q)], dtype="S"), [G])
 
 
 def read_gmatrix(path) -> PointMultiset:
-    text = _read_ascii(path)
-    head = _head(text)
-    if len(head) != 3:
-        raise FileFormatError(f"{path}: expected a 'q k n' header")
-    try:
-        q, k, n = (int(x) for x in head)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: malformed header") from exc
+    text, (q, k, n) = _read(path, "q k n")
     G = _table(text, n)
     if G is None:
         rows = [row for _, row in _rows(text)[1:]]

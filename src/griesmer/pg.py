@@ -368,8 +368,9 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     np.add.at(W, point_codes(q, r)[idx], w.astype(dt))
     add, mul = F.tables
     minus = add[:, mul[F.neg(1)]]  # minus[s, t] = s - t
-    # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest)
-    rows = minus[:, mul].transpose(1, 0, 2).astype(np.int64) * q + np.arange(q)
+    # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest); every s
+    # only where some pass folds twice (k >= 3, so q^3 <= q^k cells)
+    rows = minus[: q if k >= 3 else 1, mul].transpose(1, 0, 2).astype(np.int64) * q + np.arange(q)
     out = []
     for j in range(k, 0, -1):
         A = W.reshape(q, -1)

@@ -42,7 +42,7 @@ from .errors import (
     ParamMismatch,
     PointNotInSupport,
 )
-from .mcode import PointMultiset, code_params, hyperplane_spectrum
+from .mcode import PointMultiset, _walked, code_params, hyperplane_spectrum
 
 # second points per _line_block gather, of (q-1)*_SKEW_BLOCK*(r+1) cells
 _SKEW_BLOCK = 64
@@ -186,9 +186,7 @@ def _remove(M: PointMultiset, flat: pg.Flat, idx, step: dict) -> PointMultiset:
     params = code_params(M)
     counts = M.counts.copy()
     counts[idx] -= 1
-    out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
-    out._mvec = _walk_mults(M, flat)
-    out._mvec.setflags(write=False)
+    out = _walked(F, M.r, counts, _carried_meta(M, step), _walk_mults(M, flat))
     new = code_params(out)
     if new.n != params.n - pg.theta(t, F.q) or not params.d - F.q**t <= new.d <= params.d:
         raise ParamMismatch(
@@ -202,8 +200,7 @@ def recheck_hyperplanes(M: PointMultiset) -> None:
     """Recompute M's hyperplane vector with the kernel; CertificationFailed
     unless it equals, entry for entry, the one M holds (walked through
     removals by puncture_flat and puncture_point)."""
-    idx = np.flatnonzero(M.counts)
-    fresh = pg.hyperplane_multiplicities(M.field, M.r, idx, M.counts[idx])
+    fresh = PointMultiset(M.field, M.r, M.counts).hyperplane_mults()
     wrong = np.count_nonzero(fresh != M.hyperplane_mults())
     if wrong:
         raise CertificationFailed(

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,19 +311,68 @@ def _reference_multiset_text(M):
     return "\n".join(lines) + "\n"
 
 
-# two-digit element encodings; PG(3, 16) has 4369 points, more than one chunk
-@pytest.mark.parametrize("q,r", [(11, 0), (11, 1), (11, 2), (16, 1), (16, 3)])
+# one- and two-digit element encodings, prime and prime-power fields; PG(3, 16)
+# and PG(12, 2) have 4369 and 8191 points, more than one chunk
+WRITER_SPACES = [(11, 0), (11, 1), (11, 2), (16, 1), (16, 3), (2, 0), (2, 5), (2, 12),
+                 (4, 0), (4, 4), (25, 0), (25, 2), (27, 1), (32, 0), (32, 2)]
+
+
+@pytest.mark.parametrize("q,r", WRITER_SPACES)
 def test_write_multiset_matches_per_point_formatting(tmp_path, q, r):
     F = field(q)
     rng = np.random.default_rng(q * 10 + r)
     size = theta(r, q)
     counts = rng.integers(10, 1000, size=size) * (rng.random(size) < 0.9)
-    counts[0] = 12
+    # 2^e and 2^e - 1 up to the bound 2^23 give every width up to seven digits
+    wide = 2 ** rng.integers(0, 24, size=size) - rng.integers(0, 2, size=size)
+    counts = np.where(rng.random(size) < 0.5, counts, wide)
+    counts[0] = pg.MAX_TRANSFORM_CELLS
     M = PointMultiset(F, r, counts)
     path = tmp_path / "code.ms"
     write_multiset(M, path)
     assert path.read_bytes() == _reference_multiset_text(M).encode("ascii")
     assert read_multiset(path) == M
+
+
+def _reference_gmatrix_text(M):
+    """The per-row formatting the table writer replaced."""
+    G = generator_matrix(M)
+    lines = [f"{M.q} {G.shape[0]} {G.shape[1]}"]
+    for row in G.tolist():
+        lines.append(" ".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("q,r", WRITER_SPACES)
+def test_write_gmatrix_matches_per_row_formatting(tmp_path, q, r):
+    F = field(q)
+    rng = np.random.default_rng(q * 10 + r)
+    size = theta(r, q)
+    counts = rng.integers(1, 4, size=size) * (rng.random(size) < 0.9)
+    # the unit points span, so the matrix written has full rank
+    counts[[pg.point_index(q, (0,) * i + (1,) + (0,) * (r - i)) for i in range(r + 1)]] = 1
+    M = PointMultiset(F, r, counts)
+    path = tmp_path / "code.gm"
+    write_gmatrix(M, path)
+    assert path.read_bytes() == _reference_gmatrix_text(M).encode("ascii")
+    assert read_gmatrix(path) == M
+
+
+def test_successful_writes_leave_nothing_to_unlink(tmp_path, monkeypatch):
+    # the staged file has been renamed into place, so it is not unlinked
+    unlinked = []
+    unlink = Path.unlink
+
+    def spy(self, *args, **kwargs):
+        unlinked.append(self.name)
+        return unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", spy)
+    write_multiset(code_c1(5, 4), tmp_path / "c1.ms")
+    write_multiset(simplex(2, 3), tmp_path / "c1.ms")  # no provenance: drops the sidecar
+    write_gmatrix(simplex(2, 3), tmp_path / "s.gm")
+    assert unlinked == ["c1.ms.meta.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c1.ms", "s.gm"]
 
 
 def test_multiplicities_are_bounded_before_storage(monkeypatch):
@@ -432,6 +482,34 @@ def test_gmatrix_file_reports_a_non_ascii_line(tmp_path):
     path.write_text("3 2 3\n1 0 1\n0 1 \u0661\n", encoding="utf-8")  # an Arabic-Indic 1
     with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}:3: non-ASCII byte 0xd9$"):
         read_gmatrix(path)
+
+
+def test_a_codes_spectrum_is_sorted_once_for_every_reader(monkeypatch):
+    # parameters, divisibility, the spectrum, the dual (which reads the
+    # input's and checks its own) and a report all share one sort per code
+    from griesmer.chains import _report
+    from griesmer.transforms import projective_dual
+
+    M = PointMultiset(field(5), 4, code_c1(5, 5).counts)
+    sorts = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        sorts.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    params = code_params(M)
+    assert is_divisible(M, 5) and not is_divisible(M, 7)
+    spectrum = hyperplane_spectrum(M)
+    hyperplane_spectrum(M).clear()  # a copy: the code's own spectrum stays
+    assert hyperplane_spectrum(M) == spectrum
+    assert params.d == M.n - max(spectrum)
+    dual = projective_dual(M, 5)
+    _report(M, [])
+    _report(dual, [])
+    assert code_params(M) is params
+    assert sorts == [theta(4, 5), theta(4, 5)]
 
 
 def test_hyperplane_multiplicity_vs_flat_sum():

@@ -374,6 +374,22 @@ def test_kernel_peak_memory_is_four_spaces():
     assert peak <= 4 * q ** (r + 1) * np.dtype(np.int32).itemsize + 64 * 1024
 
 
+def test_kernel_peak_memory_on_a_line_has_no_cube_table():
+    # on PG(1, q) no pass folds twice, so the fold table holds one s and
+    # q^2 cells, not q^3: the peak is that table and its two int64
+    # temporaries, W and one fold output, each of q^k or q^2 cells
+    F, q, r = field(127), 127, 1
+    F.tables
+    point_codes(q, r)
+    tracemalloc.start()
+    try:
+        hyperplane_multiplicities(F, r, [0, 1], [1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (q ** (r + 1) + q * q) * np.dtype(np.int64).itemsize
+
+
 def _digit_pass_hyperplanes_containing(F, flat):
     """The indicator built one coordinate at a time from the base-q digits
     of the point codes, each dot product with Field tables takes: the

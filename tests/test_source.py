@@ -43,3 +43,73 @@ def test_no_module_reads_the_environment():
         if (lines := _environment_reads(ast.parse(path.read_text(), str(path))))
     }
     assert found == {}
+
+
+def _owned_private_names(tree: ast.AST) -> set[str]:
+    """The _-prefixed attributes that the module's own classes define: in a
+    class body (methods, class attributes) or stored on an object there."""
+    owned = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owned.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                owned.update(t.id for t in targets if isinstance(t, ast.Name))
+        owned.update(
+            node.attr
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        )
+    return {name for name in owned if name.startswith("_")}
+
+
+def _foreign_private_attributes(tree: ast.AST) -> list[int]:
+    """Lines that read or write obj._name where no class of this module
+    defines _name; dunders (obj.__class__) are protocol, not private."""
+    owned = _owned_private_names(tree)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and node.attr not in owned
+    ]
+
+
+def test_the_private_attribute_detector_sees_every_form():
+    for snippet in (
+        "x = M._mvec",
+        "M._mvec = v",
+        "M._mvec.setflags(write=False)",
+        "del M._cache",
+        "M._count += 1",
+        "f(pg._fold)",
+        "class A:\n    def f(self, M):\n        return M._other",
+        "class A:\n    def f(self):\n        _local = 1\n\nx = M._local",
+    ):
+        assert _foreign_private_attributes(ast.parse(snippet)), snippet
+    for snippet in (
+        "class A:\n    def __init__(self):\n        self._x = None\n\ndef f(a):\n    return a._x",
+        "class A:\n    def _helper(self):\n        pass\n    def g(self):\n        self._helper()",
+        "class A:\n    _slot = 1\n\nx = A._slot",
+        "x = M.__class__",
+        "x = M.public",
+    ):
+        assert not _foreign_private_attributes(ast.parse(snippet)), snippet
+
+
+def test_private_attributes_stay_in_their_module():
+    # a cache or a private helper belongs to the module whose class defines
+    # it; other modules go through that module's functions
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    found = {
+        path.name: lines
+        for path in files
+        if (lines := _foreign_private_attributes(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
