@@ -257,4 +257,9 @@ def reproduce_table(theorem: int, q: int, k: int) -> list[VerificationReport]:
                     f"row for d={d_target} produced [{params.n},{params.k},{params.d}]_{q}"
                 )
             reports.append(_report(code, row_steps))
+    if len(reports) != d_max - d_min + 1:
+        raise CertificationFailed(
+            f"the table has {len(reports)} rows, its range [{d_min}, {d_max}] "
+            f"needs {d_max - d_min + 1}"
+        )
     return reports

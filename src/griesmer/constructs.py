@@ -7,6 +7,9 @@ Joining the curve points to a transversal line l0 through (1,0,...,0)
 yields q further lines; unions of those lines minus l0, weighted copies of
 a few special points, and one extra point Q off the configuration produce
 two families of q-divisible codes for every k >= 5 (code_c1 and code_c2).
+One builder makes all four codes: it checks the configuration once, fills
+one count vector from the enumeration indices of its lines and points, and
+builds one multiset, so a family code costs one kernel call.
 
 Nothing is taken on faith: every constructor recomputes the parameters,
 the divisibility, and the count of maximal-multiplicity hyperplanes from
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from . import pg
 from .errors import (
@@ -146,40 +151,46 @@ def _config_meta(cfg: LineConfig, family: str) -> dict:
     }
 
 
-def _config_meta_from(base: PointMultiset, family: str) -> dict:
-    meta = {"construction": dict(base.meta["construction"])}
-    meta["construction"]["family"] = family
-    return meta
+def _build(k: int, q: int, family: str) -> PointMultiset:
+    """base1 and c1: the q lines l_i minus l0, P_0 weighted q-1; base2 and
+    c2: l_1..l_{q-1} minus l0, P_0 and Q_q weighted q-1, P_q weighted q.
+    c1 and c2 add Q weighted q; their vector minus q on the hyperplanes
+    through Q is the base's, which is checked for Q."""
+    cfg = line_config(k, q)
+    F, r, all_lines = field(q), k - 1, family in ("base1", "c1")
+    counts = np.zeros(pg.theta(r, q), dtype=np.int64)
+    counts[pg.vector_indices(F, cfg.lines if all_lines else cfg.lines[: q - 1])] = 1
+    counts[pg.vector_indices(F, cfg.l0)] = 0
+    specials = [(cfg.arc[0], q - 1)]
+    if not all_lines:
+        specials += [(cfg.l0[-1], q - 1), (cfg.arc[q], q)]
+    for special, weight in specials:
+        i = pg.point_index(q, special)
+        if counts[i]:
+            raise ConfigDegenerate(f"special point {special} collides with a line point")
+        counts[i] = weight
+    meta = _config_meta(cfg, family)
+    if family in ("base1", "base2"):
+        return PointMultiset(F, r, counts, meta=meta)
+    i = pg.point_index(q, cfg.q_point)
+    if counts[i]:
+        raise ConfigDegenerate("the extra point Q already lies in the base code")
+    counts[i] = q
+    M = PointMultiset(F, r, counts, meta=meta)
+    through_q = pg.hyperplanes_containing(F, pg.Flat(r, (cfg.q_point,)))
+    _check_q_point_clear(F, r, M.hyperplane_mults() - q * through_q, cfg.q_point)
+    return M
 
 
 def base_code_1(k: int, q: int) -> PointMultiset:
     """[q^2+q-1, k, q^2-(k-3)q]_q: all q lines minus l0, plus P_0 weighted q-1."""
-    cfg = line_config(k, q)
-    l0_set = set(cfg.l0)
-    mults: dict[tuple[int, ...], int] = {}
-    for line in cfg.lines:
-        for P in line:
-            if P not in l0_set:
-                mults[P] = 1
-    mults[cfg.arc[0]] = q - 1
-    return PointMultiset(field(q), k - 1, mults, meta=_config_meta(cfg, "base1"))
+    return _build(k, q, "base1")
 
 
 def base_code_2(k: int, q: int) -> PointMultiset:
     """[q^2+2q-2, k, q^2-(k-3)q]_q: lines l_1..l_{q-1} minus l0, P_0 and Q_q
     weighted q-1, P_q weighted q."""
-    cfg = line_config(k, q)
-    l0_set = set(cfg.l0)
-    mults: dict[tuple[int, ...], int] = {}
-    for line in cfg.lines[: q - 1]:
-        for P in line:
-            if P not in l0_set:
-                mults[P] = 1
-    for special, weight in ((cfg.arc[0], q - 1), (cfg.l0[-1], q - 1), (cfg.arc[q], q)):
-        if special in mults:
-            raise ConfigDegenerate(f"special point {special} collides with a line point")
-        mults[special] = weight
-    return PointMultiset(field(q), k - 1, mults, meta=_config_meta(cfg, "base2"))
+    return _build(k, q, "base2")
 
 
 def _check_q_point_clear(F: Field, r: int, mvec, q_point) -> None:
@@ -193,23 +204,8 @@ def _check_q_point_clear(F: Field, r: int, mvec, q_point) -> None:
             )
 
 
-def _add_q_point(base: PointMultiset, family: str) -> PointMultiset:
-    """base plus Q with weight q; the base's vector, checked for Q, is the
-    new code's minus q on the hyperplanes through Q (one kernel call)."""
-    F, r, q = base.field, base.r, base.q
-    q_point = tuple(base.meta["construction"]["q_point"])
-    i = pg.point_index(q, q_point)
-    if base.counts[i]:
-        raise ConfigDegenerate("the extra point Q already lies in the base code")
-    counts = base.counts.copy()
-    counts[i] = q
-    M = PointMultiset(F, r, counts, meta=_config_meta_from(base, family))
-    through_q = pg.hyperplanes_containing(F, pg.Flat(r, (q_point,)))
-    _check_q_point_clear(F, r, M.hyperplane_mults() - q * through_q, q_point)
-    return M
-
-
-def _verified(M: PointMultiset, n: int, d: int, spec_index: int, spec_count: int) -> PointMultiset:
+def _verified(M: PointMultiset, n: int, d: int, spec_count: int) -> PointMultiset:
+    """M, once (n, d), q-divisibility and a_{n-d} = spec_count are checked."""
     params = code_params(M)
     if (params.n, params.d) != (n, d):
         raise ParamMismatch(
@@ -217,11 +213,9 @@ def _verified(M: PointMultiset, n: int, d: int, spec_index: int, spec_count: int
         )
     if not is_divisible(M, M.q):
         raise ParamMismatch(f"weights are not all divisible by {M.q}")
-    got = hyperplane_spectrum(M).get(spec_index, 0)
+    got = hyperplane_spectrum(M).get(n - d, 0)
     if got != spec_count:
-        raise SpectrumMismatch(
-            f"a_{spec_index} = {got}, expected {spec_count}"
-        )
+        raise SpectrumMismatch(f"a_{n - d} = {got}, expected {spec_count}")
     return M
 
 
@@ -237,10 +231,9 @@ def code_c1(k: int, q: int) -> PointMultiset:
     if k < 5:
         raise OutOfScope(f"code_c1 needs k >= 5, got {k}")
     return _verified(
-        _add_q_point(base_code_1(k, q), "c1"),
+        _build(k, q, "c1"),
         n=q * q + 2 * q - 1,
         d=q * q - (k - 4) * q,
-        spec_index=(k - 2) * q - 1,
         spec_count=comb(q, k - 4) + comb(q, k - 3) + (2 * q * q if k == 5 else 0),
     )
 
@@ -257,10 +250,9 @@ def code_c2(k: int, q: int) -> PointMultiset:
     if k < 5:
         raise OutOfScope(f"code_c2 needs k >= 5, got {k}")
     return _verified(
-        _add_q_point(base_code_2(k, q), "c2"),
+        _build(k, q, "c2"),
         n=q * q + 3 * q - 2,
         d=q * q - (k - 4) * q,
-        spec_index=(k - 1) * q - 2,
         spec_count=comb(q - 1, k - 3) + 2 * comb(q - 1, k - 4) + comb(q - 1, k - 5)
         + (3 * q - 1 if k == 5 else 0),
     )

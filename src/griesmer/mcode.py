@@ -122,8 +122,6 @@ class PointMultiset:
         self.r = r
         self.counts = counts
         self.meta = dict(meta or {})
-        self._support: tuple[tuple[int, ...], ...] | None = None
-        self._mults: MappingProxyType | None = None
 
     @property
     def q(self) -> int:
@@ -141,21 +139,16 @@ class PointMultiset:
     def gamma0(self) -> int:
         return int(self.counts.max())
 
-    @property
+    @cached_property
     def support(self) -> tuple[tuple[int, ...], ...]:
         """The points with positive multiplicity, in enumeration order."""
-        if self._support is None:
-            digits = pg.point_digits(self.q, self.r, np.flatnonzero(self.counts))
-            self._support = tuple(map(tuple, digits.tolist()))
-        return self._support
+        digits = pg.point_digits(self.q, self.r, np.flatnonzero(self.counts))
+        return tuple(map(tuple, digits.tolist()))
 
-    @property
+    @cached_property
     def mults(self) -> MappingProxyType:
         """Read-only {point: multiplicity} over the support."""
-        if self._mults is None:
-            m = self.counts[self.counts > 0].tolist()
-            self._mults = MappingProxyType(dict(zip(self.support, m)))
-        return self._mults
+        return MappingProxyType(dict(zip(self.support, self.counts[self.counts > 0].tolist())))
 
     def index(self, P) -> int | None:
         """Enumeration index of the point P (any nonzero representative);
@@ -332,6 +325,12 @@ def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
 # file formats
 
 
+def _json_text(obj) -> str:
+    """The one JSON spelling of every file and report: sorted keys, two
+    spaces of indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
@@ -384,7 +383,7 @@ def write_multiset(M: PointMultiset, path) -> None:
         meta = _meta_path(path)
         if M.meta:
             with open_output(meta) as side:
-                side.write(json.dumps(M.meta, sort_keys=True, indent=2) + "\n")
+                side.write(_json_text(M.meta))
         else:
             try:
                 meta.unlink(missing_ok=True)

@@ -215,10 +215,11 @@ def simple_point(M: PointMultiset) -> tuple[int, ...]:
     puncture_point enforces before any removal: every hyperplane H misses
     n - m(H) >= d points of the multiset, and one removal leaves
     n' - m'(H) >= d - 1 >= 1, so no hyperplane holds the new support.
+    PointNotInSupport when no point has multiplicity 1.
     """
     simple = np.flatnonzero(M.counts == 1)
     if not len(simple):
-        raise CertificationFailed("no support point has multiplicity 1")
+        raise PointNotInSupport("no support point has multiplicity 1")
     return tuple(pg.point_digits(M.q, M.r, simple[:1])[0].tolist())
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import griesmer
-from griesmer import chains, pg
+from griesmer import chains, cli, pg
 from griesmer.cli import main
 from griesmer.errors import TooLarge
 from griesmer.mcode import code_params, read_gmatrix, read_multiset
@@ -82,6 +82,39 @@ def test_verify_oracle_catches_a_spoiled_kernel_entry(tmp_path, capsys, monkeypa
     assert main(["verify", "--in", str(out), "--oracle"]) == 1
     captured = capsys.readouterr()
     assert re.search(r"^FAIL weight \d+: oracle count", captured.err, re.M)
+    assert "codewords agree" not in captured.out
+
+
+def _drop_the_zero_codeword(dist):
+    del dist[0]
+    return 0, "oracle count 0, spectrum gives 1"
+
+
+def _move_one_codeword_up(dist):
+    low, high = sorted(w for w in dist if w)[:2]
+    dist[low] -= 1
+    dist[high] += 1
+    return low, f"oracle count {dist[low]}, spectrum gives {dist[low] + 1}"
+
+
+@pytest.mark.parametrize("spoil", [_drop_the_zero_codeword, _move_one_codeword_up])
+def test_verify_oracle_catches_a_spoiled_distribution(tmp_path, capsys, monkeypatch, spoil):
+    # the oracle's distribution must equal {0: 1} and (q - 1) a_i at n - i
+    out = tmp_path / "b1.ms"
+    main(["construct", "--family", "base1", "--q", "3", "--k", "5", "--out", str(out)])
+    capsys.readouterr()
+    oracle, seen = cli.oracle_weight_distribution, []
+
+    def spoiled(M):
+        dist = oracle(M)
+        seen.append(spoil(dist))
+        return dist
+
+    monkeypatch.setattr(cli, "oracle_weight_distribution", spoiled)
+    assert main(["verify", "--in", str(out), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    (weight, counts), = seen
+    assert captured.err == f"FAIL weight {weight}: {counts}\n"
     assert "codewords agree" not in captured.out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -201,12 +202,32 @@ def test_family_code_derives_the_base_vector(monkeypatch, build, base_of, k, q):
     assert np.array_equal(seen[0], base_of(k, q).hyperplane_mults())
 
 
-def test_family_code_needs_q_off_the_base():
-    base = base_code_1(6, 4)
-    counts = base.counts.copy()
-    counts[pg.point_index(4, tuple(base.meta["construction"]["q_point"]))] = 1
-    with pytest.raises(ConfigDegenerate, match="already lies"):
-        constructs._add_q_point(PointMultiset(base.field, base.r, counts, meta=base.meta), "c1")
+@pytest.mark.parametrize("build", [base_code_1, base_code_2, code_c1, code_c2])
+def test_each_code_is_one_count_vector(monkeypatch, build):
+    # one multiset per code, built from an array and not from a mapping
+    init, built = PointMultiset.__init__, []
+
+    def spy(self, F, r, mults, meta=None):
+        built.append(type(mults))
+        init(self, F, r, mults, meta)
+
+    monkeypatch.setattr(PointMultiset, "__init__", spy)
+    build(6, 5)
+    assert built == [np.ndarray]
+
+
+def test_family_code_needs_q_off_the_base(monkeypatch):
+    # line_config puts Q on l_1, off l0: both families refuse to add it
+    config = constructs.line_config
+
+    def q_on_a_line(k, q):
+        cfg = config(k, q)
+        return dataclasses.replace(cfg, q_point=next(P for P in cfg.lines[0] if P not in cfg.l0))
+
+    monkeypatch.setattr(constructs, "line_config", q_on_a_line)
+    for build in (code_c1, code_c2):
+        with pytest.raises(ConfigDegenerate, match="the extra point Q already lies in the base code"):
+            build(6, 5)
 
 
 def test_dimension_gate():

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from griesmer.errors import VerificationFailure
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "griesmer"
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
@@ -113,3 +115,77 @@ def test_private_attributes_stay_in_their_module():
         if (lines := _foreign_private_attributes(ast.parse(path.read_text(), str(path))))
     }
     assert found == {}
+
+
+def _message_template(node: ast.AST) -> str:
+    """A message expression with "{}" for each value formatted into it."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_message_template(v) for v in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _message_template(node.left) + _message_template(node.right)
+    return "{}"
+
+
+def _raise_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
+    """(function, message template) of every `raise E(message)` whose E is
+    named in names, by its name or as an attribute; the function is the
+    innermost def around the raise."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                call = child.exc
+                name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+                if name in names:
+                    found.append((function, _message_template(call.args[0]) if call.args else ""))
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_raise_site_detector_sees_every_form():
+    names = {"Bad"}
+    for snippet, site in (
+        ("def f():\n    raise Bad('no')", ("f", "no")),
+        ("def f(a):\n    raise errors.Bad(f'a={a} b')", ("f", "a={} b")),
+        ("def f(a):\n    raise Bad(f'{a}' + ' tail') from None", ("f", "{} tail")),
+        ("def f(a):\n    def g():\n        raise Bad('inner')\n    return g", ("g", "inner")),
+        ("def f(a):\n    if a:\n        for x in a:\n            raise Bad(a)", ("f", "{}")),
+        ("raise Bad('top')", ("<module>", "top")),
+    ):
+        assert _raise_sites(ast.parse(snippet), names) == [site], snippet
+    for snippet in (
+        "def f():\n    raise ValueError('no')",
+        "def f(exc):\n    raise exc",
+        "def f():\n    try:\n        pass\n    except Bad:\n        raise",
+        "def f():\n    return Bad('built, not raised')",
+    ):
+        assert _raise_sites(ast.parse(snippet), names) == [], snippet
+
+
+def test_every_verification_raise_is_a_caught_fault():
+    # a check counts only if some fault in tests/test_faults.py makes it
+    # fire, or if it is listed there as one that no fault can reach
+    from test_faults import UNREACHABLE, caught_sites
+
+    def subclasses(cls):
+        return {cls.__name__}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    names = subclasses(VerificationFailure) - {"VerificationFailure"}
+    sites = [
+        f"{path.stem}.{function}: {template}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for function, template in _raise_sites(ast.parse(path.read_text(), str(path)), names)
+    ]
+    assert len(sites) == len(set(sites))
+    caught, unreachable = caught_sites(), set(UNREACHABLE)
+    assert not caught & unreachable
+    assert sorted(set(sites) - caught - unreachable) == []
+    assert sorted((caught | unreachable) - set(sites)) == []
