@@ -30,6 +30,7 @@ from .mcode import (
     is_divisible,
     multiset_from_matrix,
     multiset_multiplicity,
+    oracle_hyperplane_mults,
     oracle_weight_distribution,
     read_gmatrix,
     read_multiset,

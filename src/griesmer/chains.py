@@ -16,11 +16,15 @@ reach the rows of that prefix.
 
 Closed forms are never trusted: the dual is recomputed and compared, each
 removal step is re-verified, and a row only enters a table after its
-parameters are certified.  A removal walks the hyperplane vector through
-one incidence update instead of a kernel call, and the last code of every
-walk is checked against a fresh kernel call; in reproduce_table that is
-the end of the line walk and of each point walk, so every line prefix is
-covered.
+parameters are certified.  The dual's hyperplane vector is read off an
+incidence identity and each removal walks it through one incidence
+update, so neither makes a kernel call; every step's incidence vector
+must hold exactly the theta(k-t-2) hyperplanes through its t-flat.  A
+fresh kernel call then checks the walked vector where walks end:
+build_chain's last code, even after an empty walk at d = d_top, and in
+reproduce_table the end of the line walk and of the last point walk that
+removes anything.  A table thus costs three kernel calls whatever q is,
+the family code's included.
 """
 
 from __future__ import annotations
@@ -135,7 +139,8 @@ class VerificationReport:
             "spectrum": [list(pair) for pair in self.spectrum],
             "griesmer_n": self.griesmer_n,
             "is_griesmer": self.is_griesmer,
-            "provenance": [dict(step) for step in self.provenance],
+            # shared, not copied: mcode._json_text spells each step once
+            "provenance": list(self.provenance),
         }
 
 
@@ -177,10 +182,9 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
     multiplicity-1 point.  Each must cost exactly (q+1, q) or (1, 1) in
     (n, d) and leave a code on the length bound; one the puncture refuses
     (InputError) is a CertificationFailed too.  Each removal walks the
-    hyperplane vector instead of recomputing it, so the last code of a walk
-    that removed anything is checked once against the kernel before it is
-    yielded.  The yielded steps list grows as the walk goes on, so a
-    caller that keeps it copies it.
+    hyperplane vector instead of recomputing it; the caller checks the
+    codes it ends on with recheck_hyperplanes.  The yielded steps list
+    grows as the walk goes on, so a caller that keeps it copies it.
     """
     q, k = code.q, code.k
     params = code_params(code)
@@ -211,8 +215,6 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
                 f"intermediate [{new.n},{k},{new.d}]_{q} misses the length bound "
                 f"{griesmer_bound(q, k, new.d)}"
             )
-        if i == len(removals):
-            recheck_hyperplanes(code)
         step.update(n=new.n, d=new.d)
         steps.append(step)
         params = new
@@ -226,6 +228,7 @@ def build_chain(plan: ChainPlan) -> tuple[PointMultiset, VerificationReport]:
     lines = find_disjoint_lines(dual, plan.s) if plan.s else []
     for code, params, steps in _walk(dual, steps, lines + [None] * plan.j):
         pass
+    recheck_hyperplanes(code)
     if (params.n, params.k, params.d) != (plan.n_predicted, k, plan.d_target):
         raise CertificationFailed(
             f"chain produced [{params.n},{params.k},{params.d}]_{q}, "
@@ -241,15 +244,17 @@ def reproduce_table(theorem: int, q: int, k: int) -> list[VerificationReport]:
     """One certified report per distance in the family range, descending.
 
     The q-1 line prefixes are walked once; each prefix then walks its own
-    point removals, bounded up front so no removal goes past d_min.
+    point removals, bounded up front so no removal goes past d_min.  The
+    kernel rechecks the end of the line walk and of the last point walk
+    that removes anything.
     """
     d_min, d_max = theorem_range(theorem, q, k)
     dual, steps = _family_dual(theorem, q, k)
     line_walk = _walk(dual, steps, find_disjoint_lines(dual, q - 1))
     reports: list[VerificationReport] = []
     for s, (base, _, base_steps) in enumerate(line_walk):
-        points = min(q - 1, d_max - s * q - d_min)
-        point_walk = _walk(base, base_steps, [None] * points)
+        rest = d_max - s * q - d_min
+        point_walk = _walk(base, base_steps, [None] * min(q - 1, rest))
         for j, (code, params, row_steps) in enumerate(point_walk):
             d_target = d_max - s * q - j
             if params.d != d_target or params.n != griesmer_bound(q, k, d_target):
@@ -257,6 +262,9 @@ def reproduce_table(theorem: int, q: int, k: int) -> list[VerificationReport]:
                     f"row for d={d_target} produced [{params.n},{params.k},{params.d}]_{q}"
                 )
             reports.append(_report(code, row_steps))
+        if 0 < rest <= q:  # no later prefix removes a point
+            recheck_hyperplanes(code)
+    recheck_hyperplanes(base)
     if len(reports) != d_max - d_min + 1:
         raise CertificationFailed(
             f"the table has {len(reports)} rows, its range [{d_min}, {d_max}] "

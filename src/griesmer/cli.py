@@ -59,6 +59,7 @@ def _cmd_construct(args) -> int:
 def _cmd_dual(args) -> int:
     M = read_multiset(args.infile)
     dual = projective_dual(M, args.divisor)
+    recheck_hyperplanes(dual)  # the printed parameters rest on a kernel call
     print(f"dual: {_describe(dual)}")
     if args.out:
         write_multiset(dual, args.out)

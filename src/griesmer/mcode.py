@@ -34,6 +34,7 @@ import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 
@@ -159,7 +160,7 @@ class PointMultiset:
 
     def hyperplane_mults(self) -> np.ndarray:
         """m(H) for every hyperplane, indexed like pg.enumerate_points: the
-        kernel's, unless _walked gave the code the vector a puncture walked."""
+        kernel's, unless _walked gave the code a walked or dual vector."""
         return self._mvec
 
     @cached_property
@@ -206,9 +207,9 @@ class PointMultiset:
         )
 
 
-def _walked(F: Field, r: int, counts, meta: dict, mvec: np.ndarray) -> PointMultiset:
-    """A new code whose hyperplane vector is mvec, walked by a puncture."""
-    M = PointMultiset(F, r, counts, meta=meta)
+def _walked(M: PointMultiset, mvec: np.ndarray) -> PointMultiset:
+    """M, given mvec as its hyperplane vector in place of the kernel's: one
+    walked by a puncture, or read off the dual's incidence identity."""
     M._mvec = mvec
     mvec.setflags(write=False)
     return M
@@ -276,9 +277,10 @@ def multiset_from_matrix(G, q: int) -> PointMultiset:
     return M
 
 
-def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
-    """Exact weight distribution by character sums; reads only the count
-    vector, point codes and digits, Field.tables and scalar field operations.
+def oracle_hyperplane_mults(M: PointMultiset) -> np.ndarray:
+    """m(H) for every hyperplane, indexed like pg.enumerate_points, by
+    character sums; reads only the count vector, point codes and digits,
+    Field.tables and scalar field operations.
 
     With q = p^h, a vector's base-q code read in base p is its vector in
     F_p^(hk).  W holds the counts at the point codes, and its Fourier
@@ -288,8 +290,7 @@ def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
     (TooLarge before anything is built otherwise).  Summing the characters
     over lambda in GF(q) counts the x with H.x = 0: q * m(H) = sum_lambda
     W^(T(lambda H)), where T[c] = sum_j Tr(c x^j) p^j (the identity for
-    prime q).  m(H) <= n < P, so m(H) mod P is exact, and each of the
-    q - 1 messages spanning H weighs n - m(H).
+    prime q).  m(H) <= n < P, so m(H) mod P is exact.
     """
     F, q, n, p, h = M.field, M.q, M.n, M.field.p, M.field.h
     P = n + 1  # the least prime P = 1 (mod p) above n, unless p * P^2 reaches 2^63 first
@@ -314,10 +315,16 @@ def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
     place = q ** np.arange(M.r, -1, -1)
     # with row = mul[lambda], T[row][digits] @ place is the cell of lambda H
     total = sum(W[T[row][digits] @ place] for row in mul)
-    weights, counts = np.unique(n - total % P * pow(q, -1, P) % P, return_counts=True)
+    return total % P * pow(q, -1, P) % P
+
+
+def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
+    """Exact weight distribution from oracle_hyperplane_mults: codeword 0,
+    and q - 1 codewords of weight n - m(H) per hyperplane H."""
+    weights, counts = np.unique(M.n - oracle_hyperplane_mults(M), return_counts=True)
     dist = {0: 1}
     for weight, count in zip(weights.tolist(), counts.tolist()):
-        dist[weight] = dist.get(weight, 0) + (q - 1) * count
+        dist[weight] = dist.get(weight, 0) + (M.q - 1) * count
     return dist
 
 
@@ -326,9 +333,45 @@ def oracle_weight_distribution(M: PointMultiset) -> dict[int, int]:
 
 
 def _json_text(obj) -> str:
-    """The one JSON spelling of every file and report: sorted keys, two
-    spaces of indent, a final newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The one JSON spelling of every file and report: json.dumps with
+    sorted keys and two spaces of indent, plus a final newline.
+
+    Each dict and list is encoded once per depth, so an object shared by
+    several parents, like a provenance step in every later table row, is
+    spelled once; ids stay valid because obj holds every object for the
+    whole call.  A list of ints is one join.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if type(o) is int:
+            return str(o)
+        if not isinstance(o, (dict, list, tuple)):
+            return json.dumps(o)  # bool, None, float, or json's TypeError
+        text = memo.get((id(o), depth))
+        if text is None:
+            if not o:
+                text = "{}" if isinstance(o, dict) else "[]"
+            else:
+                indent = "\n" + "  " * (depth + 1)
+                if isinstance(o, dict):
+                    items = [
+                        encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+                        + ": " + encode(v, depth + 1)
+                        for k, v in sorted(o.items())
+                    ]
+                    ends = "{}"
+                else:
+                    ints = all(type(v) is int for v in o)
+                    items = map(str, o) if ints else [encode(v, depth + 1) for v in o]
+                    ends = "[]"
+                text = ends[0] + indent + ("," + indent).join(items) + indent[:-2] + ends[1]
+            memo[id(o), depth] = text
+        return text
+
+    return encode(obj, 0) + "\n"
 
 
 def _meta_path(path) -> Path:

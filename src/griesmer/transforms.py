@@ -6,7 +6,11 @@ normal form, so the mapping is the identity on coordinates).  The result
 is t-divisible with t = q^(k-2)/m, has n* = n*t*q - (d/m)*theta_{k-1} and
 d* = ((n-d)q - n)*t, and its spectrum mirrors the multiplicity profile of
 the input: a*_{n*-d*-j*t} equals the number of input j-points.  All of
-that is recomputed and enforced here, never assumed.
+that is recomputed and enforced here, never assumed.  The dual's own
+hyperplane vector needs no kernel call: a point P lies on theta_{k-2}
+hyperplanes and shares theta_{k-3} of them with any other point, so
+m_D(P) = ((n-d)*theta_{k-2} - n*theta_{k-3} - q^(k-2)*c(P)) / m, and a
+remainder is a ParamMismatch.
 
 Puncturing removes one unit of multiplicity from every point of a flat
 that sits inside the support (a t-flat removal costs theta_t in length and
@@ -14,9 +18,10 @@ at most q^t in distance), or from a single point, the 0-flat.  It makes no
 kernel call: a hyperplane contains the t-flat S or meets it in a
 (t-1)-flat, so the new code's hyperplane vector is the old one minus
 theta_{t-1} minus q^t times pg.hyperplanes_containing(S), and every
-parameter is read off that walked vector.  recheck_hyperplanes compares it
-with a fresh kernel call; chains runs that check on the last code of every
-walk.
+parameter is read off that walked vector.  Every step checks that the
+indicator holds exactly the theta_{r-t-1} hyperplanes through S.
+recheck_hyperplanes compares a vector with a fresh kernel call; chains
+runs it where a walk of removals ends (see its docstring).
 
 Repeated line removals need pairwise disjoint lines inside the support;
 find_disjoint_lines runs a deterministic lexicographic backtracking
@@ -89,7 +94,8 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
         # success is guaranteed for up to q-1 lines
         meta["skew_region"] = list(construction["l0"][1])
         meta["transform"]["source_family"] = construction.get("family")
-    dual = PointMultiset(F, M.r, dual_counts, meta=meta)
+    # the multiset first: it bounds every j, and so the identity's values
+    dual = _walked(PointMultiset(F, M.r, dual_counts, meta=meta), _dual_mults(M, m))
 
     # m divides every weight n - m(H) and d, so j > 0 exactly when
     # m(H) < n - d: the dual's support is the set of hyperplanes below
@@ -117,6 +123,25 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
     if hyperplane_spectrum(dual) != expected:
         raise ParamMismatch("dual spectrum does not mirror the input multiplicity profile")
     return dual
+
+
+def _dual_mults(M: PointMultiset, m: int) -> np.ndarray:
+    """The hyperplane vector of M's dual with divisor m, from M's counts c.
+
+    A point P lies on theta(k-2) hyperplanes and shares theta(k-3) of them
+    with any other point, so the m(H) over the hyperplanes H through P sum
+    to n*theta(k-3) + q^(k-2)*c(P).  The dual hyperplane P holds the dual
+    points H through P, so m_D(P), the sum of their (n - d - m(H))/m, is
+    ((n-d)*theta(k-2) - n*theta(k-3))/m - t*c(P) with t = q^(k-2)/m.  At a
+    point with c(P) = 0, which projective_dual requires, that first term is
+    m_D(P), at most the dual's length, so int64 holds it once the dual's
+    multiset is built.
+    """
+    q, k, n, d = M.q, M.k, M.n, code_params(M).d
+    top, rest = divmod((n - d) * pg.theta(k - 2, q) - n * pg.theta(k - 3, q), m)
+    if rest:
+        raise ParamMismatch(f"the incidence identity leaves a remainder mod {m}")
+    return top - q ** (k - 2) // m * M.counts
 
 
 def _carried_meta(M: PointMultiset, step: dict) -> dict:
@@ -169,10 +194,18 @@ def _walk_mults(M: PointMultiset, flat: pg.Flat) -> np.ndarray:
 
     A hyperplane meets S in all theta_t points when it contains S and in a
     (t-1)-flat otherwise, so m'(H) = m(H) - theta_{t-1} - q^t [S in H].
+    The indicator [S in H] must hold the theta_{r-t-1} hyperplanes through
+    S, or CertificationFailed.
     """
     F, t = M.field, flat.dim
+    through = pg.hyperplanes_containing(F, flat)
+    held, want = int(through.sum()), pg.theta(M.r - t - 1, F.q)
+    if held != want:
+        raise CertificationFailed(
+            f"the indicator of a {t}-flat holds {held} hyperplanes, not {want}"
+        )
     walked = M.hyperplane_mults() - pg.theta(t - 1, F.q)
-    walked -= F.q**t * pg.hyperplanes_containing(F, flat)
+    walked -= F.q**t * through
     return walked
 
 
@@ -186,7 +219,8 @@ def _remove(M: PointMultiset, flat: pg.Flat, idx, step: dict) -> PointMultiset:
     params = code_params(M)
     counts = M.counts.copy()
     counts[idx] -= 1
-    out = _walked(F, M.r, counts, _carried_meta(M, step), _walk_mults(M, flat))
+    out = PointMultiset(F, M.r, counts, meta=_carried_meta(M, step))
+    out = _walked(out, _walk_mults(M, flat))
     new = code_params(out)
     if new.n != params.n - pg.theta(t, F.q) or not params.d - F.q**t <= new.d <= params.d:
         raise ParamMismatch(

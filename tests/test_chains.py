@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from griesmer import chains, pg, transforms
 from griesmer.chains import (
     build_chain,
     griesmer_bound,
@@ -8,7 +10,7 @@ from griesmer.chains import (
     theorem_range,
 )
 from griesmer.errors import CertificationFailed, OutOfScope
-from griesmer.mcode import code_params
+from griesmer.mcode import code_params, oracle_hyperplane_mults
 
 TABLE_1 = [
     (3158, 2368), (3157, 2367), (3156, 2366), (3155, 2365), (3153, 2364),
@@ -192,3 +194,58 @@ def test_build_chain_cross_checks_the_walked_vector(off_by_one):
 def test_reproduce_table_cross_checks_the_walked_vector(off_by_one):
     with pytest.raises(CertificationFailed, match="differs from the kernel"):
         reproduce_table(1, 4, 6)
+
+
+@pytest.mark.parametrize("theorem,q,k", [(1, 4, 5), (2, 5, 5), (2, 5, 6)])
+def test_every_table_row_matches_the_oracle(theorem, q, k, monkeypatch):
+    # only the ends of two walks meet the kernel; every row's walked vector
+    # must still equal the oracle's m(H), entry for entry
+    report, codes = chains._report, []
+
+    def kept(M, provenance):
+        codes.append(M)
+        return report(M, provenance)
+
+    monkeypatch.setattr(chains, "_report", kept)
+    rows = reproduce_table(theorem, q, k)
+    assert len(codes) == len(rows) == q * q - q + 1
+    for M in codes:
+        assert np.array_equal(M.hyperplane_mults(), oracle_hyperplane_mults(M))
+
+
+def _kernel_calls(monkeypatch) -> list:
+    kernel, calls = pg.hyperplane_multiplicities, []
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(pg, "hyperplane_multiplicities", counted)
+    return calls
+
+
+@pytest.mark.parametrize("theorem,q,k", [(1, 4, 6), (2, 5, 6), (1, 7, 5)])
+def test_a_table_makes_three_kernel_calls(theorem, q, k, monkeypatch):
+    # the family code, the end of the line walk, the end of the last point walk
+    calls = _kernel_calls(monkeypatch)
+    reproduce_table(theorem, q, k)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d", [2368, 2363])  # d_top, and one line then one point
+def test_a_chain_makes_two_kernel_calls(d, monkeypatch):
+    # the family code and the end of the walk, an empty one included
+    calls = _kernel_calls(monkeypatch)
+    plan = plan_chain(1, 4, 6, d)
+    assert (plan.s, plan.j) == ((0, 0) if d == 2368 else (1, 1))
+    build_chain(plan)
+    assert len(calls) == 2
+
+
+def test_a_chain_at_d_top_rechecks_the_dual(monkeypatch):
+    # a rolled identity keeps the dual's n, d, divisor and spectrum, so
+    # only the recheck of the empty walk sees it
+    mults = transforms._dual_mults
+    monkeypatch.setattr(transforms, "_dual_mults", lambda M, m: np.roll(mults(M, m), 1))
+    with pytest.raises(CertificationFailed, match="differs from the kernel"):
+        build_chain(plan_chain(1, 4, 6, 2368))

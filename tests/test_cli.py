@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import griesmer
-from griesmer import chains, cli, pg
+from griesmer import chains, cli, pg, transforms
 from griesmer.cli import main
 from griesmer.errors import TooLarge
 from griesmer.mcode import code_params, read_gmatrix, read_multiset
@@ -438,6 +438,20 @@ def test_puncture_writes_the_pinned_bytes(dual_c1_file, tmp_path, capsys):
     assert "punctured: [3151,6,2362]_4" in capsys.readouterr().out
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PUNCTURE_DIGESTS}
     assert got == PUNCTURE_DIGESTS
+
+
+def test_dual_rechecks_the_identity_vector(tmp_path, capsys, monkeypatch):
+    c1, out = tmp_path / "c1.ms", tmp_path / "dual.ms"
+    assert main(["construct", "--family", "c1", "--q", "4", "--k", "6", "--out", str(c1)]) == 0
+    capsys.readouterr()
+    mults = transforms._dual_mults
+    # rolled, the dual's vector keeps its n, d, divisor and spectrum
+    monkeypatch.setattr(transforms, "_dual_mults", lambda M, m: np.roll(mults(M, m), 1))
+    assert main(["dual", "--in", str(c1), "--divisor", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "differs from the kernel" in captured.err
+    assert not out.exists()
 
 
 def test_wrong_walked_vector_exits_1(dual_c1_file, tmp_path, capsys, off_by_one):

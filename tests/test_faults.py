@@ -1,13 +1,14 @@
 """Faults that the certification checks must catch.
 
 Each fault is one monkeypatch of a computation the pipeline runs (a kernel
-result, a closed form, a binomial, the curve, a field power, the lines of
-the configuration, one step's indicator, the lines the skew search
-returns), never of code_params or hyperplane_spectrum, whose reading is
-what is under test.  Every fault runs through the `table` and `chain`
-commands at (1, 5, 5) and (2, 5, 6), or at the one of them whose family
-the fault touches: the command must exit 1 with the expected check's
-message, print nothing on stdout and leave no output file.
+result, the dual's vector from the incidence identity, a closed form, a
+binomial, the curve, a field power, the lines of the configuration, one
+step's indicator, the lines the skew search returns), never of
+code_params or hyperplane_spectrum, whose reading is what is under test.
+Every fault runs through the `table` and `chain` commands at (1, 5, 5)
+and (2, 5, 6), or at the one of them whose family the fault touches: the
+command must exit 1 with the expected check's message, print nothing on
+stdout and leave no output file.
 
 Each expectation names its raise site as "module.function: template", the
 message with "{}" for each formatted value.  The exception must come from
@@ -38,6 +39,10 @@ UNREACHABLE = {
     "chains.build_chain: final code misses the Griesmer bound":
         "plan_chain puts n_predicted on the length bound, and the check before "
         "it compares the chain's (n, k, d) with the plan",
+    "transforms._dual_mults: the incidence identity leaves a remainder mod {}":
+        "projective_dual checks first that m = p^e with e <= h(k-2), so m divides "
+        "q^(k-2), and that m divides the divisor, so m divides d; the numerator "
+        "(n-d)*theta(k-2) - n*theta(k-3) equals (n-d)*q^(k-2) - d*theta(k-3)",
     "constructs.line_config: transversal line must meet the hyperplane only at P_0":
         "P_0 and Q_q are fixed vectors and the check of l0's points makes l0 "
         "their line, whose only point on the hyperplane is P_0",
@@ -46,7 +51,7 @@ UNREACHABLE = {
 
 def _spoil_kernel(monkeypatch, call, spoil):
     """Change the kernel's result on its `call`-th call (1 is the family
-    code, 2 its dual) in place with spoil(m, q, k)."""
+    code) in place with spoil(m, q, k)."""
     kernel = pg.hyperplane_multiplicities
     calls = []
 
@@ -60,15 +65,83 @@ def _spoil_kernel(monkeypatch, call, spoil):
     monkeypatch.setattr(pg, "hyperplane_multiplicities", spoiled)
 
 
-def _spoil_line_indicator(monkeypatch, spoil):
-    """Replace the hyperplanes-through-S indicator of every line removal."""
-    containing = pg.hyperplanes_containing
+def _spoil_identity(monkeypatch, spoil):
+    """Change the dual's hyperplane vector, read off the incidence identity,
+    in place with spoil(m, q, k)."""
+    mults = transforms._dual_mults
+
+    def spoiled(M, m):
+        vec = mults(M, m)
+        spoil(vec, M.q, M.k)
+        return vec
+
+    monkeypatch.setattr(transforms, "_dual_mults", spoiled)
+
+
+def _roll_by_one(m, q, k):
+    m[:] = np.roll(m, 1)
+
+
+def _spoil_step_indicator(monkeypatch, spoil):
+    """Replace the hyperplanes-through-S indicator of every removal step
+    with spoil(through, M, flat), M the code the step removes from."""
+    walk, containing = transforms._walk_mults, pg.hyperplanes_containing
+    code = []
+
+    def walked(M, flat):
+        code[:] = [M]
+        return walk(M, flat)
 
     def spoiled(F, flat):
         through = containing(F, flat)
-        return spoil(through) if flat.dim == 1 else through
+        return spoil(through, code[0], flat) if code else through
 
+    monkeypatch.setattr(transforms, "_walk_mults", walked)
     monkeypatch.setattr(pg, "hyperplanes_containing", spoiled)
+
+
+def _line_one_lower(through, M, flat):
+    """Every entry one lower, the count put back on one hyperplane through
+    the line: a hyperplane of maximal multiplicity off the line now loses
+    1 - q, so d falls by 2q."""
+    if flat.dim != 1:
+        return through
+    spoiled = through.astype(np.int64) - 1
+    spoiled[through.argmax()] += len(through)
+    return spoiled
+
+
+def _point_on_every_top_hyperplane(through, M, flat):
+    """Every hyperplane of maximal multiplicity holds the point, which keeps
+    d.  The count comes off the hyperplane of least multiplicity, and no
+    other hyperplane reaches the top: m'(H) = m(H) - ind(H) <= max - 1."""
+    if flat.dim != 0:
+        return through
+    m = M.hyperplane_mults()
+    spoiled = m - m.max() + 1
+    spoiled[m.argmin()] += through.sum() - spoiled.sum()
+    return spoiled
+
+
+def _drop_one_then_restore():
+    """The first point step's indicator misses its hyperplane of least
+    multiplicity, and the next step's holds it once more: the walked vector
+    is one too high there in between, far below the top, so d stays right,
+    and it is right again after the second step."""
+    dropped = []
+
+    def spoil(through, M, flat):
+        spoiled = through.astype(np.int64)
+        if flat.dim == 0 and not dropped:
+            held = np.flatnonzero(through)
+            dropped.append(held[M.hyperplane_mults()[held].argmin()])
+            spoiled[dropped[0]] -= 1
+        elif len(dropped) == 1:
+            spoiled[dropped[0]] += 1
+            dropped.append(None)
+        return spoiled
+
+    return spoil
 
 
 def _no_hyperplane_through_q(monkeypatch):
@@ -269,22 +342,23 @@ FAULTS = {
               lambda t, q, k, d: r"a_\d+ = \d+, expected \d+"),
         CASES,
     ),
-    # transforms.projective_dual: closed forms, divisor and spectrum mirror
+    # transforms.projective_dual: closed forms, divisor and spectrum mirror,
+    # all read off the incidence identity's vector
     "dual-distance": (
-        lambda mp: _spoil_kernel(mp, 2, _shift_every_entry),
+        lambda mp: _spoil_identity(mp, _shift_every_entry),
         _both("transforms.projective_dual: dual is [{},{},{}]_{}, closed forms give [{},{},{}]_{}",
               lambda t, q, k, d: _dual_message(t, q, k, got=lambda n, d: (n, d - 1))),
         CASES,
     ),
     "dual-divisor": (
-        lambda mp: _spoil_kernel(mp, 2, _lower_the_least_entry(lambda q, k: 1)),
+        lambda mp: _spoil_identity(mp, _lower_the_least_entry(lambda q, k: 1)),
         _both("transforms.projective_dual: dual divisor {} is not a multiple of {}",
               lambda t, q, k, d: rf"dual divisor \d+ is not a multiple of {q ** (k - 3)}"),
         CASES,
     ),
     "dual-spectrum": (
         # a multiple of the dual's divisor t = q^(k-3), so only the mirror moves
-        lambda mp: _spoil_kernel(mp, 2, _lower_the_least_entry(lambda q, k: q ** (k - 3))),
+        lambda mp: _spoil_identity(mp, _lower_the_least_entry(lambda q, k: q ** (k - 3))),
         _both("transforms.projective_dual: dual spectrum does not mirror the input multiplicity profile"),
         CASES,
     ),
@@ -306,18 +380,29 @@ FAULTS = {
         },
         CASES,
     ),
+    # transforms._walk_mults: one step's indicator short, the next one's long
+    "step-dropped-then-restored": (
+        lambda mp: _spoil_step_indicator(mp, _drop_one_then_restore()),
+        _both("transforms._walk_mults: the indicator of a {}-flat holds {} hyperplanes, not {}",
+              lambda t, q, k, d: f"indicator of a 0-flat holds {pg.theta(k - 2, q) - 1} hyperplanes, "
+                                 f"not {pg.theta(k - 2, q)}"),
+        CASES,
+    ),
     # transforms._remove: a line step whose walked d leaves [d - q, d]
     "line-step-range": (
-        lambda mp: _spoil_line_indicator(mp, lambda through: through.astype(np.int64) - 1),
+        lambda mp: _spoil_step_indicator(mp, _line_one_lower),
         _both("transforms._remove: removing a {}-flat gave [{},{},{}] from [{},{},{}]",
               lambda t, q, k, d: r"removing a 1-flat gave \["),
         CASES,
     ),
-    # chains._walk: a line step that keeps d (every hyperplane holds the line)
-    "line-step-cost": (
-        lambda mp: _spoil_line_indicator(mp, np.ones_like),
+    # chains._walk: a point step that keeps d.  A line step cannot: it keeps
+    # d only if every entry is at least (m(H) - max + 1) / q, rounded up, 1
+    # on each maximal hyperplane, and on the two duals those bounds add up
+    # to 611 and 2956, above the theta(k-3) = 31 and 156 an indicator holds
+    "point-step-cost": (
+        lambda mp: _spoil_step_indicator(mp, _point_on_every_top_hyperplane),
         _both("chains._walk: removal changed (n, d) by ({}, {}), expected {}",
-              lambda t, q, k, d: rf"removal changed \(n, d\) by \({q + 1}, 0\), expected \({q + 1}, {q}\)"),
+              lambda t, q, k, d: r"removal changed \(n, d\) by \(1, 0\), expected \(1, 1\)"),
         CASES,
     ),
     # chains._walk: a removal the puncture refuses is the walk's fault
@@ -327,7 +412,13 @@ FAULTS = {
               lambda t, q, k, d: r"removal \d+ failed: .* has multiplicity 0$"),
         CASES,
     ),
-    # transforms.recheck_hyperplanes: the walked vector at each walk's end
+    # transforms.recheck_hyperplanes: the walked vector where walks end
+    "dual-identity-rolled": (
+        # the dual's n, d, divisor and spectrum hold, so only the kernel sees it
+        lambda mp: _spoil_identity(mp, _roll_by_one),
+        _both("transforms.recheck_hyperplanes: the walked hyperplane vector differs from the kernel's on {} hyperplanes"),
+        CASES,
+    ),
     "walked-vector": (
         _walked_vector_off_by_one,
         _both("transforms.recheck_hyperplanes: the walked hyperplane vector differs from the kernel's on {} hyperplanes"),

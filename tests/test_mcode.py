@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -25,7 +26,9 @@ from griesmer.mcode import (
     hyperplane_spectrum,
     is_divisible,
     multiset_from_matrix,
+    _json_text,
     multiset_multiplicity,
+    oracle_hyperplane_mults,
     oracle_weight_distribution,
     read_gmatrix,
     read_multiset,
@@ -125,6 +128,34 @@ def test_oracle_matches_hyperplane_spectrum(M):
     assert sum(dist.values()) == q**M.k
     spec = hyperplane_spectrum(M)
     assert dist == {0: 1} | {n - i: (q - 1) * a for i, a in spec.items()}
+    assert np.array_equal(oracle_hyperplane_mults(M), M.hyperplane_mults())
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_spells_as_json_dumps(obj):
+    shared = [obj, {"a": obj, "b": [obj, []]}, obj, {}]  # the same objects at several depths
+    for value in (obj, shared):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_keys_and_refusals_follow_json():
+    value = {2: [1, True, None], 1: {"x": float("inf"), "é\n": -0.0}}
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    for bad in ({"a": np.int64(1)}, [{1, 2}], {1: 1, "a": 2}):  # the last does not sort
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(bad)
 
 
 def test_generator_matrix_simplex_pg1_gf2():

@@ -436,6 +436,9 @@ def test_dual_of_a_sum_of_lines_meets_the_closed_forms(q, r, data):
     assert hyperplane_spectrum(dual) == {
         n_star - d_star - j * t: lam for j, lam in enumerate(p.lam) if lam
     }
+    # the dual's vector, read off the incidence identity, is the kernel's
+    kernel = PointMultiset(F, r, dual.counts).hyperplane_mults()
+    assert np.array_equal(dual.hyperplane_mults(), kernel)
 
 
 @PROPERTY

@@ -162,8 +162,14 @@ def test_puncture_point_steps(dual_c1_64, dual_c2_65):
     assert (p.n, p.k, p.d) == (12029, 6, 9622)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_the_identity_gives_the_kernels_dual_vector(m):
+    # m = 2 < q: the identity divides by a proper divisor of q
+    recheck_hyperplanes(projective_dual(code_c1(6, 4), m))
+
+
 def test_punctures_walk_the_vector_without_the_kernel(dual_c1_64, monkeypatch):
-    code_params(dual_c1_64)  # the dual's own vector comes from the kernel
+    code_params(dual_c1_64)  # the dual's own vector comes from the incidence identity
 
     def refuse(*args, **kwargs):
         raise AssertionError("a puncture ran the hyperplane kernel")
