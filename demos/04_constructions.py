@@ -15,7 +15,6 @@ from griesmer import (
     code_c2,
     code_params,
     hyperplane_spectrum,
-    is_divisible,
     line_config,
     normal_rational_curve,
 )
@@ -35,7 +34,7 @@ print(f"\nthe {q} joining lines cover {len(off)} = q^2 points off the transversa
 c1 = code_c1(k, q)
 p1 = code_params(c1)
 print(f"\ncode_c1({k},{q}): [{p1.n},{p1.k},{p1.d}]_{q}")
-print(f"q-divisible: {is_divisible(c1, q)}")
+print(f"divisor {p1.divisor}, so q-divisible: {p1.divisor % q == 0}")
 a = hyperplane_spectrum(c1)[(k - 2) * q - 1]
 print(
     f"maximal hyperplanes: {a} = C({q},{k - 4}) + C({q},{k - 3}) = "

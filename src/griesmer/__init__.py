@@ -27,9 +27,7 @@ from .mcode import (
     code_params,
     generator_matrix,
     hyperplane_spectrum,
-    is_divisible,
     multiset_from_matrix,
-    multiset_multiplicity,
     oracle_hyperplane_mults,
     oracle_weight_distribution,
     read_gmatrix,
@@ -39,8 +37,6 @@ from .mcode import (
 )
 from .pg import (
     Flat,
-    dual_hyperplane,
-    dual_point,
     enumerate_points,
     flat_points,
     hyperplane_flat,

@@ -102,6 +102,8 @@ def plan_chain(theorem: int, q: int, k: int, d: int) -> ChainPlan:
     n_top, d_top = _family_tops(theorem, q, k)
     s, j = divmod(d_top - d, q)
     n_predicted = n_top - s * (q + 1) - j
+    # build_chain compares the chain's (n, k, d) with this plan, so this
+    # test also puts every code it returns on the Griesmer bound
     if n_predicted != griesmer_bound(q, k, d):
         raise PlanInfeasible(
             f"stepping down to d={d} would give n={n_predicted}, "
@@ -234,10 +236,7 @@ def build_chain(plan: ChainPlan) -> tuple[PointMultiset, VerificationReport]:
             f"chain produced [{params.n},{params.k},{params.d}]_{q}, "
             f"planned [{plan.n_predicted},{k},{plan.d_target}]_{q}"
         )
-    report = _report(code, steps)
-    if not report.is_griesmer:
-        raise CertificationFailed("final code misses the Griesmer bound")
-    return code, report
+    return code, _report(code, steps)
 
 
 def reproduce_table(theorem: int, q: int, k: int) -> list[VerificationReport]:

@@ -150,70 +150,91 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("construct", "dual", "puncture", "chain", "table", "verify", "export")
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When `command` names a command, only its
+    subparser is built; otherwise all of them are."""
     parser = argparse.ArgumentParser(
         prog="griesmer",
         description="Construct and certify length-optimal linear codes over GF(q).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        # the metavar lists every command, so the usage line reads as the full one's
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    else:
+        # no metavar: the "required: command" error reads the dest
+        sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="build a named family code")
-    c.add_argument("--family", required=True, choices=sorted(_FAMILIES))
-    c.add_argument("--q", required=True, type=int)
-    c.add_argument("--k", required=True, type=int)
-    c.add_argument("--out")
-    c.set_defaults(func=_cmd_construct)
+    def wants(name: str) -> bool:
+        return command not in _COMMANDS or command == name
 
-    d = sub.add_parser("dual", help="projective dual of a multiset file")
-    d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--divisor", required=True, type=int)
-    d.add_argument("--out")
-    d.set_defaults(func=_cmd_dual)
+    if wants("construct"):
+        c = sub.add_parser("construct", help="build a named family code")
+        c.add_argument("--family", required=True, choices=sorted(_FAMILIES))
+        c.add_argument("--q", required=True, type=int)
+        c.add_argument("--k", required=True, type=int)
+        c.add_argument("--out")
+        c.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("puncture", help="remove disjoint support lines and points")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--lines", type=int, default=0)
-    p.add_argument("--points", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_puncture)
+    if wants("dual"):
+        d = sub.add_parser("dual", help="projective dual of a multiset file")
+        d.add_argument("--in", dest="infile", required=True)
+        d.add_argument("--divisor", required=True, type=int)
+        d.add_argument("--out")
+        d.set_defaults(func=_cmd_dual)
 
-    ch = sub.add_parser("chain", help="build one certified length-optimal code")
-    ch.add_argument("--theorem", required=True, type=int, choices=(1, 2))
-    ch.add_argument("--q", required=True, type=int)
-    ch.add_argument("--k", required=True, type=int)
-    ch.add_argument("--d", required=True, type=int)
-    ch.add_argument("--out")
-    ch.add_argument("--report")
-    ch.set_defaults(func=_cmd_chain)
+    if wants("puncture"):
+        p = sub.add_parser("puncture", help="remove disjoint support lines and points")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--lines", type=int, default=0)
+        p.add_argument("--points", type=int, default=0)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_puncture)
 
-    t = sub.add_parser("table", help="certify every distance a family covers")
-    t.add_argument("--theorem", required=True, type=int, choices=(1, 2))
-    t.add_argument("--q", required=True, type=int)
-    t.add_argument("--k", required=True, type=int)
-    t.add_argument("--format", choices=("txt", "json"), default="txt")
-    t.set_defaults(func=_cmd_table)
+    if wants("chain"):
+        ch = sub.add_parser("chain", help="build one certified length-optimal code")
+        ch.add_argument("--theorem", required=True, type=int, choices=(1, 2))
+        ch.add_argument("--q", required=True, type=int)
+        ch.add_argument("--k", required=True, type=int)
+        ch.add_argument("--d", required=True, type=int)
+        ch.add_argument("--out")
+        ch.add_argument("--report")
+        ch.set_defaults(func=_cmd_chain)
 
-    v = sub.add_parser("verify", help="recompute parameters of a multiset file")
-    v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--expect-n", type=int)
-    v.add_argument("--expect-k", type=int)
-    v.add_argument("--expect-d", type=int)
-    v.add_argument("--oracle", action="store_true",
-                   help="also weigh all q^k codewords by exact character sums and cross-check")
-    v.set_defaults(func=_cmd_verify)
+    if wants("table"):
+        t = sub.add_parser("table", help="certify every distance a family covers")
+        t.add_argument("--theorem", required=True, type=int, choices=(1, 2))
+        t.add_argument("--q", required=True, type=int)
+        t.add_argument("--k", required=True, type=int)
+        t.add_argument("--format", choices=("txt", "json"), default="txt")
+        t.set_defaults(func=_cmd_table)
 
-    e = sub.add_parser("export", help="write the generator matrix of a multiset file")
-    e.add_argument("--in", dest="infile", required=True)
-    e.add_argument("--format", choices=("gmatrix",), default="gmatrix")
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=_cmd_export)
+    if wants("verify"):
+        v = sub.add_parser("verify", help="recompute parameters of a multiset file")
+        v.add_argument("--in", dest="infile", required=True)
+        v.add_argument("--expect-n", type=int)
+        v.add_argument("--expect-k", type=int)
+        v.add_argument("--expect-d", type=int)
+        v.add_argument("--oracle", action="store_true",
+                       help="also weigh all q^k codewords by exact character sums and cross-check")
+        v.set_defaults(func=_cmd_verify)
+
+    if wants("export"):
+        e = sub.add_parser("export", help="write the generator matrix of a multiset file")
+        e.add_argument("--in", dest="infile", required=True)
+        e.add_argument("--format", choices=("gmatrix",), default="gmatrix")
+        e.add_argument("--out", required=True)
+        e.set_defaults(func=_cmd_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = make_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as exc:

@@ -32,7 +32,7 @@ from .errors import (
     SpectrumMismatch,
 )
 from .gf import Field, field
-from .mcode import PointMultiset, code_params, hyperplane_spectrum, is_divisible
+from .mcode import PointMultiset, code_params, hyperplane_spectrum
 
 
 def normal_rational_curve(k: int, q: int) -> list[tuple[int, ...]]:
@@ -100,6 +100,8 @@ def line_config(k: int, q: int) -> LineConfig:
     qs.append((0,) * (k - 1) + (1,))
     l0 = (P0, *qs)
 
+    # P_0 and Q_q are fixed, so this makes l0 their line, whose only point
+    # with last coordinate 0 is P_0: l0 meets the hyperplane only there
     l0_span = pg.span(F, [P0, qs[-1]])
     if set(pg.flat_points(F, l0_span)) != set(l0):
         raise ConfigDegenerate("transversal line does not consist of the stated points")
@@ -114,8 +116,6 @@ def line_config(k: int, q: int) -> LineConfig:
         raise ConfigDegenerate("curve points fail the arc condition")
 
     l0_set = set(l0)
-    if sum(1 for P in l0 if P[-1] == 0) != 1:
-        raise ConfigDegenerate("transversal line must meet the hyperplane only at P_0")
 
     # l_i joins P_i and Q_i, i = 1..q: all q lines in one call
     line_idx = pg.line_indices(F, arc[1:], l0[1:])
@@ -211,7 +211,7 @@ def _verified(M: PointMultiset, n: int, d: int, spec_count: int) -> PointMultise
         raise ParamMismatch(
             f"built [{params.n},{params.k},{params.d}]_{M.q}, wanted [{n},{M.k},{d}]_{M.q}"
         )
-    if not is_divisible(M, M.q):
+    if params.divisor % M.q:
         raise ParamMismatch(f"weights are not all divisible by {M.q}")
     got = hyperplane_spectrum(M).get(n - d, 0)
     if got != spec_count:

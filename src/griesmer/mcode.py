@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -80,42 +79,27 @@ class PointMultiset:
     """Immutable multiset of points of PG(r, q) with positive multiplicities.
 
     The one stored form is `counts`, a read-only int64 vector of length
-    theta(r, q) indexed like pg.enumerate_points(F, r).  `mults` may be
-    such a vector (any integer dtype; it is copied) or a mapping from
-    points to multiplicities, whose keys are normalized once and summed
-    into the vector.  Every stored multiplicity is at most
-    pg.MAX_TRANSFORM_CELLS (TooLarge otherwise).  `mults` and `support`
-    are read-only views built on first access.
+    theta(r, q) indexed like pg.enumerate_points(F, r).  `mults` is such a
+    vector, of any integer dtype; it is copied.  Codes are built from
+    points by filling one with pg.vector_indices, or by
+    multiset_from_matrix, and read back with pg.point_digits.  Every
+    stored multiplicity is at most pg.MAX_TRANSFORM_CELLS (TooLarge
+    otherwise).
     """
 
     def __init__(self, F: Field, r: int, mults, meta: dict | None = None):
         pg.check_space(F.q, r + 1)
         size = pg.theta(r, F.q)
-        if isinstance(mults, np.ndarray):
-            if mults.dtype.kind not in "iub":
-                raise ValueError(f"multiplicities must be integers, got {mults.dtype}")
-            if mults.shape != (size,):
-                raise ValueError(f"expected {size} multiplicities for PG({r}, {F.q})")
-            if (mults < 0).any():
-                raise ValueError("negative multiplicity")
-            # before the int64 cast, which would wrap a large unsigned entry
-            _check_multiplicity(int(mults.max()))
-            counts = mults.astype(np.int64)
-        else:
-            counts = np.zeros(size, dtype=np.int64)
-            for P, m in dict(mults).items():
-                m = int(m)
-                if m < 0:
-                    raise ValueError(f"negative multiplicity {m}")
-                if m == 0:
-                    continue
-                if len(P) != r + 1:
-                    raise ValueError(f"point {P} does not live in PG({r}, {F.q})")
-                if any(not (0 <= c < F.q) for c in P):
-                    raise ValueError(f"coordinate out of range in {P}")
-                i = pg.point_index(F.q, pg.normalize_point(F, P))
-                # proportional keys add up, so the sum is what gets bounded
-                counts[i] = _check_multiplicity(int(counts[i]) + m)
+        if not (isinstance(mults, np.ndarray) and mults.dtype.kind in "iub"
+                and mults.shape == (size,)):
+            raise ValueError(
+                f"expected an integer array of {size} multiplicities for PG({r}, {F.q})"
+            )
+        if (mults < 0).any():
+            raise ValueError("negative multiplicity")
+        # before the int64 cast, which would wrap a large unsigned entry
+        _check_multiplicity(int(mults.max()))
+        counts = mults.astype(np.int64)
         if not counts.any():
             raise ValueError("a code multiset needs at least one point")
         counts.setflags(write=False)
@@ -139,17 +123,6 @@ class PointMultiset:
     @property
     def gamma0(self) -> int:
         return int(self.counts.max())
-
-    @cached_property
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        """The points with positive multiplicity, in enumeration order."""
-        digits = pg.point_digits(self.q, self.r, np.flatnonzero(self.counts))
-        return tuple(map(tuple, digits.tolist()))
-
-    @cached_property
-    def mults(self) -> MappingProxyType:
-        """Read-only {point: multiplicity} over the support."""
-        return MappingProxyType(dict(zip(self.support, self.counts[self.counts > 0].tolist())))
 
     def index(self, P) -> int | None:
         """Enumeration index of the point P (any nonzero representative);
@@ -215,12 +188,6 @@ def _walked(M: PointMultiset, mvec: np.ndarray) -> PointMultiset:
     return M
 
 
-def multiset_multiplicity(M: PointMultiset, points) -> int:
-    """Total multiplicity of a point set: sum of mult(P) over the set."""
-    canonical = {M.index(P) for P in points} - {None}
-    return sum(int(M.counts[i]) for i in canonical)
-
-
 def hyperplane_spectrum(M: PointMultiset) -> dict[int, int]:
     """Counts a_i of hyperplanes with multiplicity i (only nonzero entries),
     in ascending i; a copy of the one M keeps."""
@@ -230,14 +197,6 @@ def hyperplane_spectrum(M: PointMultiset) -> dict[int, int]:
 def code_params(M: PointMultiset) -> CodeParams:
     """Exact [n, k, d]_q parameters plus divisor and multiplicity profile."""
     return M._params
-
-
-def is_divisible(M: PointMultiset, m: int) -> bool:
-    """True iff every codeword weight n - m(H) is divisible by m (> 1): m
-    divides each weight iff it divides each distinct one."""
-    if m <= 1:
-        raise ValueError(f"divisibility modulus must exceed 1, got {m}")
-    return all((M.n - i) % m == 0 for i in M._spectrum)
 
 
 def generator_matrix(M: PointMultiset) -> np.ndarray:

@@ -175,16 +175,6 @@ def incident(F: Field, P, H) -> bool:
     return dot(F, P, H) == 0
 
 
-def dual_point(H) -> tuple[int, ...]:
-    """Hyperplane coefficients reinterpreted as a point of the dual space."""
-    return tuple(H)
-
-
-def dual_hyperplane(P) -> tuple[int, ...]:
-    """Point coordinates reinterpreted as hyperplane coefficients of the dual."""
-    return tuple(P)
-
-
 @dataclass(frozen=True)
 class Flat:
     """A projective subspace given by its reduced-echelon basis rows."""
@@ -276,20 +266,26 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
     each point code split as hi * q^h + lo (h = k//2), that holds exactly
     when head[hi] == tail[lo]: head holds b's first k-h coordinates dotted
     with every vector of GF(q)^(k-h), tail minus its last h dotted with
-    every vector of GF(q)^h, both built by Field tables gathers.
+    every vector of GF(q)^h, both built by Field tables gathers.  The
+    pivot block of the codes q^m .. 2q^m - 1 pairs every hi in q^(m-h) ..
+    2q^(m-h) - 1 with every lo when m >= h, and has hi = 0 when m < h, so
+    no code is divided.
     """
     add, mul = F.tables
     q, k = F.q, flat.r + 1
     h = k // 2
-    hi, lo = np.divmod(point_codes(q, flat.r), q**h)
-    through = np.ones(len(hi), dtype=bool)
+    through = np.ones(theta(flat.r, q), dtype=bool)
     for b in flat.basis:
         head, tail = np.zeros(1, add.dtype), np.zeros(1, add.dtype)
         for c in b[: k - h]:
             head = add[head[:, None], mul[c]].ravel()
         for c in b[k - h :]:
             tail = add[tail[:, None], mul[F.neg(c)]].ravel()
-        through &= head[hi] == tail[lo]
+        through &= np.concatenate([
+            np.equal.outer(head[q ** (m - h) : 2 * q ** (m - h)], tail).ravel()
+            if m >= h else head[0] == tail[q**m : 2 * q**m]
+            for m in range(flat.r, -1, -1)
+        ])
     return through
 
 

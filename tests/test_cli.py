@@ -423,6 +423,46 @@ def test_python_m_cli_runs_main():
     assert proc.stdout.startswith("base1: [11,5,3]_3")
 
 
+# arguments every command accepts
+VALID_ARGS = {
+    "construct": ["--family", "c1", "--q", "4", "--k", "6"],
+    "dual": ["--in", "c1.ms", "--divisor", "4"],
+    "puncture": ["--in", "c1.ms"],
+    "chain": ["--theorem", "1", "--q", "4", "--k", "6", "--d", "10"],
+    "table": ["--theorem", "1", "--q", "4", "--k", "6"],
+    "verify": ["--in", "c1.ms"],
+    "export": ["--in", "c1.ms", "--out", "c1.gm"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as done:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return done.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys):
+    full = cli.make_parser()
+    assert list(full._subparsers._group_actions[0].choices) == list(cli._COMMANDS)
+    one = cli.make_parser(command)
+    assert list(one._subparsers._group_actions[0].choices) == [command]
+    for argv in ([command, "--help"], [command], [command, *VALID_ARGS[command], "--bogus"]):
+        assert _parse(one, argv, capsys) == _parse(full, argv, capsys), argv
+
+
+@pytest.mark.parametrize("argv,code", [([], 2), (["--help"], 0), (["bogus"], 2)])
+def test_no_command_gets_the_full_parser(argv, code, capsys):
+    assert _parse(cli.make_parser(), argv, capsys)[0] == code
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == code
+    out = capsys.readouterr()
+    assert "{construct,dual,puncture,chain,table,verify,export}" in out.out + out.err
+
+
 # SHA-256 of what `puncture --lines 1 --points 2` writes from the q=4, k=6
 # c1 dual, pinned from the output of the from-scratch kernel at every step
 PUNCTURE_DIGESTS = {

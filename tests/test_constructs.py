@@ -20,8 +20,6 @@ from griesmer.mcode import (
     PointMultiset,
     code_params,
     hyperplane_spectrum,
-    is_divisible,
-    multiset_multiplicity,
     oracle_weight_distribution,
 )
 from griesmer.pg import Flat, enumerate_points, flat_points, hyperplane_flat, incident, span
@@ -94,7 +92,7 @@ def test_base_code_1_parameters(k, q, n, d):
     M = base_code_1(k, q)
     p = code_params(M)
     assert (p.n, p.k, p.d) == (n, k, d)
-    assert is_divisible(M, q)
+    assert p.divisor % q == 0
 
 
 @pytest.mark.parametrize(
@@ -104,7 +102,7 @@ def test_base_code_2_parameters(k, q, n, d):
     M = base_code_2(k, q)
     p = code_params(M)
     assert (p.n, p.k, p.d) == (n, k, d)
-    assert is_divisible(M, q)
+    assert p.divisor % q == 0
 
 
 def test_base_code_1_5_3_oracle_agreement():
@@ -127,7 +125,7 @@ def test_code_c1(k, q, n, d, a_index, a_count):
     M = code_c1(k, q)
     p = code_params(M)
     assert (p.n, p.k, p.d) == (n, k, d)
-    assert is_divisible(M, q)
+    assert p.divisor % q == 0
     assert hyperplane_spectrum(M)[a_index] == a_count
     assert a_index == (k - 2) * q - 1 == p.n - p.d
 
@@ -140,7 +138,7 @@ def test_code_c2(k, q, n, d, a_index, a_count):
     M = code_c2(k, q)
     p = code_params(M)
     assert (p.n, p.k, p.d) == (n, k, d)
-    assert is_divisible(M, q)
+    assert p.divisor % q == 0
     assert hyperplane_spectrum(M)[a_index] == a_count
     assert a_index == (k - 1) * q - 2 == p.n - p.d
 
@@ -160,18 +158,17 @@ def test_c1_multiplicity_of_reference_hyperplane():
     M = code_c1(6, 4)
     F = M.field
     H = (0, 0, 0, 0, 0, 1)
-    pts = flat_points(F, hyperplane_flat(F, H))
-    direct = sum(M.mults.get(P, 0) for P in pts)
-    assert direct == multiset_multiplicity(M, pts) == 7
+    direct = M.counts[pg.flat_indices(F, hyperplane_flat(F, H))].sum()
+    assert direct == M.hyperplane_mults()[pg.point_index(4, H)] == 7
 
 
 def test_no_maximal_hyperplane_contains_q_point():
     for build, (k, q) in [(code_c1, (6, 4)), (code_c2, (6, 5))]:
         M = build(k, q)
-        base_mults = dict(M.mults)
         Q = tuple(M.meta["construction"]["q_point"])
-        del base_mults[Q]
-        base = PointMultiset(M.field, M.r, base_mults)
+        base_counts = M.counts.copy()
+        base_counts[pg.point_index(M.q, Q)] = 0
+        base = PointMultiset(M.field, M.r, base_counts)
         mvec = base.hyperplane_mults()
         top = int(mvec.max())
         pts = enumerate_points(M.field, M.r)
@@ -283,5 +280,5 @@ def test_larger_fields_and_dimensions(build, k, q, n, d, a_index, a_count):
     M = build(k, q)
     p = code_params(M)
     assert (p.n, p.k, p.d) == (n, k, d)
-    assert is_divisible(M, q)
+    assert p.divisor % q == 0
     assert hyperplane_spectrum(M)[a_index] == a_count

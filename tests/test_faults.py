@@ -36,16 +36,10 @@ CASES = [(1, 5, 5, 881), (2, 5, 6, 9606)]
 
 # raise sites that no fault of one computation reaches, and why
 UNREACHABLE = {
-    "chains.build_chain: final code misses the Griesmer bound":
-        "plan_chain puts n_predicted on the length bound, and the check before "
-        "it compares the chain's (n, k, d) with the plan",
     "transforms._dual_mults: the incidence identity leaves a remainder mod {}":
         "projective_dual checks first that m = p^e with e <= h(k-2), so m divides "
         "q^(k-2), and that m divides the divisor, so m divides d; the numerator "
         "(n-d)*theta(k-2) - n*theta(k-3) equals (n-d)*q^(k-2) - d*theta(k-3)",
-    "constructs.line_config: transversal line must meet the hyperplane only at P_0":
-        "P_0 and Q_q are fixed vectors and the check of l0's points makes l0 "
-        "their line, whose only point on the hyperplane is P_0",
 }
 
 

@@ -1,7 +1,7 @@
 import json
+import math
 import re
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,8 @@ from griesmer.mcode import (
     code_params,
     generator_matrix,
     hyperplane_spectrum,
-    is_divisible,
     multiset_from_matrix,
     _json_text,
-    multiset_multiplicity,
     oracle_hyperplane_mults,
     oracle_weight_distribution,
     read_gmatrix,
@@ -35,12 +33,11 @@ from griesmer.mcode import (
     write_gmatrix,
     write_multiset,
 )
-from griesmer.pg import enumerate_points, flat_points, hyperplane_flat, theta
+from griesmer.pg import enumerate_points, flat_indices, hyperplane_flat, theta, vector_indices
 
 
 def simplex(q, k):
-    F = field(q)
-    return PointMultiset(F, k - 1, {P: 1 for P in enumerate_points(F, k - 1)})
+    return PointMultiset(field(q), k - 1, np.ones(theta(k - 1, q), dtype=np.int64))
 
 
 def test_simplex_pg2_gf2_spectrum_and_params():
@@ -55,10 +52,9 @@ def test_simplex_pg2_gf2_spectrum_and_params():
 
 def test_simplex_oracle_and_divisibility():
     M = simplex(2, 3)
-    assert oracle_weight_distribution(M) == {0: 1, 4: 7}
-    assert is_divisible(M, 4)
-    assert is_divisible(M, 2)
-    assert not is_divisible(M, 3)
+    dist = oracle_weight_distribution(M)
+    assert dist == {0: 1, 4: 7}
+    assert math.gcd(*dist) == code_params(M).divisor == 4
 
 
 @pytest.mark.parametrize("q,k", [(3, 3), (4, 2), (2, 4)])
@@ -67,24 +63,12 @@ def test_simplex_parameters_general(q, k):
     params = code_params(M)
     assert (params.n, params.k, params.d) == (theta(k - 1, q), k, q ** (k - 1))
     assert params.divisor == q ** (k - 1)
-    assert is_divisible(M, q ** (k - 1))
-
-
-def test_multiset_multiplicity_cases():
-    F = field(3)
-    pts = enumerate_points(F, 2)
-    M = PointMultiset(F, 2, {pts[0]: 2, pts[1]: 1, pts[5]: 3})
-    assert multiset_multiplicity(M, [pts[7], pts[8]]) == 0
-    assert multiset_multiplicity(M, pts) == M.n == 6
-    assert multiset_multiplicity(M, [pts[0], pts[5]]) == 5
-    # non-canonical representatives count once
-    assert multiset_multiplicity(M, [(2, 0, 0), (1, 0, 0)]) == 2
 
 
 def test_spectrum_sums_to_hyperplane_count():
-    F = field(4)
-    pts = enumerate_points(F, 2)
-    M = PointMultiset(F, 2, {pts[i]: (i % 3) + 1 for i in range(0, 15, 2)})
+    counts = np.zeros(theta(2, 4), dtype=np.int64)
+    counts[0:15:2] = np.arange(0, 15, 2) % 3 + 1
+    M = PointMultiset(field(4), 2, counts)
     spec = hyperplane_spectrum(M)
     assert sum(spec.values()) == theta(2, 4)
     params = code_params(M)
@@ -94,8 +78,7 @@ def test_spectrum_sums_to_hyperplane_count():
 
 def test_distance_matches_oracle_on_irregular_multiset():
     F = field(3)
-    pts = enumerate_points(F, 2)
-    M = PointMultiset(F, 2, {pts[0]: 2, pts[1]: 1, pts[4]: 1, pts[9]: 2, pts[12]: 1})
+    M = PointMultiset(F, 2, np.bincount([0, 0, 1, 4, 9, 9, 12], minlength=theta(2, 3)))
     params = code_params(M)
     dist = oracle_weight_distribution(M)
     assert min(w for w in dist if w > 0) == params.d
@@ -111,12 +94,13 @@ def small_codes(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     k = draw(st.integers(1, 3))
     F = field(q)
-    extra = draw(
-        st.dictionaries(st.sampled_from(enumerate_points(F, k - 1)), st.integers(1, 3), max_size=6)
-    )
+    size = theta(k - 1, q)
+    extra = draw(st.dictionaries(st.integers(0, size - 1), st.integers(1, 3), max_size=6))
     # the unit vectors make the support span
-    units = {tuple(int(i == j) for j in range(k)): 1 for i in range(k)}
-    return PointMultiset(F, k - 1, Counter(units) + Counter(extra))
+    counts = np.bincount(vector_indices(F, np.eye(k, dtype=np.int64)), minlength=size)
+    for i, m in extra.items():
+        counts[i] += m
+    return PointMultiset(F, k - 1, counts)
 
 
 @settings(derandomize=True, deadline=None)
@@ -165,17 +149,16 @@ def test_generator_matrix_simplex_pg1_gf2():
 
 
 def test_generator_matrix_round_trip():
-    F = field(4)
-    pts = enumerate_points(F, 2)
-    M = PointMultiset(F, 2, {pts[0]: 2, pts[3]: 1, pts[11]: 3, pts[20]: 1})
+    M = PointMultiset(field(4), 2, np.bincount([0, 0, 3, 11, 11, 11, 20], minlength=theta(2, 4)))
     back = multiset_from_matrix(generator_matrix(M), 4)
     assert back == M
 
 
 def test_multiset_from_matrix_collapses_proportional_columns():
     M = multiset_from_matrix([[1, 2, 0], [0, 0, 1]], 3)
-    # (1,0) and its double (2,0) are the same point
-    assert M.mults == {(1, 0): 2, (0, 1): 1}
+    # (1,0) and its double (2,0) are the same point; PG(1, 3) lists
+    # (1,0), (1,1), (1,2), (0,1)
+    assert M.counts.tolist() == [2, 0, 0, 1]
 
 
 def test_multiset_from_matrix_errors():
@@ -195,7 +178,8 @@ def test_multiset_from_matrix_errors():
 
 def test_code_params_requires_spanning_support():
     F = field(2)
-    M = PointMultiset(F, 2, {(1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 0): 1})
+    line = vector_indices(F, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    M = PointMultiset(F, 2, np.bincount(line, minlength=theta(2, 2)))
     with pytest.raises(NotFullRank):
         code_params(M)
 
@@ -253,7 +237,9 @@ def test_oracle_never_runs_the_hyperplane_kernel(monkeypatch):
     # support lies on the line x0 = 0 and does not span: the weight is
     # 2*[u1 != 0] + [u2 != 0] whatever u0 is
     assert oracle_weight_distribution(simplex(2, 3)) == {0: 1, 4: 7}
-    M = PointMultiset(field(3), 2, {(0, 1, 0): 2, (0, 0, 1): 1})
+    F = field(3)
+    points = vector_indices(F, [(0, 1, 0), (0, 1, 0), (0, 0, 1)])
+    M = PointMultiset(F, 2, np.bincount(points, minlength=theta(2, 3)))
     assert oracle_weight_distribution(M) == {0: 3, 1: 6, 2: 6, 3: 12}
 
 
@@ -264,49 +250,39 @@ def test_point_arrays_refuse_oversized_spaces():
         F = field(q)
         with pytest.raises(TooLarge):
             enumerate_points(F, r)
-        with pytest.raises(TooLarge):
-            PointMultiset(F, r, {(1,) + (0,) * r: 1})
+        with pytest.raises(TooLarge):  # before the counts are looked at
+            PointMultiset(F, r, np.ones(1, dtype=np.int64))
 
 
 def test_count_vector_constructor():
     F = field(3)
-    pts = enumerate_points(F, 2)
     counts = np.zeros(theta(2, 3), dtype=np.int32)
     counts[[0, 4, 7]] = [1, 2, 1]
     M = PointMultiset(F, 2, counts)
-    assert M == PointMultiset(F, 2, {pts[0]: 1, pts[4]: 2, pts[7]: 1})
+    assert M == PointMultiset(F, 2, np.bincount([0, 4, 4, 7], minlength=theta(2, 3)))
     assert M.counts.dtype == np.int64 and not M.counts.flags.writeable
     counts[0] = 5  # the multiset keeps its own copy
-    assert M.mults[pts[0]] == 1
-    with pytest.raises(TypeError):
-        M.mults[pts[0]] = 2
-    for bad in (counts[:-1], -counts, counts.astype(float), np.zeros_like(counts)):
+    assert M.counts[0] == 1
+    with pytest.raises(ValueError):
+        M.counts[0] = 2
+    for bad in (-counts, np.zeros_like(counts)):
         with pytest.raises(ValueError):
             PointMultiset(F, 2, bad)
 
 
-@pytest.mark.parametrize("q,k", [(4, 6), (5, 5)])
-def test_support_and_mults_need_no_point_enumeration(q, k, monkeypatch):
-    M = code_c1(k, q)
-    pts = enumerate_points(M.field, M.r)
-    want = [(P, int(m)) for P, m in zip(pts, M.counts.tolist()) if m]
-
-    def refuse(*args):
-        raise AssertionError("the point tuples of the whole space were built")
-
-    monkeypatch.setattr(pg, "enumerate_points", refuse)
-    fresh = PointMultiset(M.field, M.r, M.counts)
-    assert list(fresh.support) == [P for P, _ in want]
-    assert list(fresh.mults.items()) == want
-    assert all(type(c) is int for P in fresh.support for c in P)
+def test_only_an_integer_count_vector_builds_a_multiset():
+    F = field(3)
+    counts = np.bincount([0, 4, 4, 7], minlength=theta(2, 3))
+    want = r"^expected an integer array of 13 multiplicities for PG\(2, 3\)$"
+    for bad in ({(1, 0, 0): 1}, counts.tolist(), counts.astype(float), counts[:-1],
+                np.append(counts, 0), counts[None]):
+        with pytest.raises(ValueError, match=want):
+            PointMultiset(F, 2, bad)
 
 
 def test_multiset_file_round_trip(tmp_path):
-    F = field(4)
-    pts = enumerate_points(F, 3)
-    M = PointMultiset(
-        F, 3, {pts[0]: 3, pts[2]: 1, pts[40]: 2, pts[80]: 1}, meta={"note": "demo"}
-    )
+    counts = np.bincount([0, 0, 0, 2, 40, 40, 80], minlength=theta(3, 4))
+    M = PointMultiset(field(4), 3, counts, meta={"note": "demo"})
     path = tmp_path / "code.ms"
     write_multiset(M, path)
     back = read_multiset(path)
@@ -324,7 +300,8 @@ def test_rewrite_without_meta_drops_the_old_sidecar(tmp_path):
     with_meta = code_c1(6, 4)
     assert with_meta.meta
     write_multiset(with_meta, path)
-    bare = PointMultiset(F, 3, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 1})
+    points = vector_indices(F, [(1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
+    bare = PointMultiset(F, 3, np.bincount(points, minlength=theta(3, 4)))
     write_multiset(bare, path)
     back = read_multiset(path)
     assert back == bare
@@ -408,24 +385,16 @@ def test_successful_writes_leave_nothing_to_unlink(tmp_path, monkeypatch):
 
 def test_multiplicities_are_bounded_before_storage(monkeypatch):
     F = field(2)
-    pts = enumerate_points(F, 1)
     cap = pg.MAX_TRANSFORM_CELLS
     for big in (np.array([cap + 1, 1, 1]), np.array([2**62] * 3),
                 np.array([2**64 - 1, 1, 1], dtype=np.uint64)):
         with pytest.raises(TooLarge):
             PointMultiset(F, 1, big)
-    for mults in ({pts[0]: 10**20}, dict.fromkeys(pts, 2**62), {pts[0]: cap + 1}):
-        with pytest.raises(TooLarge):
-            PointMultiset(F, 1, mults)
-    # the bound itself is allowed, and proportional keys are bounded by their sum
-    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 9)  # PG(1, 3) still fits
+    # the bound itself is allowed
+    monkeypatch.setattr(pg, "MAX_TRANSFORM_CELLS", 9)
     assert PointMultiset(F, 1, np.array([9, 1, 0])).gamma0 == 9
     with pytest.raises(TooLarge):
         PointMultiset(F, 1, np.array([10, 1, 0]))
-    F3 = field(3)
-    assert PointMultiset(F3, 1, {(1, 1): 4, (2, 2): 5}).gamma0 == 9
-    with pytest.raises(TooLarge):
-        PointMultiset(F3, 1, {(1, 1): 5, (2, 2): 5})
 
 
 def test_multiset_file_rejects_bad_input(tmp_path):
@@ -481,9 +450,7 @@ def test_multiset_file_reports_its_first_bad_row(tmp_path, rows, line, message):
 
 
 def test_gmatrix_file_round_trip(tmp_path):
-    F = field(3)
-    pts = enumerate_points(F, 2)
-    M = PointMultiset(F, 2, {pts[0]: 1, pts[4]: 2, pts[7]: 1})
+    M = PointMultiset(field(3), 2, np.bincount([0, 4, 4, 7], minlength=theta(2, 3)))
     path = tmp_path / "code.gm"
     write_gmatrix(M, path)
     back = read_gmatrix(path)
@@ -495,7 +462,7 @@ def test_gmatrix_file_round_trip(tmp_path):
 def test_gmatrix_file_entries_past_the_int_digit_limit_are_out_of_range(tmp_path):
     path = tmp_path / "big.gm"
     path.write_text("3 2 3\n1 0 1\n0 1 " + "0" * 5000 + "1\n")
-    assert read_gmatrix(path).mults == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert read_gmatrix(path).counts.tolist() == [1, 1, 0, 1]  # (1,0), (1,1), (0,1)
     path.write_text("3 2 3\r\n1 0 1\r\n0 1 " + "9" * 5000 + "\r\n")
     with pytest.raises(FileFormatError, match=r"big\.gm: entry outside \[0, 3\)$"):
         read_gmatrix(path)
@@ -516,7 +483,7 @@ def test_gmatrix_file_reports_a_non_ascii_line(tmp_path):
 
 
 def test_a_codes_spectrum_is_sorted_once_for_every_reader(monkeypatch):
-    # parameters, divisibility, the spectrum, the dual (which reads the
+    # parameters, the spectrum, the dual (which reads the
     # input's and checks its own) and a report all share one sort per code
     from griesmer.chains import _report
     from griesmer.transforms import projective_dual
@@ -531,7 +498,6 @@ def test_a_codes_spectrum_is_sorted_once_for_every_reader(monkeypatch):
 
     monkeypatch.setattr(np, "unique", counting)
     params = code_params(M)
-    assert is_divisible(M, 5) and not is_divisible(M, 7)
     spectrum = hyperplane_spectrum(M)
     hyperplane_spectrum(M).clear()  # a copy: the code's own spectrum stays
     assert hyperplane_spectrum(M) == spectrum
@@ -546,9 +512,8 @@ def test_a_codes_spectrum_is_sorted_once_for_every_reader(monkeypatch):
 def test_hyperplane_multiplicity_vs_flat_sum():
     # m(H) computed by the kernel equals a direct sum over the points of H
     F = field(3)
-    pts = enumerate_points(F, 2)
-    M = PointMultiset(F, 2, {pts[1]: 2, pts[6]: 1, pts[10]: 1})
+    M = PointMultiset(F, 2, np.bincount([1, 1, 6, 10], minlength=theta(2, 3)))
     mvec = M.hyperplane_mults()
-    for idx, H in enumerate(pts):
-        direct = multiset_multiplicity(M, flat_points(F, hyperplane_flat(F, H)))
+    for idx, H in enumerate(enumerate_points(F, 2)):
+        direct = M.counts[flat_indices(F, hyperplane_flat(F, H))].sum()
         assert direct == mvec[idx]

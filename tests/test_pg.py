@@ -12,8 +12,6 @@ from griesmer.gf import field
 from griesmer.pg import (
     MAX_TRANSFORM_CELLS,
     Flat,
-    dual_hyperplane,
-    dual_point,
     enumerate_points,
     flat_points,
     hyperplane_flat,
@@ -137,11 +135,11 @@ def test_flat_points_sizes(r, q, dim, count):
 def test_duality_round_trip_and_symmetry():
     F = field(3)
     pts = enumerate_points(F, 2)
-    for H in pts:
-        assert dual_hyperplane(dual_point(H)) == H
+    # points and hyperplanes share coordinates, so the dual of H is the
+    # point H, and P lies on H iff the dual point H lies on the hyperplane P
     for P in pts:
         for H in pts:
-            assert incident(F, P, H) == incident(F, dual_point(H), dual_hyperplane(P))
+            assert incident(F, P, H) == incident(F, H, P)
 
 
 def test_rref_gives_canonical_flats():

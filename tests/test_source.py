@@ -1,6 +1,9 @@
 """Rules the package source keeps, checked on its syntax trees."""
 
 import ast
+import importlib
+import inspect
+import operator
 from pathlib import Path
 
 from griesmer.errors import VerificationFailure
@@ -189,3 +192,42 @@ def test_every_verification_raise_is_a_caught_fault():
     assert not caught & unreachable
     assert sorted(set(sites) - caught - unreachable) == []
     assert sorted((caught | unreachable) - set(sites)) == []
+
+
+# parameters that bench/spans.py reads by name, (module, function, name):
+# its traced test runs one workload, so a rename would break the traced
+# runs of the others unseen
+SPAN_PARAMETERS = {
+    ("mcode", "PointMultiset.__init__", "mults"),
+    ("pg", "hyperplane_multiplicities", "support"),
+    ("pg", "rank", "rows"),
+    ("mcode", "read_multiset", "path"),
+    ("mcode", "write_multiset", "path"),
+    ("mcode", "oracle_weight_distribution", "M"),
+}
+
+
+def _span_parameters() -> set[tuple[str, str, str]]:
+    """(module, function, name) of every a["name"] in the count lambdas of
+    bench/spans.py's TARGETS."""
+    tree = ast.parse((SOURCE.parents[1] / "bench" / "spans.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        count = node.elts[-1] if isinstance(node, ast.Tuple) and len(node.elts) == 3 else None
+        if isinstance(count, ast.Lambda):
+            module, function = (e.value for e in node.elts[:2])
+            arguments = count.args.args[0].arg
+            found.update(
+                (module, function, sub.slice.value)
+                for sub in ast.walk(count.body)
+                if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id == arguments and isinstance(sub.slice, ast.Constant)
+            )
+    return found
+
+
+def test_the_parameters_the_bench_spans_read_exist():
+    assert _span_parameters() == SPAN_PARAMETERS
+    for module, function, name in sorted(SPAN_PARAMETERS):
+        fn = operator.attrgetter(function)(importlib.import_module(f"griesmer.{module}"))
+        assert name in inspect.signature(fn).parameters, (module, function, name)

@@ -25,7 +25,6 @@ from griesmer.mcode import (
     PointMultiset,
     code_params,
     hyperplane_spectrum,
-    is_divisible,
 )
 from griesmer.pg import enumerate_points, flat_points, span, theta
 from griesmer.transforms import (
@@ -52,7 +51,6 @@ def dual_c2_65():
 def test_dual_c1_parameters(dual_c1_64):
     p = code_params(dual_c1_64)
     assert (p.n, p.k, p.d) == (3158, 6, 2368)
-    assert is_divisible(dual_c1_64, 64)
     assert p.divisor == 64
 
 
@@ -68,7 +66,7 @@ def test_dual_c1_spectrum_mirrors_lambda(dual_c1_64):
 def test_dual_c2_parameters(dual_c2_65):
     p = code_params(dual_c2_65)
     assert (p.n, p.k, p.d) == (12032, 6, 9625)
-    assert is_divisible(dual_c2_65, 125)
+    assert p.divisor % 125 == 0
 
 
 def test_dual_c2_spectrum_mirrors_lambda(dual_c2_65):
@@ -97,8 +95,7 @@ def test_dual_rejects_bad_divisor():
 
 
 def test_dual_rejects_full_support():
-    F = field(2)
-    M = PointMultiset(F, 2, {P: 1 for P in enumerate_points(F, 2)})
+    M = PointMultiset(field(2), 2, np.ones(theta(2, 2), dtype=np.int64))
     with pytest.raises(NoZeroPoint):
         projective_dual(M, 2)
 
@@ -106,9 +103,8 @@ def test_dual_rejects_full_support():
 def test_dual_rejects_concentrated_low_hyperplanes():
     # the four points of PG(2,2) off the line [0,0,1]: the only
     # below-maximal hyperplane is that line, which cannot span
-    F = field(2)
-    pts = [P for P in enumerate_points(F, 2) if P[2] != 0]
-    M = PointMultiset(F, 2, {P: 1 for P in pts})
+    off = pg.point_digits(2, 2, np.arange(theta(2, 2)))[:, 2] != 0
+    M = PointMultiset(field(2), 2, off.astype(np.int64))
     with pytest.raises(IntersectionNonempty):
         projective_dual(M, 2)
 
@@ -128,12 +124,9 @@ def test_puncture_two_lines(dual_c2_65):
 
 
 def test_puncture_line_not_in_support(dual_c1_64):
-    F = dual_c1_64.field
-    missing = next(
-        P for P in enumerate_points(F, 5) if dual_c1_64.mults.get(P, 0) == 0
-    )
-    other = next(P for P in dual_c1_64.support if P != missing)
-    line = span(F, [missing, other])
+    counts = dual_c1_64.counts
+    ends = [np.flatnonzero(counts == 0)[0], np.flatnonzero(counts)[0]]
+    line = span(dual_c1_64.field, pg.point_digits(4, 5, ends).tolist())
     with pytest.raises(FlatNotInSupport):
         puncture_flat(dual_c1_64, line)
 
@@ -150,14 +143,14 @@ def test_puncture_flat_from_another_space():
 
 
 def test_puncture_point_steps(dual_c1_64, dual_c2_65):
-    out = puncture_point(dual_c1_64, next(P for P in dual_c1_64.support if dual_c1_64.mults[P] == 1))
+    first = np.flatnonzero(dual_c1_64.counts == 1)[0]
+    out = puncture_point(dual_c1_64, pg.point_digits(4, 5, [first])[0].tolist())
     p = code_params(out)
     assert (p.n, p.k, p.d) == (3157, 6, 2367)
 
     code = dual_c2_65
     for _ in range(3):
-        P = next(P for P in code.support if code.mults[P] == 1)
-        code = puncture_point(code, P)
+        code = puncture_point(code, simple_point(code))
     p = code_params(code)
     assert (p.n, p.k, p.d) == (12029, 6, 9622)
 
@@ -184,15 +177,14 @@ def test_punctures_walk_the_vector_without_the_kernel(dual_c1_64, monkeypatch):
 
 
 def test_puncture_point_requires_support(dual_c1_64):
-    F = dual_c1_64.field
-    missing = next(P for P in enumerate_points(F, 5) if dual_c1_64.mults.get(P, 0) == 0)
+    missing = pg.point_digits(4, 5, np.flatnonzero(dual_c1_64.counts == 0)[:1])[0].tolist()
     with pytest.raises(PointNotInSupport):
         puncture_point(dual_c1_64, missing)
 
 
 def test_puncture_guards_distance():
     F = field(2)
-    M = PointMultiset(F, 1, {(1, 0): 1, (0, 1): 1, (1, 1): 1})  # [3,2,2]_2
+    M = PointMultiset(F, 1, np.ones(theta(1, 2), dtype=np.int64))  # [3,2,2]_2
     line = span(F, [(1, 0), (0, 1)])
     with pytest.raises(DistanceTooSmall):
         puncture_flat(M, line)
@@ -207,11 +199,11 @@ def test_find_disjoint_lines_c1(dual_c1_64):
     assert len(lines) == 3
     seen = set()
     for flat in lines:
-        pts = flat_points(dual_c1_64.field, flat)
-        assert len(pts) == 5
-        assert all(dual_c1_64.mults.get(P, 0) >= 1 for P in pts)
-        assert not (seen & set(pts))
-        seen |= set(pts)
+        idx = set(pg.flat_indices(dual_c1_64.field, flat).tolist())
+        assert len(idx) == 5
+        assert (dual_c1_64.counts[list(idx)] >= 1).all()
+        assert not (seen & idx)
+        seen |= idx
     assert len(seen) == 15
 
 
@@ -220,9 +212,9 @@ def test_find_disjoint_lines_c2(dual_c2_65):
     assert len(lines) == 4
     seen = set()
     for flat in lines:
-        pts = flat_points(dual_c2_65.field, flat)
-        assert all(dual_c2_65.mults.get(P, 0) >= 1 for P in pts)
-        seen |= set(pts)
+        idx = pg.flat_indices(dual_c2_65.field, flat)
+        assert (dual_c2_65.counts[idx] >= 1).all()
+        seen |= set(idx.tolist())
     assert len(seen) == 24
 
 
