@@ -39,7 +39,6 @@ from .pg import (
     Flat,
     enumerate_points,
     flat_points,
-    hyperplane_flat,
     incident,
     normalize_point,
     span,

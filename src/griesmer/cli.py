@@ -150,7 +150,34 @@ def _cmd_export(args) -> int:
     return 0
 
 
-_COMMANDS = ("construct", "dual", "puncture", "chain", "table", "verify", "export")
+_IN = ("--in", {"dest": "infile", "required": True})
+_OUT = ("--out", {})
+_Q = ("--q", {"required": True, "type": int})
+_K = ("--k", {"required": True, "type": int})
+_THEOREM = ("--theorem", {"required": True, "type": int, "choices": (1, 2)})
+_ORACLE_HELP = "also weigh all q^k codewords by exact character sums and cross-check"
+
+# name -> (help, its arguments in order); the handler is _cmd_<name>
+_COMMANDS = {
+    "construct": ("build a named family code", (
+        ("--family", {"required": True, "choices": sorted(_FAMILIES)}), _Q, _K, _OUT)),
+    "dual": ("projective dual of a multiset file", (
+        _IN, ("--divisor", {"required": True, "type": int}), _OUT)),
+    "puncture": ("remove disjoint support lines and points", (
+        _IN, ("--lines", {"type": int, "default": 0}), ("--points", {"type": int, "default": 0}),
+        _OUT)),
+    "chain": ("build one certified length-optimal code", (
+        _THEOREM, _Q, _K, ("--d", {"required": True, "type": int}), _OUT, ("--report", {}))),
+    "table": ("certify every distance a family covers", (
+        _THEOREM, _Q, _K, ("--format", {"choices": ("txt", "json"), "default": "txt"}))),
+    "verify": ("recompute parameters of a multiset file", (
+        _IN, ("--expect-n", {"type": int}), ("--expect-k", {"type": int}),
+        ("--expect-d", {"type": int}), ("--oracle", {"action": "store_true", "help": _ORACLE_HELP}),
+    )),
+    "export": ("write the generator matrix of a multiset file", (
+        _IN, ("--format", {"choices": ("gmatrix",), "default": "gmatrix"}),
+        ("--out", {"required": True}))),
+}
 
 
 def make_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -167,68 +194,14 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
     else:
         # no metavar: the "required: command" error reads the dest
         sub = parser.add_subparsers(dest="command", required=True)
-
-    def wants(name: str) -> bool:
-        return command not in _COMMANDS or command == name
-
-    if wants("construct"):
-        c = sub.add_parser("construct", help="build a named family code")
-        c.add_argument("--family", required=True, choices=sorted(_FAMILIES))
-        c.add_argument("--q", required=True, type=int)
-        c.add_argument("--k", required=True, type=int)
-        c.add_argument("--out")
-        c.set_defaults(func=_cmd_construct)
-
-    if wants("dual"):
-        d = sub.add_parser("dual", help="projective dual of a multiset file")
-        d.add_argument("--in", dest="infile", required=True)
-        d.add_argument("--divisor", required=True, type=int)
-        d.add_argument("--out")
-        d.set_defaults(func=_cmd_dual)
-
-    if wants("puncture"):
-        p = sub.add_parser("puncture", help="remove disjoint support lines and points")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--lines", type=int, default=0)
-        p.add_argument("--points", type=int, default=0)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_puncture)
-
-    if wants("chain"):
-        ch = sub.add_parser("chain", help="build one certified length-optimal code")
-        ch.add_argument("--theorem", required=True, type=int, choices=(1, 2))
-        ch.add_argument("--q", required=True, type=int)
-        ch.add_argument("--k", required=True, type=int)
-        ch.add_argument("--d", required=True, type=int)
-        ch.add_argument("--out")
-        ch.add_argument("--report")
-        ch.set_defaults(func=_cmd_chain)
-
-    if wants("table"):
-        t = sub.add_parser("table", help="certify every distance a family covers")
-        t.add_argument("--theorem", required=True, type=int, choices=(1, 2))
-        t.add_argument("--q", required=True, type=int)
-        t.add_argument("--k", required=True, type=int)
-        t.add_argument("--format", choices=("txt", "json"), default="txt")
-        t.set_defaults(func=_cmd_table)
-
-    if wants("verify"):
-        v = sub.add_parser("verify", help="recompute parameters of a multiset file")
-        v.add_argument("--in", dest="infile", required=True)
-        v.add_argument("--expect-n", type=int)
-        v.add_argument("--expect-k", type=int)
-        v.add_argument("--expect-d", type=int)
-        v.add_argument("--oracle", action="store_true",
-                       help="also weigh all q^k codewords by exact character sums and cross-check")
-        v.set_defaults(func=_cmd_verify)
-
-    if wants("export"):
-        e = sub.add_parser("export", help="write the generator matrix of a multiset file")
-        e.add_argument("--in", dest="infile", required=True)
-        e.add_argument("--format", choices=("gmatrix",), default="gmatrix")
-        e.add_argument("--out", required=True)
-        e.set_defaults(func=_cmd_export)
-
+    for name, (help_text, arguments) in _COMMANDS.items():
+        if command in _COMMANDS and command != name:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        # looked up now, so a replaced _cmd_* handler takes effect
+        p.set_defaults(func=globals()[f"_cmd_{name}"])
     return parser
 
 

@@ -214,7 +214,6 @@ def generator_matrix(M: PointMultiset) -> np.ndarray:
 
 def multiset_from_matrix(G, q: int) -> PointMultiset:
     """Inverse of generator_matrix: proportional columns collapse to one point."""
-    F = field(q)
     G = np.asarray(G, dtype=np.int64)
     if G.ndim != 2 or G.shape[0] < 1:
         raise FileFormatError("generator matrix must be two-dimensional")
@@ -223,6 +222,7 @@ def multiset_from_matrix(G, q: int) -> PointMultiset:
     if len(zero):
         raise ZeroColumn(f"column {zero[0]} is zero (code would not have full support)")
     pg.check_space(q, k)
+    F = field(q)  # after the space check: a field past it is slow to build
     bad = np.flatnonzero(((G < 0) | (G >= q)).any(axis=0))
     if len(bad):
         raise ValueError(f"coordinate out of range in {tuple(G[:, bad[0]].tolist())}")

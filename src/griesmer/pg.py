@@ -4,9 +4,11 @@ and the duality between points and hyperplanes.
 A point is a tuple of r+1 element encodings normalized so the leftmost
 nonzero coordinate is 1.  Hyperplane coefficient vectors use the identical
 normal form, so reinterpreting one as a point of the dual space is the
-identity on coordinates.  Enumeration is deterministic: points grouped by
-the position of their leading 1, trailing coordinates counted upward, so
-PG(1, 2) lists (1,0), (1,1), (0,1).
+identity on coordinates.  P lies on H exactly when the hyperplane P passes
+through the point H, so hyperplanes_containing of the 0-flat H marks the
+points of H.  Enumeration is deterministic: points grouped by the position
+of their leading 1, trailing coordinates counted upward, so PG(1, 2) lists
+(1,0), (1,1), (0,1).
 
 Everything here is pure.  point_index gives a point's position in the
 enumeration in closed form (the offset of its pivot block plus its tail
@@ -293,22 +295,6 @@ def flat_points(F: Field, flat: Flat) -> list[tuple[int, ...]]:
     """All theta(dim, q) canonical points of a flat, sorted canonically."""
     digits = point_digits(F.q, flat.r, flat_indices(F, flat))
     return [tuple(P) for P in digits.tolist()]
-
-
-def hyperplane_flat(F: Field, coeffs) -> Flat:
-    """The (r-1)-flat of points annihilated by a coefficient vector."""
-    coeffs = normalize_point(F, coeffs)
-    k = len(coeffs)
-    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    rows = []
-    for c in range(k):
-        if c == pivot:
-            continue
-        row = [0] * k
-        row[c] = 1
-        row[pivot] = F.neg(coeffs[c])
-        rows.append(row)
-    return Flat(r=k - 1, basis=rref(F, rows))
 
 
 def line_indices(F: Field, P, R) -> np.ndarray:

@@ -25,9 +25,10 @@ runs it where a walk of removals ends (see its docstring).
 
 Repeated line removals need pairwise disjoint lines inside the support;
 find_disjoint_lines runs a deterministic lexicographic backtracking
-search, by default inside the dual hyperplane recorded by the
-construction provenance.  It works on enumeration indices, with the
-points taken as a boolean mask and each anchor's lines gathered in blocks.
+search inside the dual hyperplane recorded by the construction
+provenance, else over the whole support.  It works on enumeration
+indices, with the points taken as a boolean mask and each anchor's lines
+gathered in blocks.
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ def _carried_meta(M: PointMultiset, step: dict) -> dict:
     return meta
 
 
-def _check_ambient(M: PointMultiset, flat: pg.Flat) -> None:
-    if flat.r != M.r:
-        raise FlatNotInSupport(f"the flat lives in PG({flat.r}, {M.q}), not PG({M.r}, {M.q})")
-
-
 def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     """Remove one unit of multiplicity from every point of the flat.
 
@@ -163,7 +159,8 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     theta_{t-1} points, so m'(H) <= n - d - theta_{t-1} < n - theta_t = n'.
     """
     F = M.field
-    _check_ambient(M, flat)
+    if flat.r != M.r:
+        raise FlatNotInSupport(f"the flat lives in PG({flat.r}, {M.q}), not PG({M.r}, {M.q})")
     idx = pg.flat_indices(F, flat)
     if (M.counts[idx] < 1).any():
         raise FlatNotInSupport("the flat has a point with multiplicity 0")
@@ -270,31 +267,26 @@ def _line_block(F, counts, region, digits, i: int, lo: int) -> np.ndarray:
     return lines[ok]
 
 
-def find_disjoint_lines(
-    M: PointMultiset, count: int, within: pg.Flat | None = None
-) -> list[pg.Flat]:
+def find_disjoint_lines(M: PointMultiset, count: int) -> list[pg.Flat]:
     """Pairwise disjoint lines with every point in the support.
 
     Deterministic: a depth-first search over the lines in lexicographic
     order returns the first feasible combination.  The points taken are a
     boolean mask: a taken anchor is skipped, a free one's lines come in
     _line_block blocks, and the first row the mask leaves free is taken,
-    so small requests stop early.  When `within` is omitted the search
-    region defaults to the hyperplane recorded in the construction
-    provenance, else the whole space.  A `within` flat of another space
-    raises FlatNotInSupport.
+    so small requests stop early.  The search region is the support inside
+    the hyperplane H = M.meta["skew_region"] when the provenance records
+    one, else the whole support.  Points and hyperplanes share one index,
+    so H's points are the hyperplanes through the point H.
     """
     if count < 1:
         raise ValueError("need a positive number of lines")
     F = M.field
-    if within is None and "skew_region" in M.meta:
-        within = pg.hyperplane_flat(F, tuple(M.meta["skew_region"]))
-    if within is not None:
-        _check_ambient(M, within)
-        pool = pg.flat_indices(F, within)
-        region = pool[M.counts[pool] > 0]
-    else:
-        region = np.flatnonzero(M.counts)
+    region = M.counts > 0
+    if "skew_region" in M.meta:
+        H = pg.normalize_point(F, M.meta["skew_region"])
+        region &= pg.hyperplanes_containing(F, pg.Flat(M.r, (H,)))
+    region = np.flatnonzero(region)
     if count * (F.q + 1) > len(region):
         raise NotEnoughLines(
             f"{count} disjoint lines need {count * (F.q + 1)} support points, "

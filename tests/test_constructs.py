@@ -22,7 +22,7 @@ from griesmer.mcode import (
     hyperplane_spectrum,
     oracle_weight_distribution,
 )
-from griesmer.pg import Flat, enumerate_points, flat_points, hyperplane_flat, incident, span
+from griesmer.pg import Flat, enumerate_points, flat_points, incident, span
 
 
 def full_hyperplane_flat(k):
@@ -158,7 +158,7 @@ def test_c1_multiplicity_of_reference_hyperplane():
     M = code_c1(6, 4)
     F = M.field
     H = (0, 0, 0, 0, 0, 1)
-    direct = M.counts[pg.flat_indices(F, hyperplane_flat(F, H))].sum()
+    direct = M.counts[pg.hyperplanes_containing(F, Flat(5, (H,)))].sum()
     assert direct == M.hyperplane_mults()[pg.point_index(4, H)] == 7
 
 

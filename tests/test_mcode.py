@@ -33,7 +33,7 @@ from griesmer.mcode import (
     write_gmatrix,
     write_multiset,
 )
-from griesmer.pg import enumerate_points, flat_indices, hyperplane_flat, theta, vector_indices
+from griesmer.pg import Flat, enumerate_points, hyperplanes_containing, theta, vector_indices
 
 
 def simplex(q, k):
@@ -475,6 +475,20 @@ def test_gmatrix_file_rows_of_another_width_are_refused(tmp_path):
         read_gmatrix(path)
 
 
+def test_gmatrix_file_space_is_bounded_before_the_field_is_built(tmp_path, monkeypatch):
+    # GF(65521) takes a third of a second to build; its q x q tables are
+    # past the cell bound, so the file is refused first
+    from griesmer import gf
+
+    built = []
+    monkeypatch.setattr(gf, "field_create", lambda q: built.append(q))
+    path = tmp_path / "huge.gm"
+    path.write_text("65521 2 2\n1 0\n0 1\n")
+    with pytest.raises(TooLarge, match=r"PG\(1, 65521\)"):
+        read_gmatrix(path)
+    assert built == []
+
+
 def test_gmatrix_file_reports_a_non_ascii_line(tmp_path):
     path = tmp_path / "bad.gm"
     path.write_text("3 2 3\n1 0 1\n0 1 \u0661\n", encoding="utf-8")  # an Arabic-Indic 1
@@ -510,10 +524,11 @@ def test_a_codes_spectrum_is_sorted_once_for_every_reader(monkeypatch):
 
 
 def test_hyperplane_multiplicity_vs_flat_sum():
-    # m(H) computed by the kernel equals a direct sum over the points of H
+    # m(H) computed by the kernel equals a direct sum over the points of H,
+    # which are the hyperplanes through the point H
     F = field(3)
     M = PointMultiset(F, 2, np.bincount([1, 1, 6, 10], minlength=theta(2, 3)))
     mvec = M.hyperplane_mults()
     for idx, H in enumerate(enumerate_points(F, 2)):
-        direct = M.counts[flat_indices(F, hyperplane_flat(F, H))].sum()
+        direct = M.counts[hyperplanes_containing(F, Flat(2, (H,)))].sum()
         assert direct == mvec[idx]

@@ -14,7 +14,6 @@ from griesmer.pg import (
     Flat,
     enumerate_points,
     flat_points,
-    hyperplane_flat,
     hyperplane_multiplicities,
     hyperplanes_containing,
     incident,
@@ -239,17 +238,6 @@ def test_rank_and_rref_match_the_separate_eliminations(case):
     want = _reference_rref(F, rows)
     assert rref(F, rows) == want
     assert rank(F, rows) == _reference_rank(F, rows) == len(want)
-
-
-def test_hyperplane_flat_matches_incidence():
-    F = field(4)
-    r = 3
-    pts = enumerate_points(F, r)
-    for H in [pts[0], pts[7], pts[-1]]:
-        flat = hyperplane_flat(F, H)
-        assert flat.dim == r - 1
-        want = [P for P in pts if incident(F, P, H)]
-        assert flat_points(F, flat) == want
 
 
 def _line_points_through(F, P, R):

@@ -219,28 +219,11 @@ def test_find_disjoint_lines_c2(dual_c2_65):
 
 
 def test_find_disjoint_lines_respects_region(dual_c1_64):
-    from griesmer.pg import hyperplane_flat, incident
-
-    region = hyperplane_flat(
-        dual_c1_64.field, tuple(dual_c1_64.meta["skew_region"])
-    )
-    lines = find_disjoint_lines(dual_c1_64, 2, within=region)
+    lines = find_disjoint_lines(dual_c1_64, 2)
     coeffs = tuple(dual_c1_64.meta["skew_region"])
     for flat in lines:
         for P in flat_points(dual_c1_64.field, flat):
-            assert incident(dual_c1_64.field, P, coeffs)
-
-
-@pytest.mark.parametrize("r", [4, 2])
-def test_find_disjoint_lines_refuses_a_region_of_another_space(r):
-    # a plane of PG(4, 2) or of PG(2, 2) is no region of PG(3, 2): the
-    # first used to index past the count vector, the second to search
-    # the plane's coordinates read as points of PG(3, 2)
-    F = field(2)
-    M = PointMultiset(F, 3, np.ones(theta(3, 2), dtype=np.int64))
-    plane = span(F, [(1,) + (0,) * r, (0, 1) + (0,) * (r - 1), (0,) * r + (1,)])
-    with pytest.raises(FlatNotInSupport):
-        find_disjoint_lines(M, 1, within=plane)
+            assert pg.incident(dual_c1_64.field, P, coeffs)
 
 
 def test_find_disjoint_lines_impossible(dual_c1_64):
@@ -277,12 +260,18 @@ def _reference_candidate_lines(F, region_support, support_set):
                 yield tuple(key)
 
 
-def _reference_find_disjoint_lines(M, count, within=None):
+def _hyperplane_points(F, r, H):
+    """The points of PG(r, q) on the hyperplane with coefficients H, by
+    scalar incidence."""
+    return [P for P in enumerate_points(F, r) if pg.incident(F, P, H)]
+
+
+def _reference_find_disjoint_lines(M, count, H=None):
     """The depth-first search the mask-and-block search replaced, fed by the
-    scalar candidate generator: returns the picked lines and how often it
-    backtracked."""
+    scalar candidate generator, inside the hyperplane H if given: returns
+    the picked lines and how often it backtracked."""
     F = M.field
-    pool = pg.flat_points(F, within) if within is not None else enumerate_points(F, M.r)
+    pool = _hyperplane_points(F, M.r, H) if H is not None else enumerate_points(F, M.r)
     region = [P for P in pool if M.counts[pg.point_index(F.q, P)]]
     per_line = F.q + 1
     if count * per_line > len(region):
@@ -353,9 +342,8 @@ def test_candidate_lines_match_the_scalar_order(q, r, regional, monkeypatch):
     rng = random.Random(100 * q + r)
     counts = np.array([int(rng.random() < 0.85) * rng.randint(1, 3) for _ in pts])
     if regional:
-        within = pg.hyperplane_flat(F, pts[rng.randrange(len(pts))])
-        pool = pg.flat_points(F, within)
-        region = pg.flat_indices(F, within)
+        pool = _hyperplane_points(F, r, pts[rng.randrange(len(pts))])
+        region = np.array([pg.point_index(q, P) for P in pool])
     else:
         pool, region = pts, np.arange(len(pts))
     region_support = [P for P in pool if counts[pg.point_index(q, P)]]
@@ -373,13 +361,18 @@ def test_candidate_lines_match_the_scalar_order(q, r, regional, monkeypatch):
 @st.composite
 def _skew_cases(draw):
     """A sum of random lines and stray points in PG(r, q), with an optional
-    hyperplane region that holds most of the lines."""
+    hyperplane region H that holds most of the lines.  H is recorded as the
+    code's skew_region, scaled by a random nonzero element: a sidecar may
+    hold any nonzero multiple of a hyperplane's coefficients."""
     q = draw(st.sampled_from([2, 3, 4, 5, 7]))
     r = draw(st.integers(2, 4))
     F = field(q)
     pts = enumerate_points(F, r)
-    within = pg.hyperplane_flat(F, draw(st.sampled_from(pts))) if draw(st.booleans()) else None
-    pool = pg.flat_points(F, within) if within is not None else pts
+    H = None
+    if draw(st.booleans()):
+        c = draw(st.integers(1, q - 1))
+        H = tuple(F.mul(c, x) for x in draw(st.sampled_from(pts)))
+    pool = _hyperplane_points(F, r, H) if H is not None else pts
     lines = []
     for _ in range(draw(st.integers(1, 5))):
         P = draw(st.sampled_from(pool))
@@ -395,26 +388,28 @@ def _skew_cases(draw):
     counts = np.zeros(len(pts), dtype=np.int64)
     for P in [X for line in lines for X in line] + draw(st.lists(st.sampled_from(pts), min_size=1, max_size=q)):
         counts[pg.point_index(q, P)] += 1
-    return PointMultiset(F, r, counts), within
+    meta = {"skew_region": list(H)} if H is not None else None
+    return PointMultiset(F, r, counts, meta=meta), H
 
 
 def test_find_disjoint_lines_matches_the_reference_search(monkeypatch):
-    backtracked = []
+    backtracked, scaled = [], []
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_skew_cases(), st.integers(1, 3))
     def check(case, block):
-        M, within = case
+        M, H = case
+        scaled.append(H is not None and H != pg.normalize_point(M.field, H))
         # blocks of one to three second points split every anchor's lines
         monkeypatch.setattr(transforms, "_SKEW_BLOCK", block)
         # every count from 1 to one past the largest packing
         for count in itertools.count(1):
             try:
-                want, backtracks = _reference_find_disjoint_lines(M, count, within)
+                want, backtracks = _reference_find_disjoint_lines(M, count, H)
             except NotEnoughLines:
                 want = None
             try:
-                got = find_disjoint_lines(M, count, within)
+                got = find_disjoint_lines(M, count)
             except NotEnoughLines:
                 got = None
             assert got == want
@@ -423,8 +418,9 @@ def test_find_disjoint_lines_matches_the_reference_search(monkeypatch):
             backtracked.append(backtracks > 0)
 
     check()
-    # some searches found their lines only after undoing a pick
-    assert any(backtracked)
+    # some searches found their lines only after undoing a pick, and some
+    # regions came from coefficients that are not in normal form
+    assert any(backtracked) and any(scaled)
 
 
 # the lines the scalar search picked on the family duals, in order
