@@ -33,7 +33,7 @@ print(f"length meets the Griesmer bound: {dp.n == griesmer_bound(4, 6, dp.d)}")
 
 lines = find_disjoint_lines(dual, 3)
 print(f"\nfound {len(lines)} pairwise disjoint support lines; the first one:")
-for P in pg.point_digits(4, 5, pg.flat_indices(dual.field, lines[0])).tolist():
+for P in pg.point_digits(4, 5, pg.flat_indices(dual.field, lines[0].basis)).tolist():
     print("  ", P)
 
 shorter = puncture_flat(dual, lines[0])

@@ -79,6 +79,8 @@ class LineConfig:
     lines:  l_1..l_q where l_i joins P_i with Q_i; the sets l_i minus l0
             are pairwise disjoint with q points each
     q_point: Q = (0,1,0,...,0,1), on none of those lines
+
+    line_config checks l0 and the arc; the lines' properties follow.
     """
 
     k: int
@@ -90,8 +92,14 @@ class LineConfig:
 
 
 def line_config(k: int, q: int) -> LineConfig:
-    """Build and verify the full configuration; raises ConfigDegenerate on
-    any failed invariant (which would be a bug, not bad input)."""
+    """Build the configuration; ConfigDegenerate (a bug, not bad input) if
+    l0's points or the arc condition fail.
+
+    The lines need no check.  l_i meets the hyperplane only in P_i, not in
+    P_0, l0's one point there, so l_i meets l0 only in Q_i.  l_i and l_j
+    meeting off l0 would span a plane through l0 whose trace on the
+    hyperplane holds P_0, P_i and P_j, three collinear arc points.
+    """
     arc = normal_rational_curve(k, q)
     F = field(q)
     P0 = arc[0]
@@ -110,31 +118,16 @@ def line_config(k: int, q: int) -> LineConfig:
         r=k - 1,
         basis=tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)),
     )
-    if not all(P[-1] == 0 for P in arc):
-        raise ConfigDegenerate("arc point falls outside the reference hyperplane")
+    # arc_check's membership test rank(hyper.basis + (P,)) == k-1 also puts
+    # every arc point in the hyperplane x_k = 0
     if not arc_check(F, arc, hyper):
         raise ConfigDegenerate("curve points fail the arc condition")
 
-    l0_set = set(l0)
-
     # l_i joins P_i and Q_i, i = 1..q: all q lines in one call
-    line_idx = pg.line_indices(F, arc[1:], l0[1:])
-    lines = []
-    seen: set[tuple[int, ...]] = set()
-    for i, digits in enumerate(pg.point_digits(q, k - 1, line_idx).tolist(), 1):
-        li = tuple(map(tuple, digits))
-        off = set(li) - l0_set
-        if len(off) != q:
-            raise ConfigDegenerate(f"line {i} shares more than one point with l0")
-        if off & seen:
-            raise ConfigDegenerate(f"line {i} overlaps an earlier line off l0")
-        seen |= off
-        lines.append(li)
-
+    idx = pg.flat_indices(F, np.stack([arc[1:], qs], axis=-2))
+    lines = tuple(tuple(map(tuple, li)) for li in pg.point_digits(q, k - 1, idx).tolist())
     q_point = (0, 1) + (0,) * (k - 3) + (1,)
-    return LineConfig(
-        k=k, q=q, arc=tuple(arc), l0=l0, lines=tuple(lines), q_point=q_point
-    )
+    return LineConfig(k=k, q=q, arc=tuple(arc), l0=l0, lines=lines, q_point=q_point)
 
 
 def _config_meta(cfg: LineConfig, family: str) -> dict:
@@ -164,18 +157,16 @@ def _build(k: int, q: int, family: str) -> PointMultiset:
     specials = [(cfg.arc[0], q - 1)]
     if not all_lines:
         specials += [(cfg.l0[-1], q - 1), (cfg.arc[q], q)]
+    # no special point is on a counted line: P_0 and Q_q lie on l0, whose
+    # counts are zeroed, and l_i (i < q) meets x_k = 0 only in P_i, not P_q
     for special, weight in specials:
-        i = pg.point_index(q, special)
-        if counts[i]:
-            raise ConfigDegenerate(f"special point {special} collides with a line point")
-        counts[i] = weight
+        counts[pg.point_index(q, special)] = weight
     meta = _config_meta(cfg, family)
     if family in ("base1", "base2"):
         return PointMultiset(F, r, counts, meta=meta)
-    i = pg.point_index(q, cfg.q_point)
-    if counts[i]:
-        raise ConfigDegenerate("the extra point Q already lies in the base code")
-    counts[i] = q
+    # Q = (0,1,0,...,0,1) is off the base code: the one point of l_i (i < q)
+    # with x_1 = 0 is (0, 1, a^i, ...), and every point of l_q has x_2 = 0
+    counts[pg.point_index(q, cfg.q_point)] = q
     M = PointMultiset(F, r, counts, meta=meta)
     through_q = pg.hyperplanes_containing(F, pg.Flat(r, (cfg.q_point,)))
     _check_q_point_clear(F, r, M.hyperplane_mults() - q * through_q, cfg.q_point)

@@ -17,10 +17,10 @@ point tuples at all.  Array code works on those indices: point_digits
 turns indices into coordinate rows (the base-q digits of point_codes),
 vector_indices turns any nonzero coordinate rows back into indices (scaled
 by their leading entry's inverse with Field tables gathers),
-flat_indices lists a flat's points that way, line_indices the lines
-through pairs of points, and hyperplanes_containing marks the hyperplanes
-through a flat from split-digit tables.  The point tuples of
-enumerate_points are built on demand, only for the public API.
+flat_indices lists the points that basis rows span that way (a flat's,
+or stacked point pairs for their lines), and hyperplanes_containing marks
+the hyperplanes through a flat from split-digit tables.  The point tuples
+of enumerate_points are built on demand, only for the public API.
 """
 
 from __future__ import annotations
@@ -184,6 +184,13 @@ class Flat:
     r: int  # ambient dimension
     basis: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        for row in self.basis:
+            if len(row) != self.r + 1:
+                raise DimensionMismatch(
+                    f"a basis row has {len(row)} entries, PG({self.r}, q) needs {self.r + 1}"
+                )
+
     @property
     def dim(self) -> int:
         return len(self.basis) - 1
@@ -239,25 +246,27 @@ def span(F: Field, points) -> Flat:
     return Flat(r=len(pts[0]) - 1, basis=rref(F, pts))
 
 
-def flat_indices(F: Field, flat: Flat) -> np.ndarray:
-    """Ascending enumeration indices of the theta(dim, q) points of a flat.
+def flat_indices(F: Field, basis) -> np.ndarray:
+    """Ascending enumeration indices of the points spanned by basis rows of
+    shape (..., t+1, k), a Flat's basis or stacked (P, R) point pairs: an
+    int64 array of shape (..., theta(t)).
 
-    Row t of the echelon basis plus every combination of the rows below it
-    gives each point with its leading entry in row t's pivot exactly once.
+    Row i plus every combination of the later rows gives, once each, the
+    points whose first nonzero coefficient is row i's.  One vector_indices
+    call maps every block; it refuses the zero vector of dependent rows.
     """
     add, mul = F.tables
-    basis = np.array(flat.basis, dtype=np.int64)
+    B = np.asarray(basis, dtype=np.int64)
     scalars = np.arange(F.q)[:, None, None]
     blocks = []
-    for t in range(len(basis)):
-        vecs = basis[t][None]
-        for row in basis[t + 1 :]:
-            # every vector so far plus c * row, for every scalar c
-            vecs = add[vecs[None], mul[scalars, row]].reshape(-1, flat.r + 1)
-        blocks.append(vector_indices(F, vecs))
-    idx = np.sort(np.concatenate(blocks))
-    assert len(idx) == theta(flat.dim, F.q)
-    return idx
+    for i in range(B.shape[-2]):
+        vecs = B[..., i : i + 1, :]
+        for j in range(i + 1, B.shape[-2]):
+            # every vector so far plus c * row j, for every scalar c
+            vecs = add[vecs[..., None, :, :], mul[scalars, B[..., j, None, None, :]]]
+            vecs = vecs.reshape(*B.shape[:-2], -1, B.shape[-1])
+        blocks.append(vecs)
+    return np.sort(vector_indices(F, np.concatenate(blocks, axis=-2)), axis=-1)
 
 
 def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
@@ -293,23 +302,8 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
 
 def flat_points(F: Field, flat: Flat) -> list[tuple[int, ...]]:
     """All theta(dim, q) canonical points of a flat, sorted canonically."""
-    digits = point_digits(F.q, flat.r, flat_indices(F, flat))
+    digits = point_digits(F.q, flat.r, flat_indices(F, flat.basis))
     return [tuple(P) for P in digits.tolist()]
-
-
-def line_indices(F: Field, P, R) -> np.ndarray:
-    """Ascending enumeration indices of the q+1 points on the line through
-    the points P and R: R, and P + c*R for every c in GF(q).
-
-    P and R are coordinate rows of shape (..., k) whose leading axes
-    broadcast; the result has shape (..., q+1).  Two rows that span no line
-    give a zero vector, which vector_indices refuses (ValueError).
-    """
-    add, mul = F.tables
-    P, R = np.asarray(P)[..., None, :], np.asarray(R)[..., None, :]
-    vecs = add[P, mul[np.arange(F.q)[:, None], R]]
-    ends = np.broadcast_to(R, vecs.shape[:-2] + R.shape[-2:])
-    return np.sort(vector_indices(F, np.concatenate([ends, vecs], axis=-2)), axis=-1)
 
 
 def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:

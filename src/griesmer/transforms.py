@@ -139,9 +139,9 @@ def _dual_mults(M: PointMultiset, m: int) -> np.ndarray:
     multiset is built.
     """
     q, k, n, d = M.q, M.k, M.n, code_params(M).d
-    top, rest = divmod((n - d) * pg.theta(k - 2, q) - n * pg.theta(k - 3, q), m)
-    if rest:
-        raise ParamMismatch(f"the incidence identity leaves a remainder mod {m}")
+    # exact: projective_dual checks m = p^e, e <= h(k-2), so m | q^(k-2), and
+    # m | divisor, so m | d; the numerator is (n-d)*q^(k-2) - d*theta(k-3)
+    top = ((n - d) * pg.theta(k - 2, q) - n * pg.theta(k - 3, q)) // m
     return top - q ** (k - 2) // m * M.counts
 
 
@@ -161,7 +161,7 @@ def puncture_flat(M: PointMultiset, flat: pg.Flat) -> PointMultiset:
     F = M.field
     if flat.r != M.r:
         raise FlatNotInSupport(f"the flat lives in PG({flat.r}, {M.q}), not PG({M.r}, {M.q})")
-    idx = pg.flat_indices(F, flat)
+    idx = pg.flat_indices(F, flat.basis)
     if (M.counts[idx] < 1).any():
         raise FlatNotInSupport("the flat has a point with multiplicity 0")
     t, d = flat.dim, code_params(M).d
@@ -262,7 +262,9 @@ def _line_block(F, counts, region, digits, i: int, lo: int) -> np.ndarray:
     two region points stays in the region.
     """
     later = region[lo : lo + _SKEW_BLOCK]
-    lines = pg.line_indices(F, digits[i], digits[lo : lo + len(later)])
+    pairs = np.empty((len(later), 2, digits.shape[1]), dtype=digits.dtype)
+    pairs[:, 0], pairs[:, 1] = digits[i], digits[lo : lo + len(later)]
+    lines = pg.flat_indices(F, pairs)
     ok = (lines[:, 0] == region[i]) & (lines[:, 1] == later) & (counts[lines] > 0).all(axis=1)
     return lines[ok]
 

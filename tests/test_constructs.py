@@ -14,7 +14,7 @@ from griesmer.constructs import (
     line_config,
     normal_rational_curve,
 )
-from griesmer.errors import ArcConditionViolated, ConfigDegenerate, OutOfScope
+from griesmer.errors import ArcConditionViolated, OutOfScope, ParamMismatch
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
@@ -214,7 +214,8 @@ def test_each_code_is_one_count_vector(monkeypatch, build):
 
 
 def test_family_code_needs_q_off_the_base(monkeypatch):
-    # line_config puts Q on l_1, off l0: both families refuse to add it
+    # line_config puts Q on l_1, off l0: Q's weight replaces a line point's,
+    # so n falls short and both families refuse the code
     config = constructs.line_config
 
     def q_on_a_line(k, q):
@@ -223,7 +224,7 @@ def test_family_code_needs_q_off_the_base(monkeypatch):
 
     monkeypatch.setattr(constructs, "line_config", q_on_a_line)
     for build in (code_c1, code_c2):
-        with pytest.raises(ConfigDegenerate, match="the extra point Q already lies in the base code"):
+        with pytest.raises(ParamMismatch, match=r"built \[\d+,6,\d+\]_5, wanted"):
             build(6, 5)
 
 

@@ -35,12 +35,7 @@ from griesmer.gf import Field
 CASES = [(1, 5, 5, 881), (2, 5, 6, 9606)]
 
 # raise sites that no fault of one computation reaches, and why
-UNREACHABLE = {
-    "transforms._dual_mults: the incidence identity leaves a remainder mod {}":
-        "projective_dual checks first that m = p^e with e <= h(k-2), so m divides "
-        "q^(k-2), and that m divides the divisor, so m divides d; the numerator "
-        "(n-d)*theta(k-2) - n*theta(k-3) equals (n-d)*q^(k-2) - d*theta(k-3)",
-}
+UNREACHABLE: dict[str, str] = {}
 
 
 def _spoil_kernel(monkeypatch, call, spoil):
@@ -179,26 +174,28 @@ def _spoil_config(monkeypatch, spoil):
 
 
 def _spoil_lines(monkeypatch, spoil):
-    """Change the rows of the first line_indices call, the configuration's
-    lines l_1..l_q, with spoil(rows, line_indices, F, P, R)."""
-    lines = pg.line_indices
+    """Change the rows of the first flat_indices call over stacked point
+    pairs, the configuration's lines l_1..l_q (flat_points' call for l0
+    comes before it), with spoil(rows, flat_indices, F, pairs)."""
+    flat_indices = pg.flat_indices
     calls = []
 
-    def spoiled(F, P, R):
-        rows = lines(F, P, R)
-        calls.append(None)
-        if len(calls) == 1:
-            spoil(rows, lines, F, P, R)
+    def spoiled(F, basis):
+        rows = flat_indices(F, basis)
+        if np.ndim(basis) == 3:
+            calls.append(None)
+            if len(calls) == 1:
+                spoil(rows, flat_indices, F, np.asarray(basis))
         return rows
 
-    monkeypatch.setattr(pg, "line_indices", spoiled)
+    monkeypatch.setattr(pg, "flat_indices", spoiled)
 
 
-def _l0_as_line_1(rows, lines, F, P, R):
-    rows[0] = lines(F, R[0], R[-1])  # R holds Q_1..Q_q, all on l0
+def _l0_as_line_1(rows, flat_indices, F, pairs):
+    rows[0] = flat_indices(F, pairs[[0, -1], 1])  # the pairs' second rows are Q_1..Q_q, on l0
 
 
-def _line_1_twice(rows, lines, F, P, R):
+def _line_1_twice(rows, flat_indices, F, pairs):
     rows[1] = rows[0]
 
 
@@ -267,6 +264,12 @@ def _both(site, message=None):
 
 
 _FAMILY_CLOSED_FORMS = "chains._family_dual: dual is [{},{},{}]_{}, closed forms give [{},{},{}]_{}"
+_FAMILY_PARAMS = "constructs._verified: built [{},{},{}]_{}, wanted [{},{},{}]_{}"
+
+
+def _family_params(theorem, q, k, d):
+    return rf"built \[\d+,{k},\d+\]_{q}, wanted"
+
 
 # name: (install(monkeypatch), {command: (site, message)}, cases), where
 # message(theorem, q, k, d), if given, is a pattern the message must hold
@@ -278,8 +281,9 @@ FAULTS = {
         CASES,
     ),
     "arc-off-the-hyperplane": (
+        # arc_check's membership test is the hyperplane condition
         lambda mp: _spoil_curve(mp, lambda arc: arc[:-1] + [arc[-1][:-1] + (1,)]),
-        _both("constructs.line_config: arc point falls outside the reference hyperplane"),
+        _both("constructs.line_config: curve points fail the arc condition"),
         CASES,
     ),
     "arc-condition": (
@@ -287,29 +291,27 @@ FAULTS = {
         _both("constructs.line_config: curve points fail the arc condition"),
         CASES,
     ),
+    # the arc condition decides the lines' invariants, so a spoiled line, a
+    # special point or Q on a line shows as the family code's (n, d)
     "line-on-l0": (
         lambda mp: _spoil_lines(mp, _l0_as_line_1),
-        _both("constructs.line_config: line {} shares more than one point with l0",
-              lambda t, q, k, d: "line 1 shares more than one point with l0"),
+        _both(_FAMILY_PARAMS, _family_params),
         CASES,
     ),
     "lines-overlap": (
         lambda mp: _spoil_lines(mp, _line_1_twice),
-        _both("constructs.line_config: line {} overlaps an earlier line off l0",
-              lambda t, q, k, d: "line 2 overlaps an earlier line off l0"),
+        _both(_FAMILY_PARAMS, _family_params),
         CASES,
     ),
-    # the base codes' special points and Q
     "special-point-on-a-line": (
         # l_q first: base2 takes l_1..l_{q-1}, now l_q among them, so P_q is on one
         lambda mp: _spoil_config(mp, lambda cfg: dataclasses.replace(cfg, lines=cfg.lines[::-1])),
-        _both("constructs._build: special point {} collides with a line point",
-              lambda t, q, k, d: re.escape(f"special point {(0,) * (k - 2) + (1, 0)} collides")),
+        _both(_FAMILY_PARAMS, _family_params),
         CASES[1:],
     ),
     "q-on-a-line": (
         lambda mp: _spoil_config(mp, lambda cfg: dataclasses.replace(cfg, q_point=_point_of_line_1(cfg))),
-        _both("constructs._build: the extra point Q already lies in the base code"),
+        _both(_FAMILY_PARAMS, _family_params),
         CASES,
     ),
     "q-indicator": (
@@ -320,8 +322,7 @@ FAULTS = {
     # constructs._verified: the family code's (n, d), divisibility and a_i
     "family-distance": (
         lambda mp: _spoil_kernel(mp, 1, _shift_every_entry),
-        _both("constructs._verified: built [{},{},{}]_{}, wanted [{},{},{}]_{}",
-              lambda t, q, k, d: rf"built \[\d+,{k},\d+\]_{q}, wanted"),
+        _both(_FAMILY_PARAMS, _family_params),
         CASES,
     ),
     "family-divisibility": (

@@ -13,11 +13,11 @@ from griesmer.pg import (
     MAX_TRANSFORM_CELLS,
     Flat,
     enumerate_points,
+    flat_indices,
     flat_points,
     hyperplane_multiplicities,
     hyperplanes_containing,
     incident,
-    line_indices,
     normalize_point,
     point_codes,
     point_digits,
@@ -241,8 +241,8 @@ def test_rank_and_rref_match_the_separate_eliminations(case):
 
 
 def _line_points_through(F, P, R):
-    """The scalar line builder line_indices replaced: the q+1 points of the
-    line joining two distinct points, as tuples."""
+    """The scalar line builder that flat_indices of stacked point pairs
+    replaced: the q+1 points of the line joining two points, as tuples."""
     if tuple(P) == tuple(R):
         raise ValueError("a line needs two distinct points")
     pts = [normalize_point(F, R)]
@@ -259,7 +259,7 @@ def test_line_points_through():
     assert len(pts) == 4
     L = span(F, [(1, 0, 0), (0, 1, 2)])
     assert sorted(pts, key=lambda P: point_index(3, P)) == flat_points(F, L)
-    assert line_indices(F, (1, 0, 0), (0, 1, 2)).tolist() == [
+    assert flat_indices(F, [(1, 0, 0), (0, 1, 2)]).tolist() == [
         point_index(3, P) for P in flat_points(F, L)
     ]
 
@@ -279,7 +279,7 @@ def _point_pairs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_point_pairs())
-def test_line_indices_match_the_scalar_builder(case):
+def test_stacked_pairs_match_the_scalar_line_builder(case):
     F, r, pairs = case
     q = F.q
     ends = point_digits(q, r, pairs)
@@ -287,15 +287,16 @@ def test_line_indices_match_the_scalar_builder(case):
         sorted(point_index(q, X) for X in _line_points_through(F, tuple(P), tuple(R)))
         for P, R in ends.tolist()
     ]
-    # one pair at a time, and every pair in one broadcast call
-    for (P, R), line in zip(ends, want):
-        assert line_indices(F, P, R).tolist() == line
-    assert line_indices(F, ends[:, 0], ends[:, 1]).tolist() == want
-    # every other endpoint, as a (m, 1, k) stack, against the first one
+    # one pair at a time, and every pair in one batched call
+    for pair, line in zip(ends, want):
+        assert flat_indices(F, pair).tolist() == line
+    assert flat_indices(F, ends).tolist() == want
+    # every other endpoint, as a (m, 1, 2, k) stack, against the first one
     first = ends[0, 0]
     others = np.array([X for X in ends.reshape(-1, r + 1).tolist() if X != first.tolist()])
     if len(others):
-        got = line_indices(F, others[:, None], first)
+        stacked = np.stack(np.broadcast_arrays(others, first), axis=-2)[:, None]
+        got = flat_indices(F, stacked)
         assert got.shape == (len(others), 1, q + 1)
         assert got[:, 0].tolist() == [
             sorted(point_index(q, X) for X in _line_points_through(F, tuple(R), tuple(first)))
@@ -303,11 +304,30 @@ def test_line_indices_match_the_scalar_builder(case):
         ]
 
 
-def test_line_indices_refuses_a_repeated_point():
+def test_stacked_bases_list_the_flats_of_their_echelon_forms():
+    # any independent rows, batched over two leading axes: each result row
+    # lists the points of the plane the rows span, as its echelon basis does
+    F, r, rng = field(4), 4, random.Random(7)
+    stacks = []
+    while len(stacks) < 6:
+        rows = point_digits(4, r, rng.sample(range(theta(r, 4)), 3)).tolist()
+        if rank(F, rows) == 3:
+            stacks.append(rows)
+    got = flat_indices(F, np.array(stacks).reshape(2, 3, 3, r + 1))
+    assert got.shape == (2, 3, theta(2, 4))
+    assert got.reshape(6, -1).tolist() == [flat_indices(F, span(F, rows).basis).tolist() for rows in stacks]
+
+
+def test_flat_refuses_rows_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match=r"has 2 entries, PG\(2, q\) needs 3"):
+        Flat(r=2, basis=((1, 0, 0), (0, 1)))
+
+
+def test_stacked_pairs_refuse_a_repeated_point():
     F = field(5)
     P = point_digits(5, 2, [17])[0]
     with pytest.raises(ValueError, match="zero vector"):
-        line_indices(F, P, P)
+        flat_indices(F, np.stack([P, P]))
 
 
 @pytest.mark.parametrize(

@@ -428,7 +428,7 @@ def test_dual_of_a_sum_of_lines_meets_the_closed_forms(q, r, data):
     counts = np.zeros(size, dtype=np.int64)
     for _ in range(data.draw(st.integers((r + 2) // 2, 2 * r + 2))):
         i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
-        counts[flat_indices(F, span(F, point_digits(q, r, [i, j]).tolist()))] += 1
+        counts[flat_indices(F, point_digits(q, r, [i, j]))] += 1
     M = PointMultiset(F, r, counts)
     try:
         dual = projective_dual(M, q)

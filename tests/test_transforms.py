@@ -12,6 +12,7 @@ from griesmer import pg, transforms
 from griesmer.chains import _family_dual
 from griesmer.constructs import code_c1, code_c2
 from griesmer.errors import (
+    DimensionMismatch,
     DistanceTooSmall,
     DivisibilityViolated,
     FlatNotInSupport,
@@ -199,7 +200,7 @@ def test_find_disjoint_lines_c1(dual_c1_64):
     assert len(lines) == 3
     seen = set()
     for flat in lines:
-        idx = set(pg.flat_indices(dual_c1_64.field, flat).tolist())
+        idx = set(pg.flat_indices(dual_c1_64.field, flat.basis).tolist())
         assert len(idx) == 5
         assert (dual_c1_64.counts[list(idx)] >= 1).all()
         assert not (seen & idx)
@@ -212,7 +213,7 @@ def test_find_disjoint_lines_c2(dual_c2_65):
     assert len(lines) == 4
     seen = set()
     for flat in lines:
-        idx = pg.flat_indices(dual_c2_65.field, flat)
+        idx = pg.flat_indices(dual_c2_65.field, flat.basis)
         assert (dual_c2_65.counts[idx] >= 1).all()
         seen |= set(idx.tolist())
     assert len(seen) == 24
@@ -226,14 +227,23 @@ def test_find_disjoint_lines_respects_region(dual_c1_64):
             assert pg.incident(dual_c1_64.field, P, coeffs)
 
 
+@pytest.mark.parametrize("length", [5, 7])
+def test_find_disjoint_lines_refuses_a_region_of_the_wrong_length(dual_c1_64, length):
+    # a library caller's region, which the sidecar reader would refuse first
+    M = dual_c1_64
+    meta = {"skew_region": [1] + [0] * (length - 1)}
+    with pytest.raises(DimensionMismatch, match=rf"has {length} entries, PG\(5, q\) needs 6"):
+        find_disjoint_lines(PointMultiset(M.field, M.r, M.counts, meta=meta), 2)
+
+
 def test_find_disjoint_lines_impossible(dual_c1_64):
     with pytest.raises(NotEnoughLines):
         find_disjoint_lines(dual_c1_64, theta(5, 4))
 
 
 def _line_points_through(F, P, R):
-    """The scalar line builder pg.line_indices replaced: the q+1 points of
-    the line joining two distinct points, as tuples."""
+    """The scalar line builder that flat_indices of stacked point pairs
+    replaced: the q+1 points of the line joining two points, as tuples."""
     pts = [pg.normalize_point(F, R)]
     for lam in range(F.q):
         vec = [F.add(a, F.mul(lam, b)) for a, b in zip(P, R)]
