@@ -1,0 +1,57 @@
+"""The certified catalogue (tests/catalogue.json): one entry per table of
+the paper's reachable grid, checked against the pins elsewhere, and its
+entries with q^k <= 2^20 rebuilt byte for byte.  tests/catalogue.py
+rebuilds all of them."""
+
+import catalogue
+import test_acceptance
+from griesmer.chains import theorem_range
+from griesmer.errors import InputError
+from griesmer.gf import field_create
+from griesmer.pg import MAX_TRANSFORM_CELLS
+
+
+def _admitted() -> list[tuple[int, int, int]]:
+    """Every (theorem, q, k) that theorem_range admits with q^k at most
+    the transform bound; q >= 2 and q >= k - 2 stop k at 8."""
+    grid = []
+    for k in range(5, MAX_TRANSFORM_CELLS.bit_length()):
+        q = 2
+        while q**k <= MAX_TRANSFORM_CELLS:
+            for theorem in (1, 2):
+                try:
+                    field_create(q)
+                    theorem_range(theorem, q, k)
+                except InputError:
+                    continue
+                grid.append((theorem, q, k))
+            q += 1
+    return grid
+
+
+def test_the_catalogue_is_the_admitted_grid():
+    entries = catalogue.entries()
+    assert sorted((e["theorem"], e["q"], e["k"]) for e in entries) == sorted(_admitted())
+    assert len(entries) == 45 and sum(e["rows"] for e in entries) == 5083
+    for e in entries:
+        assert (e["d_min"], e["d_max"]) == theorem_range(e["theorem"], e["q"], e["k"])
+        assert e["rows"] == e["d_max"] - e["d_min"] + 1
+
+
+def test_the_catalogue_holds_the_pinned_tables():
+    digests = {(e["theorem"], e["q"], e["k"]): e["sha256"] for e in catalogue.entries()}
+    pins = {
+        (2, 5, 6): test_acceptance.PINNED_TABLE_2_JSON,
+        (1, 4, 6): test_acceptance.PINNED_TABLE_1_Q4_JSON,
+        (1, 7, 7): test_acceptance.PINNED_TABLE_1_Q7K7_JSON,
+        (1, 8, 7): test_acceptance.PINNED_TABLE_1_Q8K7_JSON,
+        (2, 9, 6): test_acceptance.PINNED_TABLE_2_Q9K6_JSON,
+        **{(t, q, 5): h for (t, q), h in test_acceptance.PINNED_K5_TABLES_JSON.items()},
+    }
+    assert {key: digests[key] for key in pins} == pins
+
+
+def test_the_small_catalogue_rebuilds_byte_for_byte():
+    entries = catalogue.entries(1 << 20)
+    assert len(entries) == 29
+    assert catalogue.mismatches(entries) == []
