@@ -19,6 +19,7 @@ scratch and refuses to return a code that misses its contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -55,18 +56,18 @@ def normal_rational_curve(k: int, q: int) -> list[tuple[int, ...]]:
 
 
 def arc_check(F: Field, points, ambient: pg.Flat) -> bool:
-    """True iff every (dim+1)-subset of the points spans the ambient flat."""
-    from itertools import combinations
-
+    """True iff every (dim+1)-subset of the points spans the ambient flat:
+    one rank call over all subsets, one over the membership stacks."""
     r = ambient.dim
-    pts = [pg.normalize_point(F, P) for P in points]
+    pts = np.array([pg.normalize_point(F, P) for P in points])
     if len(pts) < r + 1:
         return False
-    for subset in combinations(pts, r + 1):
-        if pg.rank(F, subset) < r + 1:
-            return False
+    subsets = pts[np.fromiter(combinations(range(len(pts)), r + 1), dtype=(np.intp, r + 1))]
+    if not (pg.rank(F, subsets) == r + 1).all():
+        return False
     # P lies in the ambient flat iff adding it to the basis keeps the rank
-    return all(pg.rank(F, ambient.basis + (P,)) == r + 1 for P in pts)
+    basis = np.broadcast_to(ambient.basis, (len(pts), r + 1, pts.shape[1]))
+    return bool((pg.rank(F, np.concatenate([basis, pts[:, None]], axis=1)) == r + 1).all())
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,7 @@ def line_config(k: int, q: int) -> LineConfig:
         r=k - 1,
         basis=tuple(tuple(1 if j == i else 0 for j in range(k)) for i in range(k - 1)),
     )
-    # arc_check's membership test rank(hyper.basis + (P,)) == k-1 also puts
-    # every arc point in the hyperplane x_k = 0
+    # arc_check's membership stacks also put every arc point in x_k = 0
     if not arc_check(F, arc, hyper):
         raise ConfigDegenerate("curve points fail the arc condition")
 

@@ -15,18 +15,19 @@ enumeration in closed form (the offset of its pivot block plus its tail
 read in base q), so arrays indexed by points, and by hyperplanes, need no
 point tuples at all.  Array code works on those indices: point_digits
 turns indices into coordinate rows (the base-q digits of point_codes),
-vector_indices turns any nonzero coordinate rows back into indices (scaled
-by their leading entry's inverse with Field tables gathers),
-flat_indices lists the points that basis rows span that way (a flat's,
-or stacked point pairs for their lines), and hyperplanes_containing marks
-the hyperplanes through a flat from split-digit tables.  The point tuples
-of enumerate_points are built on demand, only for the public API.
+vector_indices turns nonzero rows back into indices (scaled by their
+leading entry's inverse with Field tables gathers), flat_indices lists
+the points that basis rows span, and hyperplanes_containing marks the
+hyperplanes through a flat from split-digit tables.  echelon reduces row
+stacks by the same gathers, behind rank, rref and span.  The point
+tuples of enumerate_points are built on demand, only for the public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -196,46 +197,45 @@ class Flat:
         return len(self.basis) - 1
 
 
-def _echelon(F: Field, rows) -> dict[int, list[int]]:
-    """Forward elimination: {pivot column: row} for a basis of the rows'
-    span, each row 1 at its pivot column and 0 before it."""
-    echelon: dict[int, list[int]] = {}
-    for row in rows:
-        v = list(row)
-        col = 0
-        width = len(v)
-        while col < width:
-            if v[col] == 0:
-                col += 1
-                continue
-            basis_row = echelon.get(col)
-            if basis_row is None:
-                inv = F.inv(v[col])
-                if inv != 1:
-                    v = [F.mul(inv, x) for x in v]
-                echelon[col] = v
-                break
-            f = v[col]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, basis_row)]
-    return echelon
+def echelon(F: Field, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks (...) and reduced row echelon forms (..., m, k), pivot rows
+    first, of row stacks (..., m, k) over GF(q): one Gauss-Jordan pass per
+    column over every stack, by Field tables gathers.  Ragged rows raise
+    DimensionMismatch and entries outside [0, q) ValueError, before any gather."""
+    try:
+        A = np.asarray(rows)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise DimensionMismatch("rows of unequal length") from exc
+    if A.size and (A.dtype.kind not in "biu" or A.min() < 0 or A.max() >= F.q):
+        bad = next(x for x in A.ravel().tolist() if not (type(x) is int and 0 <= x < F.q))
+        raise ValueError(f"{bad!r} is not an element of GF({F.q})")
+    add, mul = F.tables
+    *batch, m, k = A.shape if A.shape != (0,) else (0, 0)  # [] has no rows
+    A = A.astype(add.dtype).reshape(prod(batch), m, k)
+    lead = np.zeros(len(A), dtype=np.int64)  # the next pivot row per stack
+    for col in range(k if m else 0):
+        below = (A[:, :, col] != 0) & (np.arange(m) >= lead[:, None])
+        s = np.flatnonzero(below.any(axis=1))
+        L, P = lead[s], below[s].argmax(axis=1)
+        pivot = mul[F.inverses[A[s, P, col]][:, None], A[s, P]]
+        A[s, P], A[s, L] = A[s, L], pivot
+        f = mul[F.neg(1), A[s, :, col]]  # adding f * pivot clears the column
+        f[np.arange(len(s)), L] = 0
+        A[s] = add[A[s], mul[f[:, :, None], pivot[:, None, :]]]
+        lead[s] += 1
+    return lead.reshape(batch), A.reshape(*batch, m, k)
 
 
-def rank(F: Field, rows) -> int:
-    """Rank over GF(q): the number of pivots forward elimination finds."""
-    return len(_echelon(F, rows))
+def rank(F: Field, rows):
+    """echelon's rank: an int for one row list, an array for stacks."""
+    ranks = echelon(F, rows)[0]
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def rref(F: Field, rows) -> tuple[tuple[int, ...], ...]:
-    """Unique reduced row echelon form over GF(q), zero rows dropped:
-    _echelon's rows in pivot order, each pivot column cleared from the
-    other rows (in any order: a pivot row is already 0 at cleared ones)."""
-    echelon = _echelon(F, rows)
-    for col, pivot_row in echelon.items():
-        for other, row in echelon.items():
-            if other != col and row[col]:
-                f = row[col]
-                echelon[other] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, pivot_row)]
-    return tuple(tuple(echelon[col]) for col in sorted(echelon))
+    """The unique reduced row echelon form of one row list, zero rows dropped."""
+    ranks, forms = echelon(F, rows)
+    return tuple(map(tuple, forms[: int(ranks)].tolist()))
 
 
 def span(F: Field, points) -> Flat:

@@ -325,5 +325,5 @@ def find_disjoint_lines(M: PointMultiset, count: int) -> list[pg.Flat]:
         used[line] = True
         chosen.append(line)
         levels.append(free_lines(i + 1))  # every other line through P meets this one
-    ends = pg.point_digits(F.q, M.r, [line[:2] for line in chosen]).tolist()
-    return [pg.span(F, pair) for pair in ends]
+    _, bases = pg.echelon(F, pg.point_digits(F.q, M.r, [line[:2] for line in chosen]))
+    return [pg.Flat(M.r, tuple(map(tuple, basis))) for basis in bases.tolist()]

@@ -281,7 +281,8 @@ PINNED_TABLE_1_Q7K7_JSON = "f81e0e8be170841a78976a9f084f58be66355ed810b00a947481
 # head digits and a three-digit tail by hyperplanes_containing
 PINNED_TABLE_1_Q8K7_JSON = "9564ba98e183b5764a8d24fd07b4f8e4430e199e0cdbb6862e235258130c4001"
 
-# theorem 2, q=9, k=6: products in GF(9) and 252 arc rank checks
+# theorem 2, q=9, k=6: products in GF(9) and an arc check over 252 subsets
+# in one batched rank call
 PINNED_TABLE_2_Q9K6_JSON = "405efcd2e71a06ee85ef144c3710fed06e6ef9c25e50a194deba1aa9cb020fb6"
 
 # k = 5, the dimension in the paper's title: theorem 1 at q=4 and theorem

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -14,7 +15,7 @@ from griesmer.constructs import (
     line_config,
     normal_rational_curve,
 )
-from griesmer.errors import ArcConditionViolated, OutOfScope, ParamMismatch
+from griesmer.errors import ArcConditionViolated, ConfigDegenerate, OutOfScope, ParamMismatch
 from griesmer.gf import field
 from griesmer.mcode import (
     PointMultiset,
@@ -23,6 +24,7 @@ from griesmer.mcode import (
     oracle_weight_distribution,
 )
 from griesmer.pg import Flat, enumerate_points, flat_points, incident, span
+from test_faults import _spoil_curve
 
 
 def full_hyperplane_flat(k):
@@ -71,6 +73,54 @@ def test_arc_check_rejects_points_off_the_ambient_flat():
     plane = Flat(r=3, basis=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     assert not arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], plane)
     assert arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], plane)
+
+
+def _counting_ranks(monkeypatch):
+    """Record every pg.rank call's result."""
+    calls, rank = [], pg.rank
+    monkeypatch.setattr(pg, "rank", lambda F, rows: calls.append(rank(F, rows)) or calls[-1])
+    return calls
+
+
+def test_one_dependent_subset_deep_in_the_batch_fails_the_arc(monkeypatch):
+    # (6, 9): C(10, 5) = 252 subsets; P_1 + P_2 + P_3 + P_4, a point of
+    # x_6 = 0 in their span, in place of P_5 makes the 127th, {P_1..P_5},
+    # dependent, and only subsets that hold it can be
+    k, q = 6, 9
+    F, arc = field(q), normal_rational_curve(k, q)
+    P5 = arc[1]
+    for P in arc[2:5]:
+        P5 = tuple(F.add(x, y) for x, y in zip(P5, P))
+    spoiled = arc[:5] + [P5] + arc[6:]
+    calls = _counting_ranks(monkeypatch)
+    assert not arc_check(F, spoiled, full_hyperplane_flat(k))
+    (ranks,) = calls  # the membership batch is not needed
+    assert len(ranks) == comb(q + 1, k - 1) == 252
+    subsets = list(combinations(range(q + 1), k - 1))
+    dependent = np.flatnonzero(ranks < k - 1)
+    assert subsets[126] == (1, 2, 3, 4, 5) and 126 in dependent
+    assert all(5 in subsets[i] for i in dependent)
+    _spoil_curve(monkeypatch, lambda curve: curve[:5] + [P5] + curve[6:])
+    with pytest.raises(ConfigDegenerate, match="^curve points fail the arc condition$"):
+        line_config(k, q)
+
+
+def test_one_point_off_the_hyperplane_fails_only_the_membership_batch(monkeypatch):
+    k, q = 6, 9
+    F, arc = field(q), normal_rational_curve(k, q)
+    moved = arc[:-1] + [arc[-1][:-1] + (1,)]
+    calls = _counting_ranks(monkeypatch)
+    assert not arc_check(F, moved, full_hyperplane_flat(k))
+    subsets, members = calls
+    assert (subsets == k - 1).all() and len(subsets) == 252
+    assert np.flatnonzero(members != k - 1).tolist() == [q]
+
+
+@pytest.mark.parametrize("k,q", [(5, 4), (6, 9)])
+def test_a_family_build_makes_two_rank_calls(k, q, monkeypatch):
+    calls = _counting_ranks(monkeypatch)
+    code_c1(k, q)
+    assert [len(ranks) for ranks in calls] == [comb(q + 1, k - 1), q + 1]
 
 
 @pytest.mark.parametrize("k,q,off_count", [(6, 4, 16), (6, 5, 25), (5, 3, 9)])

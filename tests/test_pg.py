@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from griesmer.errors import DimensionMismatch, TooLarge
-from griesmer.gf import field
+from griesmer.gf import Field, field, field_create
 from griesmer.pg import (
     MAX_TRANSFORM_CELLS,
     Flat,
+    echelon,
     enumerate_points,
     flat_indices,
     flat_points,
@@ -209,15 +210,15 @@ def _reference_rank(F, rows):
     return len(echelon)
 
 
-@st.composite
-def _matrices(draw):
-    """1-8 rows of width 1-7 over a small field, with zero rows, repeats
-    and combinations of earlier rows among them."""
-    F = field(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16])))
-    width = draw(st.integers(1, 7))
+FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
+
+
+def _draw_rows(draw, F, count, width):
+    """count rows of the given width, with zero rows, repeats and
+    combinations of earlier rows among them."""
     element = st.integers(0, F.q - 1)
     rows = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(count):
         kind = draw(st.sampled_from(["new", "zero", "repeat", "combination"])) if rows else "new"
         if kind == "new":
             rows.append(tuple(draw(st.lists(element, min_size=width, max_size=width))))
@@ -228,7 +229,26 @@ def _matrices(draw):
         else:
             a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(element)
             rows.append(tuple(F.add(x, F.mul(c, y)) for x, y in zip(a, b)))
-    return F, rows
+    return rows
+
+
+@st.composite
+def _matrices(draw):
+    """1-8 rows of width 1-7 over a small field, drawn by _draw_rows."""
+    F = field(draw(st.sampled_from(FIELDS)))
+    width = draw(st.integers(1, 7))
+    return F, _draw_rows(draw, F, draw(st.integers(1, 8)), width)
+
+
+@st.composite
+def _stacks(draw):
+    """1-6 row lists of one shape (m, k), m in 1-8 and k in 1-7, each drawn
+    by _draw_rows, stacked along one leading axis or as a (2, 3) grid."""
+    F = field(draw(st.sampled_from(FIELDS)))
+    m, width = draw(st.integers(1, 8)), draw(st.integers(1, 7))
+    batch = draw(st.sampled_from([(1,), (2,), (3,), (4,), (5,), (6,), (2, 3)]))
+    lists = [_draw_rows(draw, F, m, width) for _ in range(int(np.prod(batch)))]
+    return F, np.array(lists).reshape(*batch, m, width)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -238,6 +258,38 @@ def test_rank_and_rref_match_the_separate_eliminations(case):
     want = _reference_rref(F, rows)
     assert rref(F, rows) == want
     assert rank(F, rows) == _reference_rank(F, rows) == len(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_stacks())
+def test_batched_echelon_matches_the_scalar_references_on_every_stack(case):
+    F, stacks = case
+    ranks, forms = echelon(F, stacks)
+    assert ranks.shape == stacks.shape[:-2] and forms.shape == stacks.shape
+    assert rank(F, stacks).tolist() == ranks.tolist()
+    for idx in np.ndindex(ranks.shape):
+        rows = [tuple(row) for row in stacks[idx].tolist()]
+        want = _reference_rref(F, rows)
+        assert ranks[idx] == _reference_rank(F, rows) == len(want)
+        assert tuple(map(tuple, forms[idx][: len(want)].tolist())) == want
+        assert not forms[idx][len(want) :].any()
+
+
+def test_elimination_refuses_ragged_rows_and_entries_outside_the_field():
+    F = Field(field_create(3))  # fresh: its tables are not built yet
+    with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
+        rank(F, [(1, 0, 0), (0, 1)])
+    with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
+        rref(F, [(0, 1), (1, 0, 0)])
+    with pytest.raises(ValueError, match=r"^5 is not an element of GF\(3\)$"):
+        rank(F, [(5, 1, 0)])
+    # a negative entry would wrap in a table gather
+    with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(3\)$"):
+        echelon(F, np.array([[[1, 0], [0, -1]]]))
+    with pytest.raises(ValueError, match=r"^0\.5 is not an element of GF\(3\)$"):
+        rref(F, [(0.5, 1)])
+    assert F._tables is None
+    assert rank(F, []) == 0 and rref(F, []) == ()
 
 
 def _line_points_through(F, P, R):

@@ -478,6 +478,18 @@ def test_find_disjoint_lines_keeps_the_picked_flats(family):
     assert got == [pg.Flat(k - 1, basis) for basis in whole_space]
 
 
+def test_find_disjoint_lines_reads_every_basis_off_one_echelon_call(dual_c2_65, monkeypatch):
+    echelon, calls = pg.echelon, []
+    monkeypatch.setattr(pg, "echelon", lambda F, rows: calls.append(len(rows)) or echelon(F, rows))
+    monkeypatch.setattr(pg, "span", lambda F, points: pytest.fail("a span call per line"))
+    lines = find_disjoint_lines(dual_c2_65, 4)
+    assert calls == [4]
+    F = dual_c2_65.field
+    for line in lines:
+        assert line == span(F, flat_points(F, line)[:2])
+        assert {type(x) for row in line.basis for x in row} == {int}
+
+
 def test_find_disjoint_lines_runs_within_a_tight_recursion_limit():
     # 60 lines on the full support of PG(7, 2); a recursive search takes
     # one frame per picked line and failed here
