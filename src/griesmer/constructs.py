@@ -63,11 +63,10 @@ def arc_check(F: Field, points, ambient: pg.Flat) -> bool:
     if len(pts) < r + 1:
         return False
     subsets = pts[np.fromiter(combinations(range(len(pts)), r + 1), dtype=(np.intp, r + 1))]
-    if not (pg.rank(F, subsets) == r + 1).all():
-        return False
     # P lies in the ambient flat iff adding it to the basis keeps the rank
     basis = np.broadcast_to(ambient.basis, (len(pts), r + 1, pts.shape[1]))
-    return bool((pg.rank(F, np.concatenate([basis, pts[:, None]], axis=1)) == r + 1).all())
+    members = np.concatenate([basis, pts[:, None]], axis=1)
+    return bool((pg.rank(F, subsets) == r + 1).all() and (pg.rank(F, members) == r + 1).all())
 
 
 @dataclass(frozen=True)

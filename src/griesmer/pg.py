@@ -215,11 +215,12 @@ def echelon(F: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     lead = np.zeros(len(A), dtype=np.int64)  # the next pivot row per stack
     for col in range(k if m else 0):
         below = (A[:, :, col] != 0) & (np.arange(m) >= lead[:, None])
-        s = np.flatnonzero(below.any(axis=1))
+        if not (s := np.flatnonzero(below.any(axis=1))).size:
+            continue
         L, P = lead[s], below[s].argmax(axis=1)
         pivot = mul[F.inverses[A[s, P, col]][:, None], A[s, P]]
         A[s, P], A[s, L] = A[s, L], pivot
-        f = mul[F.neg(1), A[s, :, col]]  # adding f * pivot clears the column
+        f = mul[F.neg(1)][A[s, :, col]]  # adding f * pivot clears the column
         f[np.arange(len(s)), L] = 0
         A[s] = add[A[s], mul[f[:, :, None], pivot[:, None, :]]]
         lead[s] += 1
