@@ -213,7 +213,7 @@ def echelon(F: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     *batch, m, k = A.shape if A.shape != (0,) else (0, 0)  # [] has no rows
     A = A.astype(add.dtype).reshape(prod(batch), m, k)
     lead = np.zeros(len(A), dtype=np.int64)  # the next pivot row per stack
-    for col in range(k if m else 0):
+    for col in range(k):
         below = (A[:, :, col] != 0) & (np.arange(m) >= lead[:, None])
         if not (s := np.flatnonzero(below.any(axis=1))).size:
             continue

@@ -290,6 +290,7 @@ def test_elimination_refuses_ragged_rows_and_entries_outside_the_field():
         rref(F, [(0.5, 1)])
     assert F._tables is None
     assert rank(F, []) == 0 and rref(F, []) == ()
+    assert rank(F, np.zeros((2, 0, 3), dtype=int)).tolist() == [0, 0]
 
 
 def _line_points_through(F, P, R):
