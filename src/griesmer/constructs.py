@@ -108,10 +108,9 @@ def line_config(k: int, q: int) -> LineConfig:
     qs.append((0,) * (k - 1) + (1,))
     l0 = (P0, *qs)
 
-    # P_0 and Q_q are fixed, so this makes l0 their line, whose only point
-    # with last coordinate 0 is P_0: l0 meets the hyperplane only there
-    l0_span = pg.span(F, [P0, qs[-1]])
-    if set(pg.flat_points(F, l0_span)) != set(l0):
+    # P_0 and Q_q are fixed and a reduced echelon basis: l0 must be their
+    # line, whose only point with last coordinate 0 is P_0, so it meets x_k = 0 there
+    if set(pg.flat_points(F, pg.Flat(k - 1, (P0, qs[-1])))) != set(l0):
         raise ConfigDegenerate("transversal line does not consist of the stated points")
 
     hyper = pg.Flat(
