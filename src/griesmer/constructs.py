@@ -59,7 +59,7 @@ def arc_check(F: Field, points, ambient: pg.Flat) -> bool:
     """True iff every (dim+1)-subset of the points spans the ambient flat:
     one rank call over all subsets, one over the membership stacks."""
     r = ambient.dim
-    pts = np.array([pg.normalize_point(F, P) for P in points])
+    pts = np.array([pg.normalize_point(F, P) for P in points], dtype=F.tables[0].dtype)
     if len(pts) < r + 1:
         return False
     subsets = pts[np.fromiter(combinations(range(len(pts)), r + 1), dtype=(np.intp, r + 1))]
