@@ -2,17 +2,17 @@
 
 For each of the two divisible-code families the pipeline is identical:
 build the family code, take its projective dual, then walk down in
-distance by removing s pairwise disjoint support lines (each costs q+1 in
-length and exactly q in distance) followed by j single points (each costs
-1 and 1).  Every target distance d in a family's range decomposes as
-d_top - s*q - j, and by construction each resulting length meets the
-Griesmer bound sum(ceil(d/q^i)) exactly.
+distance by removing s pairwise disjoint support lines followed by j
+single points.  Each removal is a t-flat (t = 1 or 0) and costs exactly
+theta(t) in length and q^t in distance.  Every target distance d in a
+family's range decomposes as d_top - s*q - j, and by construction each
+resulting length meets the Griesmer bound sum(ceil(d/q^i)) exactly.
 
 One walker does every removal: it yields the code, its parameters and its
 provenance before the first removal and after each one, re-verifying each
-step.  build_chain keeps the walker's last code; reproduce_table walks the
-line removals once and, from every line prefix, the point removals that
-reach the rows of that prefix.
+step against its puncture's record.  build_chain keeps the walker's last
+code; reproduce_table walks the line removals once and, from every line
+prefix, the point removals that reach the rows of that prefix.
 
 Closed forms are never trusted: the dual is recomputed and compared, each
 removal step is re-verified, and a row only enters a table after its
@@ -169,10 +169,11 @@ def _family_dual(theorem: int, q: int, k: int) -> tuple[PointMultiset, list[dict
         raise CertificationFailed(
             f"dual is [{dp.n},{k},{dp.d}]_{q}, closed forms give [{n_top},{k},{d_top}]_{q}"
         )
+    record = dual.meta["transform"]
     steps = [
-        {"op": "construct", "family": "c1" if theorem == 1 else "c2",
+        {"op": "construct", "family": record["source_family"],
          "q": q, "k": k, "n": tp.n, "d": tp.d},
-        {"op": "dual", "m": q, "t": q ** (k - 2) // q, "n": dp.n, "d": dp.d},
+        {"op": "dual", "m": record["m"], "t": record["t"], "n": dp.n, "d": dp.d},
     ]
     return dual, steps
 
@@ -181,12 +182,15 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
     """Yield (code, params, steps) before any removal and after each one.
 
     A removal is a support line (a Flat) or None, the smallest
-    multiplicity-1 point.  Each must cost exactly (q+1, q) or (1, 1) in
-    (n, d) and leave a code on the length bound; one the puncture refuses
-    (InputError) is a CertificationFailed too.  Each removal walks the
-    hyperplane vector instead of recomputing it; the caller checks the
-    codes it ends on with recheck_hyperplanes.  The yielded steps list
-    grows as the walk goes on, so a caller that keeps it copies it.
+    multiplicity-1 point.  Its puncture's record, the last of
+    meta["history"], names the t-flat (a point's has no t), which must
+    cost exactly (theta(t), q^t) in (n, d) and leave a code on the length
+    bound; the step is that record with n and d for t, a line's op named
+    puncture_line.  A refused puncture (InputError) is a
+    CertificationFailed too.  Removals walk the hyperplane vector; the
+    caller checks the codes it ends on with recheck_hyperplanes.  The
+    yielded steps list grows as the walk goes on, so a caller that keeps
+    it copies it.
     """
     q, k = code.q, code.k
     params = code_params(code)
@@ -195,17 +199,16 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
     for i, removal in enumerate(removals, start=1):
         try:
             if removal is None:
-                P = simple_point(code)
-                code = puncture_point(code, P)
-                cost = (1, 1)
-                step = {"op": "puncture_point", "point": list(P)}
+                code = puncture_point(code, simple_point(code))
             else:
                 code = puncture_flat(code, removal)
-                points = code.meta["history"][-1]["points"]
-                step = {"op": "puncture_line", "points": [list(P) for P in points]}
-                cost = (q + 1, q)
         except InputError as exc:  # the walk chose the removal, so it is not bad input
             raise CertificationFailed(f"removal {i} failed: {exc}") from exc
+        step = dict(code.meta["history"][-1])
+        t = step.pop("t", 0)
+        if t == 1:
+            step["op"] = "puncture_line"
+        cost = (pg.theta(t, q), q**t)
         new = code_params(code)
         if (params.n - new.n, params.d - new.d) != cost:
             raise CertificationFailed(

@@ -28,6 +28,7 @@ from . import pg
 from .errors import (
     ArcConditionViolated,
     ConfigDegenerate,
+    DimensionMismatch,
     OutOfScope,
     ParamMismatch,
     SpectrumMismatch,
@@ -57,11 +58,17 @@ def normal_rational_curve(k: int, q: int) -> list[tuple[int, ...]]:
 
 def arc_check(F: Field, points, ambient: pg.Flat) -> bool:
     """True iff every (dim+1)-subset of the points spans the ambient flat:
-    one rank call over all subsets, one over the membership stacks."""
+    one rank call over all subsets, one over the membership stacks.  The
+    points, in any scaling, pass pg.as_elements and must be nonzero."""
     r = ambient.dim
-    pts = np.array([pg.normalize_point(F, P) for P in points], dtype=F.tables[0].dtype)
+    pts = pg.as_elements(F, points)
+    if pts.size and pts.shape[1:] != (ambient.r + 1,):
+        raise DimensionMismatch(f"arc points need {ambient.r + 1} coordinates each")
+    if pts.size and not pts.any(axis=-1).all():
+        raise ValueError("the zero vector is not a projective point")
     if len(pts) < r + 1:
         return False
+    pts = pts.astype(F.tables[0].dtype)
     subsets = pts[np.fromiter(combinations(range(len(pts)), r + 1), dtype=(np.intp, r + 1))]
     # P lies in the ambient flat iff adding it to the basis keeps the rank
     basis = np.broadcast_to(ambient.basis, (len(pts), r + 1, pts.shape[1]))
@@ -101,6 +108,7 @@ def line_config(k: int, q: int) -> LineConfig:
     hyperplane holds P_0, P_i and P_j, three collinear arc points.
     """
     arc = normal_rational_curve(k, q)
+    pg.check_space(q, k)  # before the first gather builds the q x q tables
     F = field(q)
     P0 = arc[0]
 

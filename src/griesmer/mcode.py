@@ -62,19 +62,6 @@ class CodeParams:
     lam: tuple[int, ...]
 
 
-def _check_multiplicity(m: int) -> int:
-    """Return m, or raise TooLarge when it exceeds pg.MAX_TRANSFORM_CELLS.
-
-    The bound keeps code_params' bincount (gamma0 + 1 cells) within the
-    cap + 1, and n, a sum of theta(r, q) < cap bounded entries, below 2^46,
-    exact in int64 and in the kernel's sums.  Callers check before they
-    store, so no oversized value ever reaches an array.
-    """
-    if m > pg.MAX_TRANSFORM_CELLS:
-        raise TooLarge(f"multiplicity {m} exceeds the bound {pg.MAX_TRANSFORM_CELLS}")
-    return m
-
-
 class PointMultiset:
     """Immutable multiset of points of PG(r, q) with positive multiplicities.
 
@@ -97,8 +84,10 @@ class PointMultiset:
             )
         if (mults < 0).any():
             raise ValueError("negative multiplicity")
-        # before the int64 cast, which would wrap a large unsigned entry
-        _check_multiplicity(int(mults.max()))
+        # before the int64 cast could wrap it; the bound holds code_params'
+        # bincount at cap + 1 cells and n, theta(r, q) < cap entries, below 2^46
+        if (top := int(mults.max())) > pg.MAX_TRANSFORM_CELLS:
+            raise TooLarge(f"multiplicity {top} exceeds the bound {pg.MAX_TRANSFORM_CELLS}")
         counts = mults.astype(np.int64)
         if not counts.any():
             raise ValueError("a code multiset needs at least one point")

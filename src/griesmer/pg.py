@@ -49,16 +49,27 @@ def theta(j: int, q: int) -> int:
     return (q ** (j + 1) - 1) // (q - 1)
 
 
+def as_elements(F: Field, rows) -> np.ndarray:
+    """rows as an array of GF(q) elements: DimensionMismatch when they are
+    ragged, ValueError naming the first entry outside [0, q)."""
+    try:
+        A = np.asarray(rows)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise DimensionMismatch("rows of unequal length") from exc
+    if A.size and (A.dtype.kind not in "biu" or A.min() < 0 or A.max() >= F.q):
+        bad = next(x for x in A.ravel().tolist() if not (type(x) is int and 0 <= x < F.q))
+        raise ValueError(f"{bad!r} is not an element of GF({F.q})")
+    return A
+
+
 def normalize_point(F: Field, coords) -> tuple[int, ...]:
-    """Scale so the leftmost nonzero coordinate is 1 (canonical form)."""
-    coords = tuple(coords)
-    for c in coords:
-        if c != 0:
-            if c == 1:
-                return coords
-            s = F.inv(c)
-            return tuple(F.mul(s, x) for x in coords)
-    raise ValueError("the zero vector is not a projective point")
+    """Scale so the leftmost nonzero coordinate is 1 (canonical form);
+    as_elements' ValueError for an entry outside GF(q)."""
+    coords = tuple(as_elements(F, coords).tolist())
+    lead = next((c for c in coords if c), None)
+    if lead is None:
+        raise ValueError("the zero vector is not a projective point")
+    return coords if lead == 1 else tuple(F.mul(F.inv(lead), x) for x in coords)
 
 
 def check_space(q: int, k: int) -> None:
@@ -200,15 +211,9 @@ class Flat:
 def echelon(F: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     """Ranks (...) and reduced row echelon forms (..., m, k), pivot rows
     first, of row stacks (..., m, k) over GF(q): one Gauss-Jordan pass per
-    column over every stack, by Field tables gathers.  Ragged rows raise
-    DimensionMismatch and entries outside [0, q) ValueError, before any gather."""
-    try:
-        A = np.asarray(rows)
-    except ValueError as exc:  # numpy refuses ragged nesting
-        raise DimensionMismatch("rows of unequal length") from exc
-    if A.size and (A.dtype.kind not in "biu" or A.min() < 0 or A.max() >= F.q):
-        bad = next(x for x in A.ravel().tolist() if not (type(x) is int and 0 <= x < F.q))
-        raise ValueError(f"{bad!r} is not an element of GF({F.q})")
+    column over every stack, by Field tables gathers.  The rows pass
+    as_elements first, before any gather."""
+    A = as_elements(F, rows)
     add, mul = F.tables
     *batch, m, k = A.shape if A.shape != (0,) else (0, 0)  # [] has no rows
     A = A.astype(add.dtype).reshape(prod(batch), m, k)

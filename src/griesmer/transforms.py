@@ -1,21 +1,23 @@
 """Code transformations: projective dual and geometric puncturing.
 
-The dual sends a hyperplane of multiplicity n-d-j*m to a point of the dual
-space with multiplicity j (coefficient vectors and dual points share one
-normal form, so the mapping is the identity on coordinates).  The result
-is t-divisible with t = q^(k-2)/m, has n* = n*t*q - (d/m)*theta_{k-1} and
-d* = ((n-d)q - n)*t, and its spectrum mirrors the multiplicity profile of
-the input: a*_{n*-d*-j*t} equals the number of input j-points.  All of
-that is recomputed and enforced here, never assumed.  The dual's own
-hyperplane vector needs no kernel call: a point P lies on theta_{k-2}
-hyperplanes and shares theta_{k-3} of them with any other point, so
-m_D(P) = ((n-d)*theta_{k-2} - n*theta_{k-3} - q^(k-2)*c(P)) / m, and a
-remainder is a ParamMismatch.
+The dual with divisor m, an m > 1 dividing q^(k-2) and the code's divisor,
+sends a hyperplane of multiplicity n-d-j*m to a point of the dual space
+with multiplicity j (coefficient vectors and dual points share one normal
+form, so the mapping is the identity on coordinates) and records m, t and
+the source family in meta["transform"].  The result is t-divisible with
+t = q^(k-2)/m, has n* = n*t*q - (d/m)*theta_{k-1} and d* = ((n-d)q - n)*t,
+and its spectrum mirrors the multiplicity profile of the input:
+a*_{n*-d*-j*t} equals the number of input j-points.  All of that is
+recomputed and enforced here, never assumed.  The dual's own hyperplane
+vector needs no kernel call: a point P lies on theta_{k-2} hyperplanes
+and shares theta_{k-3} of them with any other point, so m_D(P) =
+((n-d)*theta_{k-2} - n*theta_{k-3} - q^(k-2)*c(P)) / m, exactly.
 
 Puncturing removes one unit of multiplicity from every point of a flat
 that sits inside the support (a t-flat removal costs theta_t in length and
-at most q^t in distance), or from a single point, the 0-flat.  It makes no
-kernel call: a hyperplane contains the t-flat S or meets it in a
+at most q^t in distance), or from a single point, the 0-flat, and appends
+its record (op, t for a flat, and the points) to meta["history"].  It
+makes no kernel call: a hyperplane contains the t-flat S or meets it in a
 (t-1)-flat, so the new code's hyperplane vector is the old one minus
 theta_{t-1} minus q^t times pg.hyperplanes_containing(S), and every
 parameter is read off that walked vector.  Every step checks that the
@@ -54,14 +56,6 @@ from .mcode import PointMultiset, _walked, code_params, hyperplane_spectrum
 _SKEW_BLOCK = 64
 
 
-def _is_power_of(m: int, p: int) -> int | None:
-    e = 0
-    while m % p == 0 and m > 1:
-        m //= p
-        e += 1
-    return e if m == 1 else None
-
-
 def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
     """The dual code on PG(k-1, q)*, certified against the closed forms."""
     F = M.field
@@ -69,8 +63,8 @@ def projective_dual(M: PointMultiset, m: int) -> PointMultiset:
     params = code_params(M)
     n, d = params.n, params.d
 
-    exponent = _is_power_of(m, F.p) if m > 1 else None
-    if exponent is None or not 1 <= exponent <= F.h * (k - 2):
+    # the divisors above 1 of q^(k-2) = p^(h(k-2)) are the p^r, 1 <= r <= h(k-2)
+    if m < 2 or q ** (k - 2) % m:
         raise DivisibilityViolated(
             f"divisor {m} is not p^r with 1 <= r <= h(k-2) for q = {q}"
         )
@@ -139,8 +133,8 @@ def _dual_mults(M: PointMultiset, m: int) -> np.ndarray:
     multiset is built.
     """
     q, k, n, d = M.q, M.k, M.n, code_params(M).d
-    # exact: projective_dual checks m = p^e, e <= h(k-2), so m | q^(k-2), and
-    # m | divisor, so m | d; the numerator is (n-d)*q^(k-2) - d*theta(k-3)
+    # exact: projective_dual checks m | q^(k-2) and m | divisor, so m | d;
+    # the numerator is (n-d)*q^(k-2) - d*theta(k-3)
     top = ((n - d) * pg.theta(k - 2, q) - n * pg.theta(k - 3, q)) // m
     return top - q ** (k - 2) // m * M.counts
 

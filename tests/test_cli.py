@@ -176,6 +176,46 @@ def test_chain_theorem_2_row(tmp_path, capsys):
     assert payload["is_griesmer"] and payload["n"] == 12022
 
 
+def test_each_report_step_is_its_transforms_record(tmp_path, capsys):
+    # theorem 2 at (5, 6) heads its chains at d_top = 9625; 9616 takes a
+    # line and four points, whose records the sidecar keeps.  The
+    # punctured code's sidecar carries no dual record, but the head's does
+    def chain(d):
+        out, report = tmp_path / f"{d}.ms", tmp_path / f"{d}.json"
+        assert main(["chain", "--theorem", "2", "--q", "5", "--k", "6", "--d", str(d),
+                     "--out", str(out), "--report", str(report)]) == 0
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        return json.loads(report.read_text())["provenance"], meta
+
+    steps, meta = chain(9616)
+    construct, dual, *removals = steps
+    assert [step["op"] for step in removals] == ["puncture_line"] + ["puncture_point"] * 4
+    for step, record in zip(removals, meta["history"], strict=True):
+        if record["op"] == "puncture_flat":
+            assert record.pop("t") == 1
+            record["op"] = "puncture_line"
+        assert {key: step[key] for key in step if key not in ("n", "d")} == record
+    head_steps, head_meta = chain(9625)
+    assert head_steps == [construct, dual] and "history" not in head_meta
+    transform = head_meta["transform"]
+    assert (dual["m"], dual["t"]) == (transform["m"], transform["t"]) == (5, 5**3)
+    assert construct["family"] == transform["source_family"] == meta["construction"]["family"]
+    capsys.readouterr()
+
+
+def test_construct_checks_the_space_before_the_field_tables(capsys):
+    # 2897^2 is just above the cap: the q x q tables are refused unbuilt
+    tracemalloc.start()
+    try:
+        assert main(["construct", "--family", "base1", "--q", "2897", "--k", "4"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # each table alone holds 2897^2 two-byte cells
+    assert re.fullmatch(r"invalid input: PG\(3, 2897\) needs \d+ transform cells, "
+                        r"above the bound \d+\n", capsys.readouterr().err)
+
+
 def test_chain_out_of_scope_exit_2(capsys):
     rc = main(["chain", "--theorem", "1", "--q", "4", "--k", "5", "--d", "100"])
     assert rc == 2

@@ -15,8 +15,15 @@ from griesmer.constructs import (
     line_config,
     normal_rational_curve,
 )
-from griesmer.errors import ArcConditionViolated, ConfigDegenerate, OutOfScope, ParamMismatch
-from griesmer.gf import field
+from griesmer.errors import (
+    ArcConditionViolated,
+    ConfigDegenerate,
+    DimensionMismatch,
+    OutOfScope,
+    ParamMismatch,
+    TooLarge,
+)
+from griesmer.gf import Field, field, field_create
 from griesmer.mcode import (
     PointMultiset,
     code_params,
@@ -73,6 +80,33 @@ def test_arc_check_rejects_points_off_the_ambient_flat():
     plane = Flat(r=3, basis=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     assert not arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], plane)
     assert arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], plane)
+
+
+def test_arc_check_refuses_points_it_cannot_read():
+    F = Field(field_create(3))  # fresh: its tables are not built yet
+    plane = Flat(r=2, basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(DimensionMismatch, match="^arc points need 3 coordinates each$"):
+        arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], plane)
+    with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
+        arc_check(F, [(1, 0, 0), (0, 1), (0, 0, 1)], plane)
+    for bad in (300, -1):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(3\)$"):
+            arc_check(F, [(1, 0, 0), (0, bad, 0), (0, 0, 1)], plane)
+    with pytest.raises(ValueError, match="^the zero vector is not a projective point$"):
+        arc_check(F, [(1, 0, 0), (0, 0, 0), (0, 0, 1)], plane)
+    assert F._tables is None
+    # rank ignores scaling, so points need not be in normal form
+    assert arc_check(F, [(2, 0, 0), (0, 2, 0), (0, 0, 1)], plane)
+
+
+@pytest.mark.parametrize("build,k", [(base_code_1, 4), (code_c1, 5)])
+def test_family_builds_check_the_space_before_the_field_tables(build, k, monkeypatch):
+    # 2897^2 is above the cap, so the q x q tables alone would pass it
+    built = []
+    monkeypatch.setattr(Field, "tables", property(lambda F: built.append(F.q)))
+    with pytest.raises(TooLarge, match=rf"^PG\({k - 1}, 2897\) needs \d+ transform cells"):
+        build(k, 2897)
+    assert built == []
 
 
 def _counting_ranks(monkeypatch):

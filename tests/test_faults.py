@@ -3,7 +3,7 @@
 Each fault is one monkeypatch of a computation the pipeline runs (a kernel
 result, the dual's vector from the incidence identity, a closed form, a
 binomial, the curve, a field power, the lines of the configuration, one
-step's indicator, the lines the skew search returns), never of
+step's indicator or record, the lines the skew search returns), never of
 code_params or hyperplane_spectrum, whose reading is what is under test.
 Every fault runs through the `table` and `chain` commands at (1, 5, 5)
 and (2, 5, 6), or at the one of them whose family the fault touches: the
@@ -238,6 +238,18 @@ def _simple_point_off_the_support(monkeypatch):
     monkeypatch.setattr(chains, "simple_point", zero_point)
 
 
+def _line_record_says_t_0(monkeypatch):
+    """Every line's puncture records t = 0, a point's, though q+1 points go."""
+    puncture = chains.puncture_flat
+
+    def misstated(M, flat):
+        out = puncture(M, flat)
+        out.meta["history"][-1]["t"] = 0
+        return out
+
+    monkeypatch.setattr(chains, "puncture_flat", misstated)
+
+
 def _walked_vector_off_by_one(monkeypatch):
     """Each walked update is one too low on its least hyperplane: n and d
     stay right, so only the kernel recheck at a walk's end sees it."""
@@ -398,6 +410,13 @@ FAULTS = {
         lambda mp: _spoil_step_indicator(mp, _point_on_every_top_hyperplane),
         _both("chains._walk: removal changed (n, d) by ({}, {}), expected {}",
               lambda t, q, k, d: r"removal changed \(n, d\) by \(1, 0\), expected \(1, 1\)"),
+        CASES,
+    ),
+    # chains._walk: the cost is read off the puncture's record
+    "line-record-t": (
+        _line_record_says_t_0,
+        _both("chains._walk: removal changed (n, d) by ({}, {}), expected {}",
+              lambda t, q, k, d: rf"removal changed \(n, d\) by \({q + 1}, {q}\), expected \(1, 1\)"),
         CASES,
     ),
     # chains._walk: a removal the puncture refuses is the walk's fault

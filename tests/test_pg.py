@@ -293,6 +293,17 @@ def test_elimination_refuses_ragged_rows_and_entries_outside_the_field():
     assert rank(F, np.zeros((2, 0, 3), dtype=int)).tolist() == [0, 0]
 
 
+def test_normalize_point_refuses_entries_outside_the_field():
+    F = Field(field_create(3))
+    for bad in (300, -1, 10**30):
+        with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(3\)$"):
+            normalize_point(F, (0, bad, 1))
+    with pytest.raises(ValueError, match="^the zero vector is not a projective point$"):
+        normalize_point(F, (0, 0, 0))
+    assert normalize_point(F, (0, 2, 1)) == (0, 1, 2)
+    assert normalize_point(F, np.array([0, 1, 2])) == (0, 1, 2)
+
+
 def _line_points_through(F, P, R):
     """The scalar line builder that flat_indices of stacked point pairs
     replaced: the q+1 points of the line joining two points, as tuples."""

@@ -95,6 +95,19 @@ def test_dual_rejects_bad_divisor():
         projective_dual(c1, 4**5)  # exponent above h(k-2)
 
 
+def test_the_divisor_rule_refuses_exactly_the_non_divisors():
+    # over GF(4) at k = 5, q^(k-2) = 2^6: the divisors m must be 2^r, 1 <= r <= 6
+    c1 = code_c1(5, 4)
+    powers = {2**r for r in range(1, 7)}
+    for m in [*range(-2, 131), 2**7, 10**30]:
+        try:
+            projective_dual(c1, m)
+            refused = False
+        except DivisibilityViolated as exc:
+            refused = str(exc) == f"divisor {m} is not p^r with 1 <= r <= h(k-2) for q = 4"
+        assert refused == (m not in powers), m
+
+
 def test_dual_rejects_full_support():
     M = PointMultiset(field(2), 2, np.ones(theta(2, 2), dtype=np.int64))
     with pytest.raises(NoZeroPoint):
