@@ -182,11 +182,10 @@ def _walk(code: PointMultiset, steps: list[dict], removals: list[pg.Flat | None]
     """Yield (code, params, steps) before any removal and after each one.
 
     A removal is a support line (a Flat) or None, the smallest
-    multiplicity-1 point.  Its puncture's record, the last of
-    meta["history"], names the t-flat (a point's has no t), which must
-    cost exactly (theta(t), q^t) in (n, d) and leave a code on the length
-    bound; the step is that record with n and d for t, a line's op named
-    puncture_line.  A refused puncture (InputError) is a
+    multiplicity-1 point.  The step is its puncture's record (the last of
+    meta["history"], a line's op named puncture_line) with n and d for t;
+    the t-flat must cost exactly (theta(t), q^t) in (n, d) and leave a code
+    on the length bound.  A refused puncture (InputError) is a
     CertificationFailed too.  Removals walk the hyperplane vector; the
     caller checks the codes it ends on with recheck_hyperplanes.  The
     yielded steps list grows as the walk goes on, so a caller that keeps
