@@ -107,8 +107,8 @@ def line_config(k: int, q: int) -> LineConfig:
     meeting off l0 would span a plane through l0 whose trace on the
     hyperplane holds P_0, P_i and P_j, three collinear arc points.
     """
+    pg.check_space(q, k)  # before the curve's (q+1)k cells and the q x q tables
     arc = normal_rational_curve(k, q)
-    pg.check_space(q, k)  # before the first gather builds the q x q tables
     F = field(q)
     P0 = arc[0]
 

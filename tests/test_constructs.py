@@ -99,13 +99,17 @@ def test_arc_check_refuses_points_it_cannot_read():
     assert arc_check(F, [(2, 0, 0), (0, 2, 0), (0, 0, 1)], plane)
 
 
-@pytest.mark.parametrize("build,k", [(base_code_1, 4), (code_c1, 5)])
-def test_family_builds_check_the_space_before_the_field_tables(build, k, monkeypatch):
-    # 2897^2 is above the cap, so the q x q tables alone would pass it
+@pytest.mark.parametrize(
+    "build,k,q", [(base_code_1, 4, 2897), (code_c1, 5, 2897), (base_code_1, 3000, 4093)]
+)
+def test_family_builds_check_the_space_before_the_curve_and_the_tables(build, k, q, monkeypatch):
+    # 2897^2 is above the cap, so the q x q tables alone would pass it; at
+    # (3000, 4093) the curve alone holds 4094 points of 3000 coordinates
     built = []
     monkeypatch.setattr(Field, "tables", property(lambda F: built.append(F.q)))
-    with pytest.raises(TooLarge, match=rf"^PG\({k - 1}, 2897\) needs \d+ transform cells"):
-        build(k, 2897)
+    monkeypatch.setattr(constructs, "normal_rational_curve", lambda k, q: built.append("curve"))
+    with pytest.raises(TooLarge, match=rf"^PG\({k - 1}, {q}\) needs .* transform cells"):
+        build(k, q)
     assert built == []
 
 
