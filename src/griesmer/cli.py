@@ -5,12 +5,19 @@ every requested check passed, 1 means a verification failed (a computed
 value contradicts a certified one), 2 means the input was invalid.  All
 subcommands are deterministic: identical invocations write identical
 bytes.
+
+A command line that names a command and then only that command's flags,
+spelled in full, each with a well-formed value, is read straight from
+`_COMMANDS`.  argparse is imported and run only for `--help` and for the
+command lines that reading refuses (errors, abbreviated flags,
+`--flag=value`), so usage lines, messages and exit codes stay its own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .chains import build_chain, plan_chain, reproduce_table
 from .constructs import base_code_1, base_code_2, code_c1, code_c2
@@ -33,6 +40,9 @@ from .transforms import (
     recheck_hyperplanes,
     simple_point,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _FAMILIES = {
     "base1": base_code_1,
@@ -180,23 +190,17 @@ _COMMANDS = {
 }
 
 
-def make_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  When `command` names a command, only its
-    subparser is built; otherwise all of them are."""
+def make_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, for what `_plain_args` does not read."""
+    import argparse  # here, so a well-formed command line never imports it
+
     parser = argparse.ArgumentParser(
         prog="griesmer",
         description="Construct and certify length-optimal linear codes over GF(q).",
     )
-    if command in _COMMANDS:
-        # the metavar lists every command, so the usage line reads as the full one's
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    else:
-        # no metavar: the "required: command" error reads the dest
-        sub = parser.add_subparsers(dest="command", required=True)
+    # no metavar: the "required: command" error reads the dest
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _COMMANDS.items():
-        if command in _COMMANDS and command != name:
-            continue
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -205,9 +209,47 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for `argv`, read straight from
+    `_COMMANDS`, when argv is a command followed only by that command's
+    flags spelled in full: a store_true flag alone, any other flag with a
+    next token that does not start with "-" and passes the flag's type and
+    choices, and every required flag given.  None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = dict(_COMMANDS[argv[0]][1])
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = flags.get(flag)
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        token = next(tokens, "-")  # a flag at the end has no value
+        if token.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    if any(options.get("required") and flag not in given for flag, options in flags.items()):
+        return None
+    values = {"command": argv[0]}
+    for flag, options in flags.items():
+        unset = options.get("default", False if options.get("action") == "store_true" else None)
+        values[options.get("dest", flag[2:].replace("-", "_"))] = given.get(flag, unset)
+    # looked up now, so a replaced _cmd_* handler takes effect
+    return SimpleNamespace(**values, func=globals()[f"_cmd_{argv[0]}"])
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = make_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or make_parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as exc:

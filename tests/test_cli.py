@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import re
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import griesmer
 from griesmer import chains, cli, pg, transforms
@@ -475,6 +480,18 @@ VALID_ARGS = {
 }
 
 
+# optional flags each command accepts, with values
+OPTIONAL_ARGS = {
+    "construct": ["--out", "c1.ms"],
+    "dual": ["--out", "dual.ms"],
+    "puncture": ["--lines", "1", "--points", "2", "--out", "short.ms"],
+    "chain": ["--out", "code.ms", "--report", "r.json"],
+    "table": ["--format", "json"],
+    "verify": ["--expect-n", "23", "--expect-k", "6", "--expect-d", "8", "--oracle"],
+    "export": ["--format", "gmatrix"],
+}
+
+
 def _parse(parser, argv, capsys):
     """(exit code, stdout, stderr) of a parse that exits."""
     with pytest.raises(SystemExit) as done:
@@ -483,14 +500,123 @@ def _parse(parser, argv, capsys):
     return done.value.code, out.out, out.err
 
 
+def _argparse_outcome(argv):
+    """vars() of argparse's namespace for argv, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.make_parser().parse_args(argv))
+        except SystemExit as done:
+            return done.code
+
+
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
-def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys):
-    full = cli.make_parser()
-    assert list(full._subparsers._group_actions[0].choices) == list(cli._COMMANDS)
-    one = cli.make_parser(command)
-    assert list(one._subparsers._group_actions[0].choices) == [command]
-    for argv in ([command, "--help"], [command], [command, *VALID_ARGS[command], "--bogus"]):
-        assert _parse(one, argv, capsys) == _parse(full, argv, capsys), argv
+def test_plain_args_give_argparse_namespace(command):
+    required, optional = VALID_ARGS[command], OPTIONAL_ARGS[command]
+    for argv in ([command, *required], [command, *required, *optional],
+                 [command, *optional, *required]):
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == _argparse_outcome(argv), argv
+    assert plain.func is getattr(cli, f"_cmd_{command}")
+
+
+_TABLE = ["table", "--theorem", "1", "--q", "4", "--k", "6"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["table", "-h"],
+    ["table", "--the", "1", "--q", "4", "--k", "6"],
+    ["table", "--theorem", "1", "--q=4", "--k", "6"],
+    ["chain", "--theorem", "1", "--q", "4", "--k", "6", "--d", "-5"],
+    ["table", "--theorem", "1", "--q", "4"],
+    ["table", "--theorem", "3", "--q", "4", "--k", "6"],
+    ["table", "--theorem", "1", "--q", "four", "--k", "6"],
+    [*_TABLE, "--bogus"],
+    [*_TABLE, "--"],
+    [*_TABLE, "--format"],
+], ids=["empty", "help", "command-help", "abbreviation", "equals", "negative", "missing",
+        "bad-choice", "non-integer", "unknown", "double-dash", "no-value"])
+def test_refused_command_lines_reach_argparse(argv, capsys, monkeypatch):
+    assert cli._plain_args(argv) is None
+    # every handler records what it was called with, so the lines argparse
+    # accepts run no command
+    calls = []
+    for name in cli._COMMANDS:
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: calls.append(vars(args)) or 0)
+    outcome = _argparse_outcome(argv)
+    if isinstance(outcome, dict):
+        assert main(argv) == 0 and calls == [outcome]
+        return
+    expected = _parse(cli.make_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    got = capsys.readouterr()
+    assert (done.value.code, got.out, got.err) == expected
+    assert expected[0] == outcome and calls == []
+
+
+_VALUES = ["1", "2", "3", "4", "6", "-5", " 4", "0x4", "four", "", "c1", "base2", "txt", "json",
+           "gmatrix", "c1.ms", "a=b", "-", "--"]
+
+
+def _good_chunk(argument):
+    """A flag with a value it takes, or a store_true flag alone."""
+    flag, options = argument
+    if options.get("action") == "store_true":
+        return st.just((flag,))
+    if "choices" in options:
+        values = [str(c) for c in options["choices"]]
+    else:
+        values = ["1", "2", "4", "6"] if "type" in options else ["c1.ms"]
+    return st.tuples(st.just(flag), st.sampled_from(values))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and tokens drawn from its flags, their abbreviations and
+    `=` forms, and values inside and outside their choices."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMANDS[command][1]
+    flag = st.sampled_from([flag for flag, _ in arguments])
+    value = st.sampled_from(_VALUES)
+    token = st.one_of(
+        flag,
+        st.builds(lambda f, n: f[:n], flag, st.integers(3, 8)),
+        st.builds("{}={}".format, flag, value),
+        value,
+        st.sampled_from(["-h", "--help", "--bogus"]),
+    )
+    good = st.sampled_from(arguments).flatmap(_good_chunk)
+    chunks = draw(st.lists(st.one_of(good, good, good, st.tuples(flag, value), st.tuples(token)),
+                           max_size=6))
+    head = VALID_ARGS[command] if draw(st.booleans()) else []
+    return [command, *head, *itertools.chain.from_iterable(chunks)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_command_lines())
+def test_plain_args_is_argparse_or_none(argv):
+    plain, outcome = cli._plain_args(argv), _argparse_outcome(argv)
+    if isinstance(outcome, dict):
+        assert plain is None or vars(plain) == outcome
+    else:
+        assert plain is None  # argparse exits, and says why
+
+
+def test_a_well_formed_command_line_never_imports_argparse():
+    # argparse, and the gettext and locale it imports, cost a cold CLI call
+    # about 1.5 ms; only help and refused command lines load them
+    env = dict(os.environ, PYTHONPATH=str(Path(griesmer.__file__).parent.parent))
+    code = (
+        "import sys\n"
+        "from griesmer.cli import main\n"
+        "rc = main(['table', '--theorem', '1', '--q', '3', '--k', '5'])\n"
+        "print(rc, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == "0\n"
 
 
 @pytest.mark.parametrize("argv,code", [([], 2), (["--help"], 0), (["bogus"], 2)])

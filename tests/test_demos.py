@@ -56,7 +56,10 @@ def test_readme_command_lines_parse():
         "construct", "dual", "puncture", "chain", "table", "table", "verify", "export",
     ]
     for line in lines:
-        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
-        for parser in (cli.make_parser(argv[0]), cli.make_parser()):
-            args = parser.parse_args(argv)
+        # with the optional flags in brackets, and without them
+        for text in (line.replace("[", "").replace("]", ""), re.sub(r" \[.*?\]", "", line)):
+            argv = shlex.split(text)[1:]
+            args = cli._plain_args(argv)
+            assert args is not None, text
+            assert vars(args) == vars(cli.make_parser().parse_args(argv))
             assert args.func is getattr(cli, f"_cmd_{argv[0]}")
