@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 
 import numpy as np
@@ -194,6 +195,39 @@ def test_puncture_point_requires_support(dual_c1_64):
     missing = pg.point_digits(4, 5, np.flatnonzero(dual_c1_64.counts == 0)[:1])[0].tolist()
     with pytest.raises(PointNotInSupport):
         puncture_point(dual_c1_64, missing)
+
+
+@pytest.fixture(scope="module")
+def twice_pg44():
+    """Every point of PG(4, 4) twice: a [682, 5, 512]_4 code."""
+    return PointMultiset(field(4), 4, np.full(theta(4, 4), 2))
+
+
+@pytest.mark.parametrize("P", [(2, 0, 0, 0, 2), np.array([2, 0, 0, 0, 2]), [3, 0, 0, 0, 3]])
+def test_puncture_point_records_the_canonical_point(twice_pg44, P):
+    out = puncture_point(twice_pg44, P)
+    assert out.meta["history"] == [{"op": "puncture_point", "point": [1, 0, 0, 0, 1]}]
+    assert all(type(c) is int for c in out.meta["history"][0]["point"])
+    i = pg.point_index(4, (1, 0, 0, 0, 1))
+    assert np.flatnonzero(out.counts != twice_pg44.counts).tolist() == [i]
+    assert out.counts[i] == 1
+
+
+@pytest.mark.parametrize("P", [(1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, -1),
+                               (1, 0, 0, 0, 4), (9, 0, 0, 0, 0), (-1, 1.5, 0, 0, 0)])
+def test_puncture_point_refuses_a_vector_outside_the_space(twice_pg44, P):
+    with pytest.raises(PointNotInSupport, match=rf"^{re.escape(str(P))} has multiplicity 0$"):
+        puncture_point(twice_pg44, P)
+
+
+@pytest.mark.parametrize("P,message", [
+    ((0, 0, 0, 0, 0), "the zero vector is not a projective point"),
+    ((1.5, 0, 0, 0, 1), r"1\.5 is not an element of GF\(4\)"),
+    (np.array([1.0, 0, 0, 0, 1]), r"1\.0 is not an element of GF\(4\)"),
+])
+def test_puncture_point_refuses_a_zero_or_non_integer_vector(twice_pg44, P, message):
+    with pytest.raises(ValueError, match=message):
+        puncture_point(twice_pg44, P)
 
 
 def test_puncture_guards_distance():
