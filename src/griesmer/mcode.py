@@ -113,13 +113,6 @@ class PointMultiset:
     def gamma0(self) -> int:
         return int(self.counts.max())
 
-    def index(self, P) -> int | None:
-        """Enumeration index of the point P (any nonzero representative);
-        None when P is not a vector of PG(r, q)."""
-        if len(P) != self.k or any(not (0 <= c < self.q) for c in P):
-            return None
-        return pg.point_index(self.q, pg.normalize_point(self.field, P))
-
     def hyperplane_mults(self) -> np.ndarray:
         """m(H) for every hyperplane, indexed like pg.enumerate_points: the
         kernel's, unless _walked gave the code a walked or dual vector."""

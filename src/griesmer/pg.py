@@ -142,9 +142,9 @@ def vector_indices(F: Field, vectors) -> np.ndarray:
     Each vector is scaled by the inverse of its leading nonzero entry with
     Field tables gathers, then point_index's closed form applies: the
     scaled code q^(k-1-i) + tail sits at theta(k-1) - theta(k-1-i) + tail
-    for pivot i.
+    for pivot i.  The vectors pass as_elements first, before any gather.
     """
-    V = np.asarray(vectors)
+    V = as_elements(F, vectors)
     q, k = F.q, V.shape[-1]
     pivot = (V != 0).argmax(axis=-1)
     lead = np.take_along_axis(V, pivot[..., None], axis=-1)
@@ -197,6 +197,8 @@ class Flat:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.basis:
+            raise ValueError("a flat needs at least one basis row")
         for row in self.basis:
             if len(row) != self.r + 1:
                 raise DimensionMismatch(
@@ -260,9 +262,10 @@ def flat_indices(F: Field, basis) -> np.ndarray:
     Row i plus every combination of the later rows gives, once each, the
     points whose first nonzero coefficient is row i's.  One vector_indices
     call maps every block; it refuses the zero vector of dependent rows.
+    The rows pass as_elements first, before any gather.
     """
     add, mul = F.tables
-    B = np.asarray(basis, dtype=np.int64)
+    B = as_elements(F, basis).astype(np.int64)
     scalars = np.arange(F.q)[:, None, None]
     blocks = []
     for i in range(B.shape[-2]):
@@ -286,13 +289,13 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
     every vector of GF(q)^h, both built by Field tables gathers.  The
     pivot block of the codes q^m .. 2q^m - 1 pairs every hi in q^(m-h) ..
     2q^(m-h) - 1 with every lo when m >= h, and has hi = 0 when m < h, so
-    no code is divided.
+    no code is divided.  The basis rows pass as_elements first.
     """
     add, mul = F.tables
     q, k = F.q, flat.r + 1
     h = k // 2
     through = np.ones(theta(flat.r, q), dtype=bool)
-    for b in flat.basis:
+    for b in as_elements(F, flat.basis).tolist():
         head, tail = np.zeros(1, add.dtype), np.zeros(1, add.dtype)
         for c in b[: k - h]:
             head = add[head[:, None], mul[c]].ravel()

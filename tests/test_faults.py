@@ -395,11 +395,13 @@ FAULTS = {
                                  f"not {pg.theta(k - 2, q)}"),
         CASES,
     ),
-    # transforms._remove: a line step whose walked d leaves [d - q, d]
+    # chains._walk: a line step whose walked d leaves [d - q, d].  Only an
+    # indicator with entries off 0/1 does that, and the removal's own
+    # update does not restate the bound, so the walk's exact cost sees it
     "line-step-range": (
         lambda mp: _spoil_step_indicator(mp, _line_one_lower),
-        _both("transforms._remove: removing a {}-flat gave [{},{},{}] from [{},{},{}]",
-              lambda t, q, k, d: r"removing a 1-flat gave \["),
+        _both("chains._walk: removal changed (n, d) by ({}, {}), expected {}",
+              lambda t, q, k, d: rf"removal changed \(n, d\) by \({q + 1}, {2 * q}\), expected \({q + 1}, {q}\)"),
         CASES,
     ),
     # chains._walk: a point step that keeps d.  A line step cannot: it keeps

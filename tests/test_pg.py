@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griesmer.errors import DimensionMismatch, TooLarge
+from griesmer.constructs import arc_check
+from griesmer.errors import DimensionMismatch, InputError, TooLarge
 from griesmer.gf import Field, field, field_create
+from griesmer.mcode import PointMultiset
 from griesmer.pg import (
     MAX_TRANSFORM_CELLS,
     Flat,
@@ -27,7 +30,9 @@ from griesmer.pg import (
     rref,
     span,
     theta,
+    vector_indices,
 )
+from griesmer.transforms import puncture_flat, puncture_point
 
 
 def test_theta_values():
@@ -385,6 +390,49 @@ def test_stacked_bases_list_the_flats_of_their_echelon_forms():
 def test_flat_refuses_rows_of_the_wrong_length():
     with pytest.raises(DimensionMismatch, match=r"has 2 entries, PG\(2, q\) needs 3"):
         Flat(r=2, basis=((1, 0, 0), (0, 1)))
+
+
+def test_flat_refuses_an_empty_basis():
+    with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
+        Flat(r=2, basis=())
+    # rref drops the zero row, so the zero vector spans no flat either
+    with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
+        span(field(3), [(0, 0, 0)])
+
+
+def _twice(F):
+    """Every point of PG(2, q) twice."""
+    return PointMultiset(F, 2, np.full(theta(2, F.q), 2))
+
+
+# every entry that takes GF(q) rows, called with two rows of PG(2, q)
+ROW_ENTRIES = {
+    "echelon": echelon,
+    "rank": rank,
+    "rref": rref,
+    "span": span,
+    "normalize_point": lambda F, rows: normalize_point(F, rows[0]),
+    "vector_indices": vector_indices,
+    "flat_indices": flat_indices,
+    "flat_points": lambda F, rows: flat_points(F, Flat(2, rows)),
+    "hyperplanes_containing": lambda F, rows: hyperplanes_containing(F, Flat(2, rows)),
+    "arc_check": lambda F, rows: arc_check(F, rows, span(F, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+    "puncture_flat": lambda F, rows: puncture_flat(_twice(F), Flat(2, rows)),
+    "puncture_point": lambda F, rows: puncture_point(_twice(F), rows[0]),
+}
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("bad", [lambda q: -1, lambda q: q, lambda q: 9, lambda q: 1.5],
+                         ids=["-1", "q", "9", "1.5"])
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+def test_every_row_entry_refuses_an_entry_outside_the_field(entry, bad, q):
+    # a table gather would wrap a negative entry, fail on one >= q, and
+    # truncate a float: each entry refuses the row first, naming the entry
+    F, bad = field(q), bad(q)
+    rows = ((bad, 1, 0), (0, 0, 1))
+    with pytest.raises((ValueError, InputError), match=re.escape(repr(bad))):
+        ROW_ENTRIES[entry](F, rows)
 
 
 def test_stacked_pairs_refuse_a_repeated_point():

@@ -478,18 +478,35 @@ def test_hyperplanes_containing_matches_naive_incidence(space, data):
 @PROPERTY
 @given(k=st.integers(2, 5), data=st.data())
 def test_walked_vector_matches_the_kernel(q, k, data):
+    # removals of t-flats for every t < r, the 0-flat also as a point: the
+    # walked vector equals a fresh kernel call, n falls by exactly theta(t),
+    # d by 0 to q^t, and the record names the flat
     F, r = field(q), k - 1
     size = theta(r, q)
     # every point 4 times over: d >= 4q^r, so after up to two removals of
-    # at most q each, every point and every line can still go
+    # at most q^(r-1) each, every flat of dimension below r can still go
     counts = np.full(size, 4, dtype=np.int64)
     for i, m in data.draw(st.dictionaries(st.integers(0, size - 1), st.integers(1, 5), max_size=8)).items():
         counts[i] += m
     M = PointMultiset(F, r, counts)
     for _ in range(data.draw(st.integers(1, 3))):
-        i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
-        P, R = point_digits(q, r, [i, j]).tolist()
-        M = puncture_flat(M, span(F, [P, R])) if data.draw(st.booleans()) else puncture_point(M, P)
+        t = data.draw(st.integers(0, r - 1))
+        points = []  # t+1 independent points, each drawn off the span of those before
+        for _ in range(t + 1):
+            taken = set(flat_indices(F, span(F, points).basis).tolist()) if points else set()
+            i = data.draw(st.integers(0, size - 1).filter(lambda i: i not in taken))
+            points.append(point_digits(q, r, [i])[0].tolist())
+        flat, before = span(F, points), code_params(M)
+        assert flat.dim == t
+        if t == 0 and data.draw(st.booleans()):
+            M, record = puncture_point(M, points[0]), {"op": "puncture_point", "point": points[0]}
+        else:
+            M = puncture_flat(M, flat)
+            record = {"op": "puncture_flat", "t": t, "points": [list(P) for P in flat_points(F, flat)]}
+        after = code_params(M)
+        assert M.meta["history"][-1] == record
+        assert before.n - after.n == theta(t, q)
+        assert 0 <= before.d - after.d <= q**t
         idx = np.flatnonzero(M.counts)
         assert np.array_equal(M.hyperplane_mults(), hyperplane_multiplicities(F, r, idx, M.counts[idx]))
 

@@ -283,6 +283,13 @@ def test_find_disjoint_lines_refuses_a_region_of_the_wrong_length(dual_c1_64, le
         find_disjoint_lines(PointMultiset(M.field, M.r, M.counts, meta=meta), 2)
 
 
+def test_find_disjoint_lines_takes_only_an_integer_count(dual_c1_64):
+    for count in (1.5, 2.0, "2", 0, -1):
+        with pytest.raises(ValueError, match="^need a positive number of lines$"):
+            find_disjoint_lines(dual_c1_64, count)
+    assert find_disjoint_lines(dual_c1_64, np.int64(2)) == find_disjoint_lines(dual_c1_64, 2)
+
+
 def test_find_disjoint_lines_impossible(dual_c1_64):
     with pytest.raises(NotEnoughLines):
         find_disjoint_lines(dual_c1_64, theta(5, 4))
