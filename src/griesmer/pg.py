@@ -19,8 +19,10 @@ vector_indices turns nonzero rows back into indices (scaled by their
 leading entry's inverse with Field tables gathers), flat_indices lists
 the points that basis rows span, and hyperplanes_containing marks the
 hyperplanes through a flat from split-digit tables.  echelon reduces row
-stacks by the same gathers, behind rank, rref and span.  The point
-tuples of enumerate_points are built on demand, only for the public API.
+stacks by the same gathers, behind rank, rref and span.  Each of these
+reads caller rows through as_elements before any gather, which would
+wrap a negative entry and fail on one >= q.  The point tuples of
+enumerate_points are built on demand, only for the public API.
 """
 
 from __future__ import annotations
@@ -51,12 +53,13 @@ def theta(j: int, q: int) -> int:
 
 def as_elements(F: Field, rows) -> np.ndarray:
     """rows as an array of GF(q) elements: DimensionMismatch when they are
-    ragged, ValueError naming the first entry outside [0, q)."""
+    ragged, ValueError naming the first entry outside [0, q) or of a
+    float or bool array (a bool array would index a table as a mask)."""
     try:
         A = np.asarray(rows)
     except ValueError as exc:  # numpy refuses ragged nesting
         raise DimensionMismatch("rows of unequal length") from exc
-    if A.size and (A.dtype.kind not in "biu" or A.min() < 0 or A.max() >= F.q):
+    if A.size and (A.dtype.kind not in "iu" or A.min() < 0 or A.max() >= F.q):
         bad = next(x for x in A.ravel().tolist() if not (type(x) is int and 0 <= x < F.q))
         raise ValueError(f"{bad!r} is not an element of GF({F.q})")
     return A
@@ -142,7 +145,7 @@ def vector_indices(F: Field, vectors) -> np.ndarray:
     Each vector is scaled by the inverse of its leading nonzero entry with
     Field tables gathers, then point_index's closed form applies: the
     scaled code q^(k-1-i) + tail sits at theta(k-1) - theta(k-1-i) + tail
-    for pivot i.  The vectors pass as_elements first, before any gather.
+    for pivot i.
     """
     V = as_elements(F, vectors)
     q, k = F.q, V.shape[-1]
@@ -213,8 +216,7 @@ class Flat:
 def echelon(F: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     """Ranks (...) and reduced row echelon forms (..., m, k), pivot rows
     first, of row stacks (..., m, k) over GF(q): one Gauss-Jordan pass per
-    column over every stack, by Field tables gathers.  The rows pass
-    as_elements first, before any gather."""
+    column over every stack, by Field tables gathers."""
     A = as_elements(F, rows)
     add, mul = F.tables
     *batch, m, k = A.shape if A.shape != (0,) else (0, 0)  # [] has no rows
@@ -262,7 +264,6 @@ def flat_indices(F: Field, basis) -> np.ndarray:
     Row i plus every combination of the later rows gives, once each, the
     points whose first nonzero coefficient is row i's.  One vector_indices
     call maps every block; it refuses the zero vector of dependent rows.
-    The rows pass as_elements first, before any gather.
     """
     add, mul = F.tables
     B = as_elements(F, basis).astype(np.int64)
@@ -289,7 +290,7 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
     every vector of GF(q)^h, both built by Field tables gathers.  The
     pivot block of the codes q^m .. 2q^m - 1 pairs every hi in q^(m-h) ..
     2q^(m-h) - 1 with every lo when m >= h, and has hi = 0 when m < h, so
-    no code is divided.  The basis rows pass as_elements first.
+    no code is divided.
     """
     add, mul = F.tables
     q, k = F.q, flat.r + 1

@@ -435,6 +435,14 @@ def test_every_row_entry_refuses_an_entry_outside_the_field(entry, bad, q):
         ROW_ENTRIES[entry](F, rows)
 
 
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRIES))
+def test_every_row_entry_refuses_a_bool_array(entry):
+    # bool rows are no elements: a gather would read them as a mask
+    rows = tuple(map(tuple, np.array([(1, 1, 0), (0, 0, 1)], dtype=bool)))
+    with pytest.raises(ValueError, match=r"^True is not an element of GF\(4\)$"):
+        ROW_ENTRIES[entry](field(4), rows)
+
+
 def test_stacked_pairs_refuse_a_repeated_point():
     F = field(5)
     P = point_digits(5, 2, [17])[0]
