@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from griesmer.errors import NotAPrimePower, TooLarge
-from griesmer.gf import Field, field, field_create
+from griesmer.gf import Field, FieldSpec, field, field_create
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 
@@ -133,6 +133,18 @@ def test_field_arith_from_spec():
     # q = 8: x^3 = x + 1 under the modulus x^3 + x + 1
     assert spec.modulus == (1, 1, 0, 1)
     assert F.alpha_power(3) == 3
+
+
+@pytest.mark.parametrize("spec", [
+    FieldSpec(5, 1, 5, (0, 1), 4),  # order 2: 4 * 4 = 1
+    FieldSpec(3, 1, 3, (0, 1), 1),  # order 1
+    FieldSpec(3, 2, 9, (1, 0, 1), 3),  # x, of order 4 under x^2 + 1
+    FieldSpec(5, 1, 5, (0, 1), 0),  # no power of 0 is 1
+])
+def test_field_refuses_an_alpha_of_lower_order(spec):
+    # a smaller order would give log/antilog tables that miss elements
+    with pytest.raises(NotAPrimePower, match=rf"^alpha={spec.alpha} does not have order {spec.q - 1}$"):
+        Field(spec)
 
 
 @pytest.mark.parametrize("q", SMALL_Q + [16, 27, 256])
