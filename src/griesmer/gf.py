@@ -9,7 +9,9 @@ element of multiplicative order q - 1.  Both choices are deterministic
 functions of q alone, which makes every file this package writes
 reproducible bit for bit given q.
 
-Multiplication and inversion run on log/antilog tables built once per
+One walk over an element's powers (_powers) decides whether it has order
+q - 1 and, for alpha, is the antilog table itself.  Multiplication and
+inversion run on that table and the log table read off it, built once per
 field; addition is digitwise mod p.  Array code (pg's incidence kernel and
 mcode's codeword oracle) reads Field.tables instead: the full q x q
 addition and multiplication tables, built on first use with numpy from
@@ -106,24 +108,22 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _mul(a: int, b: int, p: int, h: int, modulus) -> int:
     """Product of two packed encodings, reduced by the monic modulus."""
     poly = _poly_rem(_poly_mul(_digits(a, p, h), _digits(b, p, h), p), modulus, p)
     return sum(c * p**i for i, c in enumerate(poly))
+
+
+def _powers(a: int, p: int, h: int, modulus) -> list[int] | None:
+    """a^0, ..., a^(q-2) when a has multiplicative order exactly q - 1, else
+    None: the walk stops at the first early return to 1, or after q - 1
+    steps."""
+    q = p**h
+    powers, x = [1], _mul(1, a, p, h, modulus)
+    while x != 1 and len(powers) < q - 1:
+        powers.append(x)
+        x = _mul(x, a, p, h, modulus)
+    return powers if x == 1 and len(powers) == q - 1 else None
 
 
 def field_create(q: int) -> FieldSpec:
@@ -138,31 +138,10 @@ def field_create(q: int) -> FieldSpec:
         raise TooLarge(f"field size {q} exceeds the bound {MAX_FIELD_SIZE}")
     p, h = _prime_power(q)
 
-    modulus: tuple[int, ...] | None = None
-    for low in range(p**h):
-        coeffs = _digits(low, p, h) + [1]
-        if _is_irreducible(coeffs, p):
-            modulus = tuple(coeffs)
-            break
-    assert modulus is not None  # an irreducible exists for every degree
-
-    def power(a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = _mul(r, a, p, h, modulus)
-            a = _mul(a, a, p, h, modulus)
-            e >>= 1
-        return r
-
-    factors = _prime_factors(q - 1)
-    alpha = None
-    for a in range(1, q):
-        if all(power(a, (q - 1) // f) != 1 for f in factors):
-            alpha = a
-            break
-    assert alpha is not None  # the multiplicative group is cyclic
-
+    # an irreducible exists for every degree, and GF(q)* is cyclic
+    monic = (tuple(_digits(low, p, h)) + (1,) for low in range(p**h))
+    modulus = next(f for f in monic if _is_irreducible(list(f), p))
+    alpha = next(a for a in range(1, q) if _powers(a, p, h, modulus))
     return FieldSpec(p=p, h=h, q=q, modulus=modulus, alpha=alpha)
 
 
@@ -177,15 +156,12 @@ class Field:
         self._ppow = [p**i for i in range(h)]
         self._dig = [tuple(_digits(a, p, h)) for a in range(q)]
 
-        exp = [0] * (q - 1)
-        log = [-1] * q
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = _mul(x, spec.alpha, p, h, spec.modulus)
-        if x != 1:
+        exp = _powers(spec.alpha, p, h, spec.modulus)
+        if exp is None:
             raise NotAPrimePower(f"alpha={spec.alpha} does not have order {q - 1}")
+        log = [-1] * q
+        for i, x in enumerate(exp):
+            log[x] = i
         self._exp = exp
         self._log = log
         # set here, not by functools.cached_property: writing to the
