@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import random
-import re
 import sys
 
 import numpy as np
@@ -213,10 +212,21 @@ def test_puncture_point_records_the_canonical_point(twice_pg44, P):
     assert out.counts[i] == 1
 
 
-@pytest.mark.parametrize("P", [(1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, -1),
-                               (1, 0, 0, 0, 4), (9, 0, 0, 0, 0), (-1, 1.5, 0, 0, 0)])
-def test_puncture_point_refuses_a_vector_outside_the_space(twice_pg44, P):
-    with pytest.raises(PointNotInSupport, match=rf"^{re.escape(str(P))} has multiplicity 0$"):
+OUTSIDE_PG44 = [
+    ((1, 0, 0, 0), DimensionMismatch, r"a basis row has 4 entries, PG\(4, q\) needs 5"),
+    ((1, 0, 0, 0, 0, 0), DimensionMismatch, r"a basis row has 6 entries, PG\(4, q\) needs 5"),
+    ((1, 0, 0, 0, -1), ValueError, r"-1 is not an element of GF\(4\)"),
+    ((1, 0, 0, 0, 4), ValueError, r"4 is not an element of GF\(4\)"),
+    ((9, 0, 0, 0, 0), ValueError, r"9 is not an element of GF\(4\)"),
+    ((-1, 1.5, 0, 0, 0), ValueError, r"-1\.0 is not an element of GF\(4\)"),
+]
+
+
+@pytest.mark.parametrize("P,error,message", OUTSIDE_PG44, ids=[f"P{i}" for i in range(len(OUTSIDE_PG44))])
+def test_puncture_point_refuses_a_vector_outside_the_space(twice_pg44, P, error, message):
+    # pg's own answer to a vector that is no point of PG(4, 4); a
+    # multiplicity is named only for a point of the space
+    with pytest.raises(error, match=f"^{message}$"):
         puncture_point(twice_pg44, P)
 
 
