@@ -120,6 +120,75 @@ def test_private_attributes_stay_in_their_module():
     assert found == {}
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module-level _names (dunders aside), each with the def, class or
+    assignment that binds it."""
+    found = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, stmt) for name in names if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def _uncalled_private_names(trees: list[ast.Module]) -> set[str]:
+    """The module-level _names that no module reads, by name or as an
+    attribute, outside the statement that binds them."""
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    uncalled = set()
+    for tree in trees:
+        for name, stmt in _private_definitions(tree).items():
+            inside = set(map(id, ast.walk(stmt)))
+            if all(id(node) in inside for node in reads.get(name, [])):
+                uncalled.add(name)
+    return uncalled
+
+
+def test_the_uncalled_helper_detector_sees_every_form():
+    for snippet, uncalled in (
+        ("def _f():\n    return 1", {"_f"}),
+        ("def _f(n):\n    return _f(n - 1)", {"_f"}),  # only itself
+        ("_LIMIT = 3\nclass _Box:\n    pass", {"_LIMIT", "_Box"}),
+        ("_CACHE: dict = {}", {"_CACHE"}),
+        ("def _f():\n    pass\ndef g():\n    _f = 1", {"_f"}),  # a store reads nothing
+        ("def _f():\n    pass\ndef g():\n    return _f()", set()),
+        ("_LIMIT = 3\nx = [_LIMIT]", set()),
+        ("def _f():\n    pass\nx = mod._f", set()),
+        ("__all__ = []\ndef f():\n    pass", set()),
+    ):
+        assert _uncalled_private_names([ast.parse(snippet)]) == uncalled, snippet
+    # a read in another module counts
+    assert not _uncalled_private_names([ast.parse("def _f():\n    pass"), ast.parse("from m import _f\n_f()")])
+
+
+def test_every_private_helper_has_a_caller():
+    # a helper that nothing calls is dead code; cli's _cmd_<command>
+    # handlers are looked up by name, one for each key of _COMMANDS
+    from griesmer.cli import _COMMANDS
+
+    files = sorted(SOURCE.glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in files]
+    handlers = {
+        name.removeprefix("_cmd_")
+        for path, tree in zip(files, trees)
+        for name in _private_definitions(tree)
+        if path.name == "cli.py" and name.startswith("_cmd_")
+    }
+    assert handlers == set(_COMMANDS)
+    assert sorted(n for n in _uncalled_private_names(trees) if not n.startswith("_cmd_")) == []
+
+
 def _message_template(node: ast.AST) -> str:
     """A message expression with "{}" for each value formatted into it."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
