@@ -12,7 +12,7 @@ hyperplane vector needs no kernel call: a point P lies on theta_{k-2}
 hyperplanes and shares theta_{k-3} of them with any other point, so
 m_D(P) = ((n-d)*theta_{k-2} - n*theta_{k-3} - q^(k-2)*c(P)) / m, exactly.
 projective_dual reads (n*, d*) off that vector and holds them to the
-closed forms.  The rest the vector's form top - t*c(P) fixes: with a
+closed forms.  The vector's form top - t*c(P) fixes the rest: with a
 point of multiplicity 0 its top is n* - d*, so the spectrum is the
 mirror, and every weight d* + j*t is a multiple of t, as d* is.  The
 vector itself is certified by recheck_hyperplanes, a fresh kernel call,
