@@ -99,11 +99,15 @@ def point_index(q: int, P) -> int:
 
     The points with pivot i (the position of the leading 1) start after
     the q^(k-1) + ... + q^(k-i) points with an earlier pivot, and inside
-    that block the tail after the pivot counts upward in base q.
+    that block the tail after the pivot counts upward in base q.  A
+    leading entry other than 1, or a later one outside [0, q), raises
+    ValueError.
     """
     k = len(P)
     for i, c in enumerate(P):
         if c:
+            if c != 1 or not all(0 <= x < q for x in P[i + 1 :]):
+                raise ValueError(f"{tuple(P)} is not a canonical point of PG({k - 1}, {q})")
             tail = 0
             for x in P[i + 1 :]:
                 tail = tail * q + x
