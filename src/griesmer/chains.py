@@ -29,7 +29,7 @@ the family code's included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import pg
 from .constructs import code_c1, code_c2
@@ -131,19 +131,11 @@ class VerificationReport:
     provenance: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "divisor": self.divisor,
-            "gamma0": self.gamma0,
-            "spectrum": [list(pair) for pair in self.spectrum],
-            "griesmer_n": self.griesmer_n,
-            "is_griesmer": self.is_griesmer,
-            # shared, not copied: mcode._json_text spells each step once
-            "provenance": list(self.provenance),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["spectrum"] = [list(pair) for pair in self.spectrum]
+        # shared, not copied: mcode._json_text spells each step once
+        out["provenance"] = list(self.provenance)
+        return out
 
 
 def _report(M: PointMultiset, provenance: list[dict]) -> VerificationReport:

@@ -57,12 +57,16 @@ def _describe(M) -> str:
     return f"[{p.n},{p.k},{p.d}]_{M.q} divisor={p.divisor} gamma0={p.gamma0}"
 
 
+def _save(M, out) -> None:
+    if out:
+        write_multiset(M, out)
+        print(f"wrote {out}")
+
+
 def _cmd_construct(args) -> int:
     M = _FAMILIES[args.family](args.k, args.q)
     print(f"{args.family}: {_describe(M)}")
-    if args.out:
-        write_multiset(M, args.out)
-        print(f"wrote {args.out}")
+    _save(M, args.out)
     return 0
 
 
@@ -71,9 +75,7 @@ def _cmd_dual(args) -> int:
     dual = projective_dual(M, args.divisor)
     recheck_hyperplanes(dual)  # the printed parameters rest on a kernel call
     print(f"dual: {_describe(dual)}")
-    if args.out:
-        write_multiset(dual, args.out)
-        print(f"wrote {args.out}")
+    _save(dual, args.out)
     return 0
 
 
@@ -89,9 +91,7 @@ def _cmd_puncture(args) -> int:
     if args.lines or args.points:
         recheck_hyperplanes(M)
     print(f"punctured: {_describe(M)}")
-    if args.out:
-        write_multiset(M, args.out)
-        print(f"wrote {args.out}")
+    _save(M, args.out)
     return 0
 
 
@@ -102,9 +102,7 @@ def _cmd_chain(args) -> int:
         f"certified [{report.n},{report.k},{report.d}]_{report.q} "
         f"griesmer_n={report.griesmer_n} is_griesmer={report.is_griesmer}"
     )
-    if args.out:
-        write_multiset(code, args.out)
-        print(f"wrote {args.out}")
+    _save(code, args.out)
     if args.report:
         with open_output(args.report) as fh:
             fh.write(_json_text(report.to_json()))

@@ -74,8 +74,6 @@ def _poly_trim(a: list[int]) -> list[int]:
 
 
 def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -88,12 +86,11 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
     # b monic is all we ever divide by
     a = list(a)
     db = len(b) - 1
-    while len(a) - 1 >= db and a:
+    while len(a) - 1 >= db:
         lead = a[-1]
         shift = len(a) - 1 - db
-        if lead:
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * bi) % p
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - lead * bi) % p
         _poly_trim(a)
     return a
 

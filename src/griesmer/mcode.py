@@ -187,11 +187,9 @@ def generator_matrix(M: PointMultiset) -> np.ndarray:
     Column order is deterministic: points in enumeration order, repeats
     adjacent.
     """
-    params = code_params(M)  # NotFullRank check
+    code_params(M)  # NotFullRank check
     idx = np.flatnonzero(M.counts)
-    G = pg.point_digits(M.q, M.r, np.repeat(idx, M.counts[idx])).T
-    assert G.shape == (params.k, params.n)
-    return G
+    return pg.point_digits(M.q, M.r, np.repeat(idx, M.counts[idx])).T
 
 
 def multiset_from_matrix(G, q: int) -> PointMultiset:

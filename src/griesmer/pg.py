@@ -22,7 +22,7 @@ hyperplanes through a flat from split-digit tables.  echelon reduces row
 stacks by the same gathers, behind rank, rref and span.  Each of these
 reads caller rows through as_elements before any gather, which would
 wrap a negative entry and fail on one >= q.  The point tuples of
-enumerate_points are built on demand, only for the public API.
+enumerate_points are built on demand (public API, constructs' Q check).
 """
 
 from __future__ import annotations
@@ -99,9 +99,7 @@ def point_index(q: int, P) -> int:
 
     The points with pivot i (the position of the leading 1) start after
     the q^(k-1) + ... + q^(k-i) points with an earlier pivot, and inside
-    that block the tail after the pivot counts upward in base q.  A
-    leading entry other than 1, or a later one outside [0, q), raises
-    ValueError.
+    that block the tail after the pivot counts upward in base q.
     """
     k = len(P)
     for i, c in enumerate(P):
@@ -177,23 +175,18 @@ def enumerate_points(F: Field, r: int) -> tuple[tuple[int, ...], ...]:
         head = (0,) * pivot + (1,)
         for tail in product(range(F.q), repeat=r - pivot):
             pts.append(head + tail)
-    assert len(pts) == theta(r, F.q)
     return tuple(pts)
-
-
-def dot(F: Field, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 def incident(F: Field, P, H) -> bool:
     """True iff the point P lies on the hyperplane with coefficients H."""
     if len(P) != len(H):
         raise DimensionMismatch(f"point has {len(P)} coordinates, hyperplane {len(H)}")
-    return dot(F, P, H) == 0
+    acc = 0
+    for a, b in zip(P, H):
+        if a and b:
+            acc = F.add(acc, F.mul(a, b))
+    return acc == 0
 
 
 @dataclass(frozen=True)
