@@ -111,10 +111,11 @@ def _mul(a: int, b: int, p: int, h: int, modulus) -> int:
     return sum(c * p**i for i, c in enumerate(poly))
 
 
+@lru_cache(maxsize=1)
 def _powers(a: int, p: int, h: int, modulus) -> list[int] | None:
     """a^0, ..., a^(q-2) when a has multiplicative order exactly q - 1, else
     None: the walk stops at the first early return to 1, or after q - 1
-    steps."""
+    steps.  Cached, read-only: Field reuses field_create's last walk."""
     q = p**h
     powers, x = [1], _mul(1, a, p, h, modulus)
     while x != 1 and len(powers) < q - 1:
@@ -153,7 +154,7 @@ class Field:
         self._ppow = [p**i for i in range(h)]
         self._dig = [tuple(_digits(a, p, h)) for a in range(q)]
 
-        exp = _powers(spec.alpha, p, h, spec.modulus)
+        exp = _powers(spec.alpha, p, h, tuple(spec.modulus))
         if exp is None:
             raise NotAPrimePower(f"alpha={spec.alpha} does not have order {q - 1}")
         log = [-1] * q

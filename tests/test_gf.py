@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from griesmer import gf
 from griesmer.errors import NotAPrimePower, TooLarge
 from griesmer.gf import Field, FieldSpec, field, field_create
 
@@ -72,6 +73,7 @@ def test_inverse_of_zero_raises():
         F.inv(0)
     with pytest.raises(ZeroDivisionError):
         F.pow(0, -2)
+    assert F.pow(0, 0) == 1 and F.pow(0, 3) == 0
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
@@ -191,3 +193,17 @@ def test_field_specs_and_alpha_powers_are_pinned():
 
     assert digest([(s.q, s.modulus, s.alpha) for s in specs]) == PINNED_SPECS
     assert digest([(s.q, tuple(Field(s)._exp)) for s in specs]) == PINNED_ALPHA_POWERS
+
+
+def test_field_reuses_the_walk_that_picked_alpha(monkeypatch):
+    # field_create's last power walk is alpha's; Field reads the same list
+    calls = []
+    mul = gf._mul
+    monkeypatch.setattr(gf, "_mul", lambda *args: calls.append(None) or mul(*args))
+    gf._powers.cache_clear()
+    field_create(9)
+    alone = len(calls)
+    calls.clear()
+    gf._powers.cache_clear()
+    Field(field_create(9))
+    assert alone and len(calls) == alone
