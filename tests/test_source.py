@@ -50,6 +50,39 @@ def test_no_module_reads_the_environment():
     assert found == {}
 
 
+def _asserts(tree: ast.AST) -> list[int]:
+    """Lines of every assert statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_the_assert_detector_sees_every_form():
+    for snippet in (
+        "assert x",
+        "def f(x):\n    assert x > 0, 'positive'",
+        "class A:\n    def f(self):\n        if self.x:\n            assert self.y",
+    ):
+        assert _asserts(ast.parse(snippet)), snippet
+    for snippet in (
+        "x = 'assert x'",
+        "def f(x):\n    if not x:\n        raise ValueError('no')",
+        "self.assertEqual(x, 1)",
+    ):
+        assert not _asserts(ast.parse(snippet)), snippet
+
+
+def test_no_module_asserts():
+    # python -O strips assert statements, so every check the package makes
+    # raises a named error instead
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    found = {
+        path.name: lines
+        for path in files
+        if (lines := _asserts(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
 def _owned_private_names(tree: ast.AST) -> set[str]:
     """The _-prefixed attributes that the module's own classes define: in a
     class body (methods, class attributes) or stored on an object there."""
