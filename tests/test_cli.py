@@ -309,6 +309,12 @@ def test_verify_bad_file_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_verify_missing_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.ms"
+    assert main(["verify", "--in", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid input: cannot read {missing}: ")
+
+
 @pytest.mark.parametrize("header", ["2 24", "9 9"])
 def test_verify_oversized_header_exit_2(tmp_path, capsys, header):
     # PG(23, 2) and PG(8, 9) are above the point-array bound; the short

@@ -73,6 +73,9 @@ def test_arc_check_rejects_collinear_points():
     assert not arc_check(F, three, plane)
     frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert arc_check(F, frame, plane)
+    # fewer points than a plane's dim + 1 = 3 span no plane
+    assert not arc_check(F, frame[:2], plane)
+    assert not arc_check(F, [], plane)
 
 
 def test_arc_check_rejects_points_off_the_ambient_flat():

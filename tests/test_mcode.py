@@ -174,6 +174,8 @@ def test_multiset_from_matrix_errors():
         multiset_from_matrix([[1, 2, 0, 3], [0, 1, 1, 0]], 2)
     with pytest.raises(ValueError, match=r"^coordinate out of range in \(-1, 1\)$"):
         multiset_from_matrix([[1, 0, -1], [0, 1, 1]], 3)
+    with pytest.raises(FileFormatError, match="^generator matrix must be two-dimensional$"):
+        multiset_from_matrix([1, 0, 1], 2)
 
 
 def test_code_params_requires_spanning_support():

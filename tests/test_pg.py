@@ -411,6 +411,8 @@ def test_flat_refuses_an_empty_basis():
     # rref drops the zero row, so the zero vector spans no flat either
     with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
         span(field(3), [(0, 0, 0)])
+    with pytest.raises(ValueError, match="^span of an empty point set is undefined$"):
+        span(field(3), [])
 
 
 def _twice(F):
@@ -493,6 +495,12 @@ def test_hyperplane_multiplicities_cap():
         with pytest.raises(TooLarge):
             hyperplane_multiplicities(F, k_over - 1, [point_index(q, point)], [1])
     assert field(4099)._tables is None  # rejected before they are built
+
+
+@pytest.mark.parametrize("support,weights", [([0, 1], [1]), ([[0, 1]], [[1, 1]])], ids=["lengths", "2-d"])
+def test_hyperplane_multiplicities_refuses_unmatched_weights(support, weights):
+    with pytest.raises(ValueError, match="^support and weights must be 1-D arrays of one length$"):
+        hyperplane_multiplicities(field(3), 2, support, weights)
 
 
 def test_kernel_peak_memory_is_four_spaces():
