@@ -55,3 +55,20 @@ def test_the_small_catalogue_rebuilds_byte_for_byte():
     entries = catalogue.entries(1 << 20)
     assert len(entries) == 29
     assert catalogue.mismatches(entries) == []
+
+
+def test_the_literature_checks_report_a_spoiled_row():
+    _, rows = catalogue.rebuild(1, 3, 5)
+    assert catalogue.literature_faults(rows) == []
+    row = rows[0]  # 9 divides d and the divisor, and ceil(90 / 3^4) = 2
+    assert (row["d"], row["divisor"], row["gamma0"]) == (90, 9, 2)
+    assert catalogue.literature_faults([row | {"gamma0": 3}]) == [
+        "d=90: gamma0 = 3, ceil(d / q^(k-1)) = 2"
+    ]
+    assert catalogue.literature_faults([row | {"divisor": 3}]) == [
+        "d=90: 9 divides d but not the divisor 3"
+    ]
+    # over GF(4), 2 | d gives no divisibility: the (1, 4, 5) row at d = 334
+    _, rows = catalogue.rebuild(1, 4, 5)
+    assert [(r["divisor"], r["gamma0"]) for r in rows if r["d"] == 334] == [(1, 2)]
+    assert catalogue.literature_faults(rows) == []
