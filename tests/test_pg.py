@@ -83,6 +83,21 @@ def test_incident_examples():
         incident(F2, (1, 1, 0), (1, 1))
 
 
+@pytest.mark.parametrize("P,named", [((1, 7), "7"), ((1, 1.5), "1.0"), ((1, -1), "-1")],
+                         ids=["7", "1.5", "-1"])
+def test_incident_refuses_a_point_outside_the_field(P, named):
+    # an entry outside GF(4) is named, not read as a wrong element (a float
+    # row names its first entry); -1 would be 1 in characteristic 2, which
+    # puts (1, 1) on (1, 1)
+    F = field(4)
+    for args in ((P, (1, 1)), ((1, 1), P)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an element of GF\(4\)$"):
+            incident(F, *args)
+    # the length check comes first
+    with pytest.raises(DimensionMismatch, match="^point has 2 coordinates, hyperplane 3$"):
+        incident(F, P, (1, 1, 0))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_every_hyperplane_has_theta_rm1_points(q, r):
@@ -428,6 +443,7 @@ ROW_ENTRIES = {
     "flat_indices": flat_indices,
     "flat_points": lambda F, rows: flat_points(F, Flat(2, rows)),
     "hyperplanes_containing": lambda F, rows: hyperplanes_containing(F, Flat(2, rows)),
+    "incident": lambda F, rows: incident(F, rows[0], rows[1]),
     "arc_check": lambda F, rows: arc_check(F, rows, span(F, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
     "puncture_flat": lambda F, rows: puncture_flat(_twice(F), Flat(2, rows)),
     "puncture_point": lambda F, rows: puncture_point(_twice(F), rows[0]),
