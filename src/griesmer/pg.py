@@ -19,10 +19,11 @@ vector_indices turns nonzero rows back into indices (scaled by their
 leading entry's inverse with Field tables gathers), flat_indices lists
 the points that basis rows span, and hyperplanes_containing marks the
 hyperplanes through a flat from split-digit tables.  echelon reduces row
-stacks by the same gathers, behind rank, rref and span.  Each of these
-reads caller rows through as_elements before any gather, which would
-wrap a negative entry and fail on one >= q.  The point tuples of
-enumerate_points are built on demand (public API, constructs' Q check).
+stacks by the same gathers, behind rank, rref and span.  Each of these,
+and incident, reads caller rows through as_elements before any table
+lookup, which would wrap a negative entry and fail on one >= q.  The point
+tuples of enumerate_points are built on demand (public API, constructs' Q
+check).
 """
 
 from __future__ import annotations
@@ -183,9 +184,8 @@ def incident(F: Field, P, H) -> bool:
     if len(P) != len(H):
         raise DimensionMismatch(f"point has {len(P)} coordinates, hyperplane {len(H)}")
     acc = 0
-    for a, b in zip(P, H):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
+    for a, b in zip(as_elements(F, P).tolist(), as_elements(F, H).tolist()):
+        acc = F.add(acc, F.mul(a, b))
     return acc == 0
 
 
