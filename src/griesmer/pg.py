@@ -19,11 +19,10 @@ vector_indices turns nonzero rows back into indices (scaled by their
 leading entry's inverse with Field tables gathers), flat_indices lists
 the points that basis rows span, and hyperplanes_containing marks the
 hyperplanes through a flat from split-digit tables.  echelon reduces row
-stacks by the same gathers, behind rank, rref and span.  Each of these,
-and incident, reads caller rows through as_elements before any table
-lookup, which would wrap a negative entry and fail on one >= q.  The point
-tuples of enumerate_points are built on demand (public API, constructs' Q
-check).
+stacks by the same gathers, behind rank and span.  Each of these, and
+incident, reads caller rows through as_elements before any table lookup,
+which would wrap a negative entry and fail on one >= q.  The point tuples
+of enumerate_points are built on demand (public API, constructs' Q check).
 """
 
 from __future__ import annotations
@@ -239,18 +238,13 @@ def rank(F: Field, rows):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def rref(F: Field, rows) -> tuple[tuple[int, ...], ...]:
-    """The unique reduced row echelon form of one row list, zero rows dropped."""
-    ranks, forms = echelon(F, rows)
-    return tuple(map(tuple, forms[: int(ranks)].tolist()))
-
-
 def span(F: Field, points) -> Flat:
     """Smallest flat containing the given points (canonical basis)."""
     pts = list(points)
     if not pts:
         raise ValueError("span of an empty point set is undefined")
-    return Flat(r=len(pts[0]) - 1, basis=rref(F, pts))
+    m, forms = echelon(F, pts)
+    return Flat(r=len(pts[0]) - 1, basis=tuple(map(tuple, forms[:m].tolist())))
 
 
 def flat_indices(F: Field, basis) -> np.ndarray:

@@ -263,7 +263,9 @@ def find_disjoint_lines(M: PointMultiset, count: int) -> list[pg.Flat]:
     so small requests stop early.  The search region is the support inside
     the hyperplane H = M.meta["skew_region"] when the provenance records
     one, else the whole support.  Points and hyperplanes share one index,
-    so H's points are the hyperplanes through the point H.
+    so H's points are the hyperplanes through the point H.  A line's
+    reduced-echelon basis b1, b2 is its first and last point: the points
+    b1 + c*b2 come first, ordered by c at b2's pivot, and b2 last.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError("need a positive number of lines")
@@ -309,5 +311,5 @@ def find_disjoint_lines(M: PointMultiset, count: int) -> list[pg.Flat]:
         used[line] = True
         chosen.append(line)
         levels.append(free_lines(i + 1))  # every other line through P meets this one
-    _, bases = pg.echelon(F, pg.point_digits(F.q, M.r, [line[:2] for line in chosen]))
-    return [pg.Flat(M.r, tuple(map(tuple, basis))) for basis in bases.tolist()]
+    ends = pg.point_digits(F.q, M.r, np.array(chosen)[:, [0, -1]])
+    return [pg.Flat(M.r, tuple(map(tuple, basis))) for basis in ends.tolist()]

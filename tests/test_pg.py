@@ -27,7 +27,6 @@ from griesmer.pg import (
     point_digits,
     point_index,
     rank,
-    rref,
     span,
     theta,
     vector_indices,
@@ -192,8 +191,8 @@ def test_rank_of_dependent_rows():
 
 
 def _reference_rref(F, rows):
-    """The separate Gauss-Jordan pass rref used before it shared rank's
-    forward elimination."""
+    """A scalar Gauss-Jordan pass: the reduced row echelon form of one row
+    list, zero rows dropped."""
     mat = [list(r) for r in rows]
     if not mat:
         return ()
@@ -218,7 +217,7 @@ def _reference_rref(F, rows):
 
 
 def _reference_rank(F, rows):
-    """rank's forward elimination as it was before rref shared it."""
+    """A scalar forward elimination: the rank of one row list."""
     echelon = {}
     for row in rows:
         v = list(row)
@@ -286,7 +285,10 @@ def _stacks(draw):
 def test_rank_and_rref_match_the_separate_eliminations(case):
     F, rows = case
     want = _reference_rref(F, rows)
-    assert rref(F, rows) == want
+    ranks, forms = echelon(F, rows)
+    assert tuple(map(tuple, forms[:ranks].tolist())) == want
+    if want:
+        assert span(F, rows).basis == want
     assert rank(F, rows) == _reference_rank(F, rows) == len(want)
 
 
@@ -310,16 +312,16 @@ def test_elimination_refuses_ragged_rows_and_entries_outside_the_field():
     with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
         rank(F, [(1, 0, 0), (0, 1)])
     with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
-        rref(F, [(0, 1), (1, 0, 0)])
+        span(F, [(0, 1), (1, 0, 0)])
     with pytest.raises(ValueError, match=r"^5 is not an element of GF\(3\)$"):
         rank(F, [(5, 1, 0)])
     # a negative entry would wrap in a table gather
     with pytest.raises(ValueError, match=r"^-1 is not an element of GF\(3\)$"):
         echelon(F, np.array([[[1, 0], [0, -1]]]))
     with pytest.raises(ValueError, match=r"^0\.5 is not an element of GF\(3\)$"):
-        rref(F, [(0.5, 1)])
+        span(F, [(0.5, 1)])
     assert F._tables is None
-    assert rank(F, []) == 0 and rref(F, []) == ()
+    assert rank(F, []) == 0 and echelon(F, [])[1].shape == (0, 0)
     assert rank(F, np.zeros((2, 0, 3), dtype=int)).tolist() == [0, 0]
 
 
@@ -420,7 +422,7 @@ def test_flat_refuses_rows_of_the_wrong_length():
 def test_flat_refuses_an_empty_basis():
     with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
         Flat(r=2, basis=())
-    # rref drops the zero row, so the zero vector spans no flat either
+    # echelon leaves no nonzero row, so the zero vector spans no flat either
     with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
         span(field(3), [(0, 0, 0)])
     with pytest.raises(ValueError, match="^span of an empty point set is undefined$"):
@@ -436,7 +438,6 @@ def _twice(F):
 ROW_ENTRIES = {
     "echelon": echelon,
     "rank": rank,
-    "rref": rref,
     "span": span,
     "normalize_point": lambda F, rows: normalize_point(F, rows[0]),
     "vector_indices": vector_indices,
@@ -597,5 +598,5 @@ def test_hyperplanes_containing_matches_the_digit_pass(q, r):
 def test_rref_unique_for_full_space():
     F = field(2)
     rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
-    assert rref(F, rows) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert Flat(r=2, basis=rref(F, rows)).dim == 2
+    flat = span(F, rows)
+    assert flat == Flat(r=2, basis=((1, 0, 0), (0, 1, 0), (0, 0, 1))) and flat.dim == 2

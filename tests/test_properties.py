@@ -3,9 +3,10 @@ vectorized form, the multiset's count vector, the multiset file format
 and its reader against a row-by-row reference, malformed multiset files
 through the CLI and malformed generator-matrix files through their
 reader, puncturing, the dual of random divisible codes against its
-closed forms, the hyperplane kernel against naive incidence, the walked
-hyperplane vector of punctured codes against the kernel, and the codeword
-oracle against a full enumeration."""
+closed forms, the hyperplane kernel against naive incidence, a flat's
+reduced-echelon basis against its points, the walked hyperplane vector
+of punctured codes against the kernel, and the codeword oracle against a
+full enumeration."""
 
 import io
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from griesmer import mcode
@@ -472,6 +473,25 @@ def test_hyperplanes_containing_matches_naive_incidence(space, data):
     on = flat_points(F, flat)
     naive = [all(incident(F, P, H) for P in on) for H in pts]
     assert hyperplanes_containing(F, flat).tolist() == naive
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+@PROPERTY
+@given(data=st.data())
+def test_a_flat_basis_is_the_first_point_of_each_pivot_class(q, data):
+    # the points b_i + (later rows) come in one block, first b_i itself,
+    # which reads 0 at every later pivot; for a line, its first and last
+    # point
+    F, t = field(q), data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(t, max(t, 5 if q < 7 else 3)))
+    idx = data.draw(st.lists(st.integers(0, theta(r, q) - 1), min_size=t + 1, max_size=t + 1))
+    flat = span(F, map(tuple, point_digits(q, r, idx).tolist()))
+    assume(flat.dim == t)
+    digits = point_digits(q, r, flat_indices(F, flat.basis))
+    _, first = np.unique((digits != 0).argmax(axis=1), return_index=True)
+    assert flat.basis == tuple(map(tuple, digits[first].tolist()))
+    if t == 1:
+        assert flat.basis == tuple(map(tuple, digits[[0, -1]].tolist()))
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

@@ -83,6 +83,66 @@ def test_no_module_asserts():
     assert found == {}
 
 
+ELIMINATION = {"echelon", "span", "rref"}
+
+
+def _eliminations(tree: ast.AST) -> list[int]:
+    """Lines that reach pg's row elimination: pg.echelon, pg.span or
+    pg.rref read as an attribute of pg, or called by a name imported from
+    pg (an import alone, such as a package re-export, calls nothing)."""
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "pg"
+        for alias in node.names
+        if alias.name in ELIMINATION
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ELIMINATION:
+            owner = node.value
+            if getattr(owner, "id", None) == "pg" or getattr(owner, "attr", None) == "pg":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_elimination_detector_sees_every_form():
+    for snippet in (
+        "_, forms = pg.echelon(F, rows)",
+        "flat = pg.span(F, points)",
+        "basis = pg.rref(F, rows)",
+        "f = griesmer.pg.echelon",
+        "from .pg import span\nflat = span(F, points)",
+        "from griesmer.pg import Flat, echelon as e\n_, forms = e(F, rows)",
+    ):
+        assert _eliminations(ast.parse(snippet)), snippet
+    for snippet in (
+        "r = pg.rank(F, rows)",
+        "from .pg import Flat, rank\nr = rank(F, rows)",
+        "from .pg import echelon, span",
+        "x = M.span",
+        "from . import pg",
+        "lines = find_disjoint_lines(M, 2)",
+    ):
+        assert not _eliminations(ast.parse(snippet)), snippet
+
+
+def test_only_pg_eliminates():
+    # elimination is pg's: other modules read bases off the points they
+    # hold (a line's basis is its first and last point), and arc_check
+    # asks pg.rank only because the rank is its question
+    files = sorted(path for path in SOURCE.glob("*.py") if path.name != "pg.py")
+    assert files
+    found = {
+        path.name: lines
+        for path in files
+        if (lines := _eliminations(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
 def _owned_private_names(tree: ast.AST) -> set[str]:
     """The _-prefixed attributes that the module's own classes define: in a
     class body (methods, class attributes) or stored on an object there."""
