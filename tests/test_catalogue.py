@@ -1,9 +1,12 @@
 """The certified catalogue (tests/catalogue.json): one entry per table of
 the paper's reachable grid, checked against the pins elsewhere, and its
 entries with q^k <= 2^20 rebuilt byte for byte.  tests/catalogue.py
-rebuilds all of them."""
+rebuilds all of them.  Hill's residual lemma is checked on every row of
+three tables."""
 
 import catalogue
+import numpy as np
+import pytest
 import test_acceptance
 from griesmer.chains import theorem_range
 from griesmer.errors import InputError
@@ -72,3 +75,25 @@ def test_the_literature_checks_report_a_spoiled_row():
     _, rows = catalogue.rebuild(1, 4, 5)
     assert [(r["divisor"], r["gamma0"]) for r in rows if r["d"] == 334] == [(1, 2)]
     assert catalogue.literature_faults(rows) == []
+
+
+@pytest.mark.parametrize("key", [(1, 4, 5), (1, 5, 5), (2, 5, 6)], ids=lambda t: "-".join(map(str, t)))
+def test_every_row_meets_the_residual_lemma(key):
+    entry = next(e for e in catalogue.entries() if (e["theorem"], e["q"], e["k"]) == key)
+    assert catalogue.residual_mismatches([entry]) == []
+
+
+def test_the_residual_check_refuses_an_off_hyperplane_point(monkeypatch):
+    on = catalogue.points_on
+
+    def leaky(M, H):  # keeps the first support point off H
+        mask = on(M, H)
+        mask[np.flatnonzero(~mask & (M.counts > 0))[0]] = True
+        return mask
+
+    _, M = next(catalogue.row_codes(1, 4, 5))
+    assert catalogue.residual_faults(M) == []
+    monkeypatch.setattr(catalogue, "points_on", leaky)
+    assert catalogue.residual_faults(M) == [
+        "[449,5,336]_4: residual [115,4,84]_4, want the Griesmer [113,4,84]_4"
+    ]
