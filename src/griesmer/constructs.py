@@ -107,7 +107,7 @@ def line_config(k: int, q: int) -> LineConfig:
     meeting off l0 would span a plane through l0 whose trace on the
     hyperplane holds P_0, P_i and P_j, three collinear arc points.
     """
-    pg.check_space(q, k)  # before the curve's (q+1)k cells and the q x q tables
+    pg.check_space(q, k)  # before the curve's (q+1)k cells
     arc = normal_rational_curve(k, q)
     F = field(q)
     P0 = arc[0]

@@ -30,7 +30,14 @@ import numpy as np
 
 from .errors import NotAPrimePower, TooLarge
 
-MAX_FIELD_SIZE = 1 << 16
+# the cell bound of a field's q x q tables and of pg's transform over
+# GF(q)^k, whose peak is four q^k-cell arrays (134 MB in int32 at the cap)
+MAX_TRANSFORM_CELLS = 1 << 23
+
+
+def _check_tables(q: int) -> None:
+    if q * q > MAX_TRANSFORM_CELLS:
+        raise TooLarge(f"GF({q}) needs {q * q} table cells, above the bound {MAX_TRANSFORM_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,7 @@ def field_create(q: int) -> FieldSpec:
     GF(p) (trial division suffices at these sizes) and alpha the
     smallest-encoded element of multiplicative order exactly q - 1.
     """
-    # the bound comes first: trial division runs up to sqrt(q)
-    if q > MAX_FIELD_SIZE:
-        raise TooLarge(f"field size {q} exceeds the bound {MAX_FIELD_SIZE}")
+    _check_tables(q)
     p, h = _prime_power(q)
 
     # an irreducible exists for every degree, and GF(q)* is cyclic
@@ -147,6 +152,7 @@ class Field:
     """Arithmetic context for one FieldSpec; immutable after construction."""
 
     def __init__(self, spec: FieldSpec):
+        _check_tables(spec.q)
         self.spec = spec
         self.p, self.h, self.q = spec.p, spec.h, spec.q
         p, h, q = self.p, self.h, self.q
@@ -214,7 +220,7 @@ class Field:
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(add, mul) with add[a, b] == a + b and mul[a, b] == a * b.
 
-        q^2 cells each, built once per field; callers bound q^2 first.
+        q^2 cells each, built once per field.
         """
         if self._tables is None:
             p, q, dt = self.p, self.q, np.min_scalar_type(self.q - 1)

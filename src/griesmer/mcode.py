@@ -202,7 +202,7 @@ def multiset_from_matrix(G, q: int) -> PointMultiset:
     if len(zero):
         raise ZeroColumn(f"column {zero[0]} is zero (code would not have full support)")
     pg.check_space(q, k)
-    F = field(q)  # after the space check: a field past it is slow to build
+    F = field(q)
     bad = np.flatnonzero(((G < 0) | (G >= q)).any(axis=0))
     if len(bad):
         raise ValueError(f"coordinate out of range in {tuple(G[:, bad[0]].tolist())}")

@@ -34,12 +34,7 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
-from .gf import Field
-
-# the transform's peak is four arrays of q^k cells (134 MB at the cap with
-# int32 cells, twice that with int64), plus the field's q x q tables; spaces
-# where either count exceeds the cap raise TooLarge (check_space)
-MAX_TRANSFORM_CELLS = 1 << 23
+from .gf import MAX_TRANSFORM_CELLS, Field
 
 _CODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -76,8 +71,7 @@ def normalize_point(F: Field, coords) -> tuple[int, ...]:
 
 
 def check_space(q: int, k: int) -> None:
-    """Raise TooLarge when GF(q)^k or the q x q field tables exceed
-    MAX_TRANSFORM_CELLS.
+    """Raise TooLarge when GF(q)^k exceeds MAX_TRANSFORM_CELLS.
 
     PG(k-1, q) has theta(k-1, q) < q^k points, so this one test bounds the
     point enumeration, every per-point array and the transform kernel.
@@ -85,10 +79,8 @@ def check_space(q: int, k: int) -> None:
     # q >= 2, so once 2^k passes the cap q^k does too; q^k is never built
     if k >= MAX_TRANSFORM_CELLS.bit_length():
         cells = f"2^{k} or more"
-    else:
-        cells = max(q**k, q * q)
-        if cells <= MAX_TRANSFORM_CELLS:
-            return
+    elif (cells := q**k) <= MAX_TRANSFORM_CELLS:
+        return
     raise TooLarge(
         f"PG({k - 1}, {q}) needs {cells} transform cells, above the bound {MAX_TRANSFORM_CELLS}"
     )
@@ -331,7 +323,7 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
 
     The cost is about k * q^(k+1) integer additions whatever the support
     size.  Spaces that check_space refuses raise TooLarge before anything
-    is allocated, the field's tables included.
+    is allocated.
     """
     q, k = F.q, r + 1
     check_space(q, k)

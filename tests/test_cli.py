@@ -209,7 +209,7 @@ def test_each_report_step_is_its_transforms_record(tmp_path, capsys):
 
 
 def test_construct_checks_the_space_before_the_field_tables(capsys):
-    # 2897^2 is just above the cap: the q x q tables are refused unbuilt
+    # 2897^2 is just above the cap: the space is refused before the field
     tracemalloc.start()
     try:
         assert main(["construct", "--family", "base1", "--q", "2897", "--k", "4"]) == 2

@@ -106,8 +106,9 @@ def test_arc_check_refuses_points_it_cannot_read():
     "build,k,q", [(base_code_1, 4, 2897), (code_c1, 5, 2897), (base_code_1, 3000, 4093)]
 )
 def test_family_builds_check_the_space_before_the_curve_and_the_tables(build, k, q, monkeypatch):
-    # 2897^2 is above the cap, so the q x q tables alone would pass it; at
-    # (3000, 4093) the curve alone holds 4094 points of 3000 coordinates
+    # 2897^2 is above the cap, so GF(2897) itself is refused too, but the
+    # space is checked first; at (3000, 4093) the curve alone holds 4094
+    # points of 3000 coordinates
     built = []
     monkeypatch.setattr(Field, "tables", property(lambda F: built.append(F.q)))
     monkeypatch.setattr(constructs, "normal_rational_curve", lambda k, q: built.append("curve"))

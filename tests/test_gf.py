@@ -1,10 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from griesmer import gf
+from griesmer import gf, pg
 from griesmer.errors import NotAPrimePower, TooLarge
 from griesmer.gf import Field, FieldSpec, field, field_create
 
@@ -44,6 +45,35 @@ def test_field_create_respects_size_bound():
     with pytest.raises(TooLarge):
         field_create(2**17)
     field_create(2**10)  # within the default bound
+
+
+def test_the_field_tables_are_the_fields_one_bound():
+    # 2887 is the largest prime power q with q x q cells within the bound
+    assert 2887**2 <= gf.MAX_TRANSFORM_CELLS < 2897**2
+    assert not hasattr(gf, "MAX_FIELD_SIZE")
+    assert pg.MAX_TRANSFORM_CELLS is gf.MAX_TRANSFORM_CELLS
+    assert field_create(2887).q == 2887
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_create(2897),
+    lambda: field_create(65536),
+    lambda: Field(FieldSpec(p=2897, h=1, q=2897, modulus=(0, 1), alpha=3)),
+], ids=["field_create-2897", "field_create-65536", "Field-2897"])
+def test_a_field_past_the_bound_is_refused_before_any_work(make, monkeypatch):
+    # no trial division, no power walk and no table: the refusal is arithmetic
+    done = []
+    for name in ("_prime_power", "_is_irreducible", "_powers", "_mul"):
+        monkeypatch.setattr(gf, name, lambda *args, name=name: done.append(name))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=r"^GF\(\d+\) needs \d+ table cells, above the bound 8388608$"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert done == []
+    assert peak < 64 * 1024
 
 
 def test_gf4_products_and_sums():

@@ -478,8 +478,8 @@ def test_gmatrix_file_rows_of_another_width_are_refused(tmp_path):
 
 
 def test_gmatrix_file_space_is_bounded_before_the_field_is_built(tmp_path, monkeypatch):
-    # GF(65521) takes a third of a second to build; its q x q tables are
-    # past the cell bound, so the file is refused first
+    # PG(1, 65521) has 65521^2 cells, past the bound, so the file is
+    # refused before GF(65521), which is past it too, is looked at
     from griesmer import gf
 
     built = []

@@ -15,6 +15,7 @@ from griesmer.mcode import PointMultiset
 from griesmer.pg import (
     MAX_TRANSFORM_CELLS,
     Flat,
+    check_space,
     echelon,
     enumerate_points,
     flat_indices,
@@ -501,14 +502,17 @@ def test_hyperplane_multiplicities_cap():
     k = MAX_TRANSFORM_CELLS.bit_length() - 1
     assert 2**k == MAX_TRANSFORM_CELLS
     assert 3**14 <= MAX_TRANSFORM_CELLS < 3**15
-    # PG(0, 4099) has 4099 cells, but its q x q field tables have 4099^2
-    assert 4099 < MAX_TRANSFORM_CELLS < 4099**2
-    for q, k_over in [(2, k + 1), (3, 15), (8, 8), (4099, 1)]:
+    for q, k_over in [(2, k + 1), (3, 15), (8, 8)]:
         F = field(q)
         point = (1,) + (0,) * (k_over - 1)
         with pytest.raises(TooLarge):
             hyperplane_multiplicities(F, k_over - 1, [point_index(q, point)], [1])
-    assert field(4099)._tables is None  # rejected before they are built
+    # PG(0, 4099) has 4099 cells, but GF(4099)'s q x q tables have 4099^2,
+    # so the field itself is refused
+    assert 4099 < MAX_TRANSFORM_CELLS < 4099**2
+    check_space(4099, 1)
+    with pytest.raises(TooLarge, match=r"^GF\(4099\) needs 16801801 table cells"):
+        field(4099)
 
 
 @pytest.mark.parametrize("support,weights", [([0, 1], [1]), ([[0, 1]], [[1, 1]])], ids=["lengths", "2-d"])
