@@ -220,7 +220,7 @@ class Field:
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(add, mul) with add[a, b] == a + b and mul[a, b] == a * b.
 
-        q^2 cells each, built once per field.
+        q^2 cells each, built once per field, read-only.
         """
         if self._tables is None:
             p, q, dt = self.p, self.q, np.min_scalar_type(self.q - 1)
@@ -235,17 +235,21 @@ class Field:
             mul = np.zeros((q, q), dtype=dt)
             mul[1:, 1:] = np.array(self._exp, dtype=dt)[np.add.outer(log, log) % (q - 1)]
             self._tables = (add.astype(dt), mul)
+            for table in self._tables:
+                table.setflags(write=False)
         return self._tables
 
     @property
     def inverses(self) -> np.ndarray:
         """inv with inv[a] == 1/a for a != 0 and inv[0] == 0, in the
-        tables' dtype; built once per field from the log/antilog lists."""
+        tables' dtype; built once per field from the log/antilog lists,
+        read-only."""
         if self._inverses is None:
             q, dt = self.q, np.min_scalar_type(self.q - 1)
             log = np.array(self._log[1:], dtype=np.int64)
             inv = np.zeros(q, dtype=dt)
             inv[1:] = np.array(self._exp, dtype=dt)[-log % (q - 1)]
+            inv.setflags(write=False)
             self._inverses = inv
         return self._inverses
 

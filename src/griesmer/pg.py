@@ -33,7 +33,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import CertificationFailed, DimensionMismatch, TooLarge
 from .gf import MAX_TRANSFORM_CELLS, Field
 
 _CODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -139,7 +139,8 @@ def vector_indices(F: Field, vectors) -> np.ndarray:
     Each vector is scaled by the inverse of its leading nonzero entry with
     Field tables gathers, then point_index's closed form applies: the
     scaled code q^(k-1-i) + tail sits at theta(k-1) - theta(k-1-i) + tail
-    for pivot i.
+    for pivot i.  A leading entry that the tables do not scale to 1 is a
+    CertificationFailed naming it.
     """
     V = as_elements(F, vectors)
     q, k = F.q, V.shape[-1]
@@ -149,6 +150,10 @@ def vector_indices(F: Field, vectors) -> np.ndarray:
         raise ValueError("the zero vector is not a projective point")
     _, mul = F.tables
     scaled = mul[F.inverses[lead], V]
+    ones = np.take_along_axis(scaled, pivot[..., None], axis=-1)
+    if (bad := ones != 1).any():  # a spoiled product would name another point
+        a, x = int(lead[bad][0]), int(ones[bad][0])
+        raise CertificationFailed(f"GF({q})'s tables give {a}^-1 * {a} = {x}, not 1")
     code = np.zeros(V.shape[:-1], dtype=np.int64)
     for i in range(k):
         code = code * q + scaled[..., i]
@@ -250,6 +255,7 @@ def flat_indices(F: Field, basis) -> np.ndarray:
     """
     add, mul = F.tables
     B = as_elements(F, basis).astype(np.int64)
+    check_space(F.q, B.shape[-1])
     scalars = np.arange(F.q)[:, None, None]
     blocks = []
     for i in range(B.shape[-2]):
@@ -277,6 +283,7 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
     """
     add, mul = F.tables
     q, k = F.q, flat.r + 1
+    check_space(q, k)
     h = k // 2
     through = np.ones(theta(flat.r, q), dtype=bool)
     for b in as_elements(F, flat.basis).tolist():

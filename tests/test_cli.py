@@ -302,6 +302,23 @@ def test_unwritable_sidecar_exit_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c1.ms.meta.json"]
 
 
+def test_undeletable_stale_sidecar_exit_2(tmp_path, capsys):
+    # a file without provenance drops the old sidecar; when that cannot be
+    # unlinked (here a directory), the new body is not written either
+    bare = tmp_path / "bare.ms"
+    bare.write_text("3 3\n1 1 0 0\n1 0 1 0\n1 0 0 1\n")
+    out = tmp_path / "out.ms"
+    old = "3 3\n1 1 0 0\n"
+    out.write_text(old)
+    (tmp_path / "out.ms.meta.json").mkdir()
+    (tmp_path / "out.ms.meta.json" / "keep").write_text("")
+    assert main(["puncture", "--in", str(bare), "--out", str(out)]) == 2
+    assert re.fullmatch(rf"invalid input: cannot write {re.escape(str(out))}\.meta\.json: .*\n",
+                        capsys.readouterr().err)
+    assert out.read_text() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.ms", "out.ms", "out.ms.meta.json"]
+
+
 def test_verify_bad_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ms"
     bad.write_text("not a multiset\n")
@@ -472,6 +489,33 @@ def test_python_m_cli_runs_main():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("base1: [11,5,3]_3")
+
+
+ENTRY_CASES = [(["table", "--theorem", "1", "--q", "3", "--k", "5"], 0),
+               (["table", "--theorem", "1", "--q", "3", "--k", "5", "--bogus"], 2)]
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_CASES, ids=["table", "bad-flag"])
+def test_entry_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    # the console script's entry point reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["griesmer", *argv])
+    with pytest.raises(SystemExit) as done:
+        cli.entry()
+    assert done.value.code == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_CASES, ids=["table", "bad-flag"])
+def test_python_m_cli_exits_with_mains_code(argv, code, capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(griesmer.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "griesmer.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    if code == 0:
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+    else:
+        assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 # arguments every command accepts

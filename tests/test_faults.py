@@ -2,9 +2,10 @@
 
 Each fault is one monkeypatch of a computation the pipeline runs (a kernel
 result, the dual's vector from the incidence identity, a closed form, a
-binomial, the curve, a field power, the lines of the configuration, one
-step's indicator or record, the lines the skew search returns), never of
-code_params or hyperplane_spectrum, whose reading is what is under test.
+binomial, the curve, a field power or product, the lines of the
+configuration, one step's indicator or record, the lines the skew search
+returns), never of code_params or hyperplane_spectrum, whose reading is
+what is under test.
 Every fault runs through the `table` and `chain` commands at (1, 5, 5)
 and (2, 5, 6), or at the one of them whose family the fault touches: the
 command must exit 1 with the expected check's message, print nothing on
@@ -28,7 +29,7 @@ import pytest
 from griesmer import chains, cli, constructs, pg, transforms
 from griesmer.cli import main
 from griesmer.errors import VerificationFailure
-from griesmer.gf import Field
+from griesmer.gf import Field, field
 
 # (theorem, q, k, chain distance): the chain walks 3 lines and 4 points,
 # so it passes five point-sized steps when lines are taken as points
@@ -163,6 +164,15 @@ def _square_every_alpha_power(monkeypatch):
     monkeypatch.setattr(Field, "alpha_power", lambda F, i: power(F, 2 * i))
 
 
+def _spoil_an_inverse_product(monkeypatch):
+    # 2^-1 * 2 = 3 * 2 = 1 in GF(5), both cases' field, spoiled to 2
+    F = field(5)
+    add, mul = F.tables
+    spoiled = mul.copy()
+    spoiled[3, 2] = 2
+    monkeypatch.setattr(F, "_tables", (add, spoiled))
+
+
 def _spoil_curve(monkeypatch, spoil):
     curve = constructs.normal_rational_curve
     monkeypatch.setattr(constructs, "normal_rational_curve", lambda k, q: spoil(curve(k, q)))
@@ -290,6 +300,13 @@ FAULTS = {
     "l0-points": (
         _square_every_alpha_power,
         _both("constructs.line_config: transversal line does not consist of the stated points"),
+        CASES,
+    ),
+    # pg.vector_indices: a product the tables give wrong, before any index
+    "inverse-product": (
+        _spoil_an_inverse_product,
+        _both("pg.vector_indices: GF({})'s tables give {}^-1 * {} = {}, not 1",
+              lambda t, q, k, d: r"GF\(5\)'s tables give 2\^-1 \* 2 = 2, not 1"),
         CASES,
     ),
     "arc-off-the-hyperplane": (

@@ -50,7 +50,6 @@ def test_field_create_respects_size_bound():
 def test_the_field_tables_are_the_fields_one_bound():
     # 2887 is the largest prime power q with q x q cells within the bound
     assert 2887**2 <= gf.MAX_TRANSFORM_CELLS < 2897**2
-    assert not hasattr(gf, "MAX_FIELD_SIZE")
     assert pg.MAX_TRANSFORM_CELLS is gf.MAX_TRANSFORM_CELLS
     assert field_create(2887).q == 2887
 
@@ -74,6 +73,18 @@ def test_a_field_past_the_bound_is_refused_before_any_work(make, monkeypatch):
         tracemalloc.stop()
     assert done == []
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_field_tables_are_read_only(q):
+    # the field is cached per process: one write would change every later
+    # product, so the arrays refuse it
+    add, mul = field(q).tables
+    for table, at in ((add, (1, 3)), (mul, (3, 3)), (field(q).inverses, 3)):
+        before = table[at]
+        with pytest.raises(ValueError, match="read-only"):
+            table[at] = 0
+        assert table[at] == before
 
 
 def test_gf4_products_and_sums():

@@ -515,6 +515,26 @@ def test_hyperplane_multiplicities_cap():
         field(4099)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hyperplanes_containing(field(2), Flat(23, ((1,) + (0,) * 23,))),
+    lambda: flat_indices(field(2), np.eye(24, dtype=np.int64)[:2]),
+], ids=["hyperplanes_containing", "flat_indices"])
+def test_theta_sized_entries_check_the_space_first(call):
+    # PG(23, 2) is just past the bound: its space is refused before any
+    # array sized by it is asked for, even for a line's 3 points.  Without
+    # the check, a 16 MB vector or 3 indices come back: a small space, so
+    # a missing check fails this test instead of exhausting memory
+    field(2).tables
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=r"^PG\(23, 2\) needs 2\^24 or more transform cells"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("support,weights", [([0, 1], [1]), ([[0, 1]], [[1, 1]])], ids=["lengths", "2-d"])
 def test_hyperplane_multiplicities_refuses_unmatched_weights(support, weights):
     with pytest.raises(ValueError, match="^support and weights must be 1-D arrays of one length$"):

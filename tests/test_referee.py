@@ -102,3 +102,23 @@ def test_a_spoiled_product_is_caught_by_the_certifier(tmp_path, capsys, monkeypa
     assert main(["chain", *args]) == 1
     assert capsys.readouterr().err == "verification failed: built [23,5,10]_4, wanted [23,5,12]_4\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q,a,spoiled", [(3, 1, 2), (4, 3, 2), (5, 2, 2)])
+def test_a_spoiled_inverse_product_is_named(q, a, spoiled, tmp_path, capsys, monkeypatch):
+    # a^-1 * a spoiled: vector_indices would read the index off a vector
+    # whose lead is not 1, past the point codes or onto another point;
+    # it names the product instead, and the chain writes nothing
+    F = field(q)
+    add, mul = F.tables
+    bad = mul.copy()
+    bad[F.inv(a), a] = spoiled
+    monkeypatch.setattr(F, "_tables", (add, bad))
+    out = tmp_path / "code.ms"
+    d = theorem_range(1, q, 5)[1]
+    args = ["--theorem", "1", "--q", str(q), "--k", "5", "--d", str(d), "--out", str(out)]
+    assert main(["chain", *args]) == 1
+    assert capsys.readouterr().err == (
+        f"verification failed: GF({q})'s tables give {a}^-1 * {a} = {spoiled}, not 1\n"
+    )
+    assert not out.exists()
