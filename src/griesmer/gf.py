@@ -10,14 +10,15 @@ functions of q alone, which makes every file this package writes
 reproducible bit for bit given q.
 
 One walk over an element's powers (_powers) decides whether it has order
-q - 1 and, for alpha, is the antilog table itself.  Multiplication and
-inversion run on that table and the log table read off it, built once per
-field; addition is digitwise mod p.  Array code (pg's incidence kernel and
-mcode's codeword oracle) reads Field.tables instead: the full q x q
-addition and multiplication tables, built on first use with numpy from
-the same digit and log/antilog lists, in the smallest unsigned dtype that
-holds q - 1, and Field.inverses, the matching table of inverses.  Every
-array computation over GF(q) is thus an exact integer gather.
+q - 1 and, for alpha, is the antilog table itself.  Field builds all of
+its arithmetic from it once, when it is made: the q x q addition
+(digitwise mod p) and multiplication (log sums) tables, the inverses and
+the negatives, read-only numpy arrays in the smallest unsigned dtype that
+holds q - 1.  The scalar operations are one gather each from those arrays,
+and the array code (pg's incidence kernel and elimination, mcode's
+codeword oracle) gathers from the same ones, so every computation over
+GF(q) is an exact integer lookup.  Only pow and alpha_power read the
+log/antilog lists.
 """
 
 from __future__ import annotations
@@ -149,16 +150,14 @@ def field_create(q: int) -> FieldSpec:
 
 
 class Field:
-    """Arithmetic context for one FieldSpec; immutable after construction."""
+    """Arithmetic context for one FieldSpec: its tables, all built here and
+    read-only."""
 
     def __init__(self, spec: FieldSpec):
         _check_tables(spec.q)
+        p, h, q = spec.p, spec.h, spec.q
         self.spec = spec
-        self.p, self.h, self.q = spec.p, spec.h, spec.q
-        p, h, q = self.p, self.h, self.q
-
-        self._ppow = [p**i for i in range(h)]
-        self._dig = [tuple(_digits(a, p, h)) for a in range(q)]
+        self.p, self.h, self.q = p, h, q
 
         exp = _powers(spec.alpha, p, h, tuple(spec.modulus))
         if exp is None:
@@ -168,40 +167,44 @@ class Field:
             log[x] = i
         self._exp = exp
         self._log = log
-        # set here, not by functools.cached_property: writing to the
-        # instance __dict__ later slows every scalar operation's attribute
-        # reads (measured 1.8x per mul on CPython 3.11)
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
-        self._inverses: np.ndarray | None = None
+
+        dt = np.min_scalar_type(q - 1)
+        # addition is digitwise mod p; int32 holds every partial sum
+        add = np.zeros((q, q), dtype=np.int32)
+        for i in range(h):
+            d = np.arange(q, dtype=np.int32) // p**i % p
+            add += np.add.outer(d, d) % p * p**i
+        # a * b = alpha^(log a + log b) and 1/a = alpha^(-log a) for nonzero a, b
+        antilog, logs = np.array(exp, dtype=dt), np.array(log[1:], dtype=np.int32)
+        mul = np.zeros((q, q), dtype=dt)
+        mul[1:, 1:] = antilog[np.add.outer(logs, logs) % (q - 1)]
+        inv = np.zeros(q, dtype=dt)
+        inv[1:] = antilog[-logs % (q - 1)]
+        self.tables = (add.astype(dt), mul)  # add[a, b] == a + b, mul[a, b] == a * b
+        self.inverses = inv  # inv[a] == 1/a for a != 0, inv[0] == 0
+        self.negatives = mul[p - 1]  # -a == (-1) * a, and -1 is encoded as p - 1
+        for table in (*self.tables, self.inverses, self.negatives):
+            table.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if self.h == 1:
-            return (a + b) % p
-        da, db = self._dig[a], self._dig[b]
-        return sum(((x + y) % p) * w for x, y, w in zip(da, db, self._ppow))
+        return int(self.tables[0][a, b])
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.h == 1:
-            return (-a) % p
-        return sum(((-x) % p) * w for x, w in zip(self._dig[a], self._ppow))
+        return int(self.negatives[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.tables[0][a, self.negatives[b]])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return int(self.tables[1][a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return int(self.inverses[a])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -215,43 +218,6 @@ class Field:
     def alpha_power(self, i: int) -> int:
         """alpha^i with the exponent reduced mod q-1; alpha_power(0) == 1."""
         return self._exp[i % (self.q - 1)]
-
-    @property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) with add[a, b] == a + b and mul[a, b] == a * b.
-
-        q^2 cells each, built once per field, read-only.
-        """
-        if self._tables is None:
-            p, q, dt = self.p, self.q, np.min_scalar_type(self.q - 1)
-            # addition is digitwise mod p; int32 holds every partial sum
-            digits = np.array(self._dig, dtype=np.int32).reshape(q, self.h)
-            add = np.zeros((q, q), dtype=np.int32)
-            for i, w in enumerate(self._ppow):
-                d = digits[:, i]
-                add += np.add.outer(d, d) % p * w
-            # a * b = alpha^(log a + log b) for nonzero a, b
-            log = np.array(self._log[1:], dtype=np.int32)
-            mul = np.zeros((q, q), dtype=dt)
-            mul[1:, 1:] = np.array(self._exp, dtype=dt)[np.add.outer(log, log) % (q - 1)]
-            self._tables = (add.astype(dt), mul)
-            for table in self._tables:
-                table.setflags(write=False)
-        return self._tables
-
-    @property
-    def inverses(self) -> np.ndarray:
-        """inv with inv[a] == 1/a for a != 0 and inv[0] == 0, in the
-        tables' dtype; built once per field from the log/antilog lists,
-        read-only."""
-        if self._inverses is None:
-            q, dt = self.q, np.min_scalar_type(self.q - 1)
-            log = np.array(self._log[1:], dtype=np.int64)
-            inv = np.zeros(q, dtype=dt)
-            inv[1:] = np.array(self._exp, dtype=dt)[-log % (q - 1)]
-            inv.setflags(write=False)
-            self._inverses = inv
-        return self._inverses
 
 
 @lru_cache(maxsize=None)

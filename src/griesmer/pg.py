@@ -222,7 +222,7 @@ def echelon(F: Field, rows) -> tuple[np.ndarray, np.ndarray]:
         L, P = lead[s], below[s].argmax(axis=1)
         pivot = mul[F.inverses[A[s, P, col]][:, None], A[s, P]]
         A[s, P], A[s, L] = A[s, L], pivot
-        f = mul[F.neg(1)][A[s, :, col]]  # adding f * pivot clears the column
+        f = F.negatives[A[s, :, col]]  # adding f * pivot clears the column
         f[np.arange(len(s)), L] = 0
         A[s] = add[A[s], mul[f[:, :, None], pivot[:, None, :]]]
         lead[s] += 1
@@ -343,7 +343,7 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     W = np.zeros(q**k, dtype=dt)
     np.add.at(W, point_codes(q, r)[idx], w.astype(dt))
     add, mul = F.tables
-    minus = add[:, mul[F.neg(1)]]  # minus[s, t] = s - t
+    minus = add[:, F.negatives]  # minus[s, t] = s - t
     # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest); every s
     # only where some pass folds twice (k >= 3, so q^3 <= q^k cells)
     rows = minus[: q if k >= 3 else 1, mul].transpose(1, 0, 2).astype(np.int64) * q + np.arange(q)

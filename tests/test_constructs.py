@@ -23,7 +23,7 @@ from griesmer.errors import (
     ParamMismatch,
     TooLarge,
 )
-from griesmer.gf import Field, field, field_create
+from griesmer.gf import Field, field
 from griesmer.mcode import (
     PointMultiset,
     code_params,
@@ -86,7 +86,7 @@ def test_arc_check_rejects_points_off_the_ambient_flat():
 
 
 def test_arc_check_refuses_points_it_cannot_read():
-    F = Field(field_create(3))  # fresh: its tables are not built yet
+    F = field(3)
     plane = Flat(r=2, basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(DimensionMismatch, match="^arc points need 3 coordinates each$"):
         arc_check(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], plane)
@@ -97,7 +97,6 @@ def test_arc_check_refuses_points_it_cannot_read():
             arc_check(F, [(1, 0, 0), (0, bad, 0), (0, 0, 1)], plane)
     with pytest.raises(ValueError, match="^the zero vector is not a projective point$"):
         arc_check(F, [(1, 0, 0), (0, 0, 0), (0, 0, 1)], plane)
-    assert F._tables is None
     # rank ignores scaling, so points need not be in normal form
     assert arc_check(F, [(2, 0, 0), (0, 2, 0), (0, 0, 1)], plane)
 
@@ -108,9 +107,9 @@ def test_arc_check_refuses_points_it_cannot_read():
 def test_family_builds_check_the_space_before_the_curve_and_the_tables(build, k, q, monkeypatch):
     # 2897^2 is above the cap, so GF(2897) itself is refused too, but the
     # space is checked first; at (3000, 4093) the curve alone holds 4094
-    # points of 3000 coordinates
+    # points of 3000 coordinates; a Field builds its tables when it is made
     built = []
-    monkeypatch.setattr(Field, "tables", property(lambda F: built.append(F.q)))
+    monkeypatch.setattr(Field, "__init__", lambda F, spec: built.append(spec.q))
     monkeypatch.setattr(constructs, "normal_rational_curve", lambda k, q: built.append("curve"))
     with pytest.raises(TooLarge, match=rf"^PG\({k - 1}, {q}\) needs .* transform cells"):
         build(k, q)

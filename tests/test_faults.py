@@ -170,7 +170,7 @@ def _spoil_an_inverse_product(monkeypatch):
     add, mul = F.tables
     spoiled = mul.copy()
     spoiled[3, 2] = 2
-    monkeypatch.setattr(F, "_tables", (add, spoiled))
+    monkeypatch.setattr(F, "tables", (add, spoiled))
 
 
 def _spoil_curve(monkeypatch, spoil):

@@ -309,7 +309,7 @@ def test_batched_echelon_matches_the_scalar_references_on_every_stack(case):
 
 
 def test_elimination_refuses_ragged_rows_and_entries_outside_the_field():
-    F = Field(field_create(3))  # fresh: its tables are not built yet
+    F = field(3)
     with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
         rank(F, [(1, 0, 0), (0, 1)])
     with pytest.raises(DimensionMismatch, match="^rows of unequal length$"):
@@ -321,7 +321,6 @@ def test_elimination_refuses_ragged_rows_and_entries_outside_the_field():
         echelon(F, np.array([[[1, 0], [0, -1]]]))
     with pytest.raises(ValueError, match=r"^0\.5 is not an element of GF\(3\)$"):
         span(F, [(0.5, 1)])
-    assert F._tables is None
     assert rank(F, []) == 0 and echelon(F, [])[1].shape == (0, 0)
     assert rank(F, np.zeros((2, 0, 3), dtype=int)).tolist() == [0, 0]
 
@@ -524,7 +523,7 @@ def test_theta_sized_entries_check_the_space_first(call):
     # array sized by it is asked for, even for a line's 3 points.  Without
     # the check, a 16 MB vector or 3 indices come back: a small space, so
     # a missing check fails this test instead of exhausting memory
-    field(2).tables
+    field(2)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match=r"^PG\(23, 2\) needs 2\^24 or more transform cells"):
@@ -548,7 +547,6 @@ def test_kernel_peak_memory_is_four_spaces():
     F, q, r = field(5), 5, 6
     support = np.arange(15, theta(r, q))
     weights = np.ones(len(support), dtype=np.int64)
-    F.tables
     point_codes(q, r)
     tracemalloc.start()
     try:
@@ -564,7 +562,6 @@ def test_kernel_peak_memory_on_a_line_has_no_cube_table():
     # q^2 cells, not q^3: the peak is that table and its two int64
     # temporaries, W and one fold output, each of q^k or q^2 cells
     F, q, r = field(127), 127, 1
-    F.tables
     point_codes(q, r)
     tracemalloc.start()
     try:

@@ -96,7 +96,7 @@ def test_a_spoiled_product_is_caught_by_the_certifier(tmp_path, capsys, monkeypa
     add, mul = F.tables
     spoiled = mul.copy()
     spoiled[3, 3] = 3
-    monkeypatch.setattr(F, "_tables", (add, spoiled))
+    monkeypatch.setattr(F, "tables", (add, spoiled))
     out = tmp_path / "code.ms"
     args = ["--theorem", "1", "--q", "4", "--k", "5", "--d", "336", "--out", str(out)]
     assert main(["chain", *args]) == 1
@@ -113,7 +113,7 @@ def test_a_spoiled_inverse_product_is_named(q, a, spoiled, tmp_path, capsys, mon
     add, mul = F.tables
     bad = mul.copy()
     bad[F.inv(a), a] = spoiled
-    monkeypatch.setattr(F, "_tables", (add, bad))
+    monkeypatch.setattr(F, "tables", (add, bad))
     out = tmp_path / "code.ms"
     d = theorem_range(1, q, 5)[1]
     args = ["--theorem", "1", "--q", str(q), "--k", "5", "--d", str(d), "--out", str(out)]
