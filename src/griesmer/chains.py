@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields
 from . import pg
 from .constructs import code_c1, code_c2
 from .errors import CertificationFailed, InputError, OutOfScope, PlanInfeasible
+from .gf import field
 from .mcode import PointMultiset, code_params, hyperplane_spectrum
 from .transforms import (
     find_disjoint_lines,
@@ -66,7 +67,8 @@ def _family_tops(theorem: int, q: int, k: int) -> tuple[int, int]:
 
 def theorem_range(theorem: int, q: int, k: int) -> tuple[int, int]:
     """Inclusive distance range (d_min, d_max) covered by a family at
-    k >= 5: theorem 1 needs q >= k-2, theorem 2 q >= max(5, k-2)."""
+    k >= 5: theorem 1 needs q >= k-2, theorem 2 q >= max(5, k-2), and q
+    a prime power (NotAPrimePower)."""
     if theorem not in (1, 2):
         raise OutOfScope(f"theorem must be 1 or 2, got {theorem}")
     if k < 5:
@@ -76,6 +78,7 @@ def theorem_range(theorem: int, q: int, k: int) -> tuple[int, int]:
         raise OutOfScope(f"theorem {theorem} needs q >= {q_min} at k={k}, got {q}")
     # before q^(k-1), which a huge k makes slow to compute
     pg.check_space(q, k)
+    field(q)  # NotAPrimePower: no range for a field that does not exist
     _, d_top = _family_tops(theorem, q, k)
     return d_top - q * q + q, d_top
 

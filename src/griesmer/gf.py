@@ -156,6 +156,8 @@ class Field:
     def __init__(self, spec: FieldSpec):
         _check_tables(spec.q)
         p, h, q = spec.p, spec.h, spec.q
+        if q != p**h:
+            raise NotAPrimePower(f"FieldSpec has q={q}, but p^h = {p}^{h} = {p**h}")
         self.spec = spec
         self.p, self.h, self.q = p, h, q
 
@@ -189,25 +191,35 @@ class Field:
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
 
+    def _element(self, a) -> int:
+        """a as pg.as_elements reads an entry: a Python or numpy integer in
+        [0, q), not a bool or a float; a table gather would wrap a negative
+        index and read a bool as a mask."""
+        if isinstance(a, np.generic):
+            a = a.item()
+        if type(a) is int and 0 <= a < self.q:
+            return a
+        raise ValueError(f"{a!r} is not an element of GF({self.q})")
+
     def add(self, a: int, b: int) -> int:
-        return int(self.tables[0][a, b])
+        return int(self.tables[0][self._element(a), self._element(b)])
 
     def neg(self, a: int) -> int:
-        return int(self.negatives[a])
+        return int(self.negatives[self._element(a)])
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.tables[0][a, self.negatives[b]])
+        return int(self.tables[0][self._element(a), self.negatives[self._element(b)]])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.tables[1][a, b])
+        return int(self.tables[1][self._element(a), self._element(b)])
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if (a := self._element(a)) == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return int(self.inverses[a])
 
     def pow(self, a: int, e: int) -> int:
-        if a == 0:
+        if (a := self._element(a)) == 0:
             if e == 0:
                 return 1
             if e < 0:

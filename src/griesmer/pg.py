@@ -252,18 +252,28 @@ def flat_indices(F: Field, basis) -> np.ndarray:
     Row i plus every combination of the later rows gives, once each, the
     points whose first nonzero coefficient is row i's.  One vector_indices
     call maps every block; it refuses the zero vector of dependent rows.
+    The blocks' batch * theta(t) * k cells are bounded by
+    MAX_TRANSFORM_CELLS (TooLarge) before any is built: they peak at about
+    12 bytes a cell, so about 100 MB at the bound.
     """
     add, mul = F.tables
     B = as_elements(F, basis).astype(np.int64)
-    check_space(F.q, B.shape[-1])
+    *batch, rows, k = B.shape
+    check_space(F.q, k)
+    points = theta(rows - 1, F.q)
+    if (cells := prod(batch) * points * k) > MAX_TRANSFORM_CELLS:
+        raise TooLarge(
+            f"{prod(batch)} flat(s) of {points} points in PG({k - 1}, {F.q}) need {cells} cells, "
+            f"above the bound {MAX_TRANSFORM_CELLS}"
+        )
     scalars = np.arange(F.q)[:, None, None]
     blocks = []
-    for i in range(B.shape[-2]):
+    for i in range(rows):
         vecs = B[..., i : i + 1, :]
-        for j in range(i + 1, B.shape[-2]):
+        for j in range(i + 1, rows):
             # every vector so far plus c * row j, for every scalar c
             vecs = add[vecs[..., None, :, :], mul[scalars, B[..., j, None, None, :]]]
-            vecs = vecs.reshape(*B.shape[:-2], -1, B.shape[-1])
+            vecs = vecs.reshape(*batch, -1, k)
         blocks.append(vecs)
     return np.sort(vector_indices(F, np.concatenate(blocks, axis=-2)), axis=-1)
 

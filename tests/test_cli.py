@@ -226,6 +226,16 @@ def test_chain_out_of_scope_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--theorem", "1", "--q", "6", "--k", "5", "--d", "10"],
+    ["table", "--theorem", "2", "--q", "6", "--k", "5"],
+], ids=["chain", "table"])
+def test_a_family_over_a_q_that_is_not_a_prime_power_exit_2(argv, capsys):
+    # no range is given for a field that does not exist
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "invalid input: 6 is divisible by 2 but is not a power of it\n"
+
+
 def test_table_txt(capsys):
     rc = main(["table", "--theorem", "1", "--q", "4", "--k", "6"])
     assert rc == 0

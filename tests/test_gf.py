@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_field_tables_are_read_only(q):
     # the field is cached per process: one write would change every later
     # product, so the arrays refuse it
     add, mul = field(q).tables
-    for table, at in ((add, (1, 3)), (mul, (3, 3)), (field(q).inverses, 3)):
+    for table, at in ((add, (1, 3)), (mul, (3, 3)), (field(q).inverses, 3), (field(q).negatives, 1)):
         before = table[at]
         with pytest.raises(ValueError, match="read-only"):
             table[at] = 0
@@ -192,12 +193,65 @@ def test_field_refuses_an_alpha_of_lower_order(spec):
 
 @pytest.mark.parametrize("q", SMALL_Q + [16, 27, 256])
 def test_tables_match_scalar_arithmetic(q):
-    F = field(q)
+    # Field builds its tables from the log/antilog lists; the reference is
+    # field_create's packed polynomial product and sums of digits mod p.
+    # Every row up to q = 27, a fixed sample of 16 rows at 256
+    F, spec = field(q), field_create(q)
+    p, h = spec.p, spec.h
     add, mul = F.tables
     assert add.shape == mul.shape == (q, q)
-    assert add.dtype == mul.dtype == np.uint8
-    assert add.tolist() == [[F.add(a, b) for b in range(q)] for a in range(q)]
-    assert mul.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+    assert add.dtype == mul.dtype == F.inverses.dtype == F.negatives.dtype == np.uint8
+
+    def digits(a):
+        return [a // p**i % p for i in range(h)]
+
+    def digit_sum(a, b):
+        return sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(digits(a), digits(b))))
+
+    for a in range(q) if q <= 27 else range(0, q, 17):
+        assert add[a].tolist() == [digit_sum(a, b) for b in range(q)]
+        assert mul[a].tolist() == [gf._mul(a, b, p, h, spec.modulus) for b in range(q)]
+        assert [F.add(a, b) for b in range(q)] == add[a].tolist()
+        assert [F.mul(a, b) for b in range(q)] == mul[a].tolist()
+    assert F.inverses[0] == 0
+    assert all(gf._mul(a, int(F.inverses[a]), p, h, spec.modulus) == 1 for a in range(1, q))
+    assert all(digit_sum(a, int(F.negatives[a])) == 0 for a in range(q))
+    assert [F.neg(a) for a in range(q)] == F.negatives.tolist()
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 10**30, 1.0, True, np.int64(-1), np.bool_(True), None],
+                         ids=repr)
+def test_scalar_operations_refuse_non_elements(bad):
+    # the operations are table gathers: a negative index would wrap, one
+    # of q or more fail bare, and a bool would index as a mask
+    F = field(4)
+    calls = [
+        lambda: F.add(bad, 0), lambda: F.add(0, bad), lambda: F.neg(bad),
+        lambda: F.sub(bad, 0), lambda: F.sub(0, bad), lambda: F.mul(bad, 1),
+        lambda: F.mul(1, bad), lambda: F.inv(bad), lambda: F.pow(bad, 2),
+    ]
+    shown = repr(bad.item() if isinstance(bad, np.generic) else bad)
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^{re.escape(shown)} is not an element of GF\(4\)$"):
+            call()
+
+
+def test_scalar_operations_take_numpy_integers_and_return_ints():
+    F = field(5)
+    with pytest.raises(ValueError, match=r"^1\.0 is not an element of GF\(5\)$"):
+        F.mul(1.0, 2)
+    results = [F.add(np.uint8(3), np.int64(4)), F.sub(np.int32(1), 2), F.neg(np.uint8(1)),
+               F.mul(np.int64(3), np.uint8(4)), F.inv(np.int64(2)), F.pow(np.uint8(2), 3)]
+    assert results == [2, 4, 4, 2, 3, 3]
+    assert all(type(x) is int for x in results)
+
+
+def test_field_refuses_a_spec_whose_q_is_not_p_to_the_h(monkeypatch):
+    walked = []
+    monkeypatch.setattr(gf, "_powers", lambda *args: walked.append(args))
+    with pytest.raises(NotAPrimePower, match=r"^FieldSpec has q=5, but p\^h = 2\^2 = 4$"):
+        Field(FieldSpec(p=2, h=2, q=5, modulus=(1, 1, 1), alpha=2))
+    assert walked == []
 
 
 def test_gcd_of_q_minus_one_orders():
@@ -233,7 +287,8 @@ def test_field_specs_and_alpha_powers_are_pinned():
         return hashlib.sha256(repr(value).encode()).hexdigest()
 
     assert digest([(s.q, s.modulus, s.alpha) for s in specs]) == PINNED_SPECS
-    assert digest([(s.q, tuple(Field(s)._exp)) for s in specs]) == PINNED_ALPHA_POWERS
+    powers = [(s.q, tuple(gf._powers(s.alpha, s.p, s.h, s.modulus))) for s in specs]
+    assert digest(powers) == PINNED_ALPHA_POWERS
 
 
 def test_field_reuses_the_walk_that_picked_alpha(monkeypatch):

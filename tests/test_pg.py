@@ -534,6 +534,25 @@ def test_theta_sized_entries_check_the_space_first(call):
     assert peak < 1 << 20
 
 
+def test_flat_indices_bounds_its_blocks_first():
+    # PG(22, 2) is within the bound, but the points of its 21-flat fill
+    # blocks of 4194303 x 23 cells, about 1 GB at their peak: refused
+    # before any block is built.  Never run it without the bound
+    field(2)
+    basis = np.eye(23, dtype=np.int64)[:22]
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=(
+            r"^1 flat\(s\) of 4194303 points in PG\(22, 2\) need 96468969 cells, "
+            r"above the bound 8388608$"
+        )):
+            flat_indices(field(2), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("support,weights", [([0, 1], [1]), ([[0, 1]], [[1, 1]])], ids=["lengths", "2-d"])
 def test_hyperplane_multiplicities_refuses_unmatched_weights(support, weights):
     with pytest.raises(ValueError, match="^support and weights must be 1-D arrays of one length$"):
