@@ -8,8 +8,6 @@ points of PG(k-1, q).  An independent oracle weighs all q^k
 codewords by exact character sums and cross-checks the geometry.
 """
 
-import numpy as np
-
 from griesmer import (
     PointMultiset,
     code_params,
@@ -21,6 +19,8 @@ from griesmer import (
     pg,
     theta,
 )
+
+import numpy as np  # after griesmer, which caps its BLAS threads first
 
 F = field(2)
 

@@ -8,8 +8,6 @@ exactly (q+1, q) in (length, distance) and removing a point costs (1, 1),
 with every intermediate still meeting the Griesmer length bound.
 """
 
-import numpy as np
-
 from griesmer import (
     code_c1,
     code_params,
@@ -20,6 +18,8 @@ from griesmer import (
     puncture_flat,
     puncture_point,
 )
+
+import numpy as np  # after griesmer, which caps its BLAS threads first
 
 c1 = code_c1(6, 4)
 p = code_params(c1)

@@ -1,5 +1,20 @@
 """Exact construction and certification of length-optimal linear codes
-over GF(q) via projective geometry."""
+over GF(q) via projective geometry.
+
+Importing the package caps numpy's OpenBLAS at one thread, before numpy
+loads, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS
+is already set.  A process that imported numpy first keeps its BLAS
+threads.
+"""
+
+import os
+
+# every computation here is exact integer work that never calls BLAS, but
+# OpenBLAS starts a worker for each further core when numpy loads, and the
+# workers only spin: one thread halves a command's CPU time and changes no
+# result
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .chains import (
     ChainPlan,

@@ -91,8 +91,13 @@ def point_index(q: int, P) -> int:
 
     The points with pivot i (the position of the leading 1) start after
     the q^(k-1) + ... + q^(k-i) points with an earlier pivot, and inside
-    that block the tail after the pivot counts upward in base q.
+    that block the tail after the pivot counts upward in base q.  Float
+    and bool entries are refused.
     """
+    P = tuple(x.item() if isinstance(x, np.generic) else x for x in P)
+    for x in P:
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not an element of GF({q})")
     k = len(P)
     for i, c in enumerate(P):
         if c:
@@ -289,14 +294,17 @@ def hyperplanes_containing(F: Field, flat: Flat) -> np.ndarray:
     every vector of GF(q)^h, both built by Field tables gathers.  The
     pivot block of the codes q^m .. 2q^m - 1 pairs every hi in q^(m-h) ..
     2q^(m-h) - 1 with every lo when m >= h, and has hi = 0 when m < h, so
-    no code is divided.
+    no code is divided.  A zero basis row is refused.
     """
     add, mul = F.tables
     q, k = F.q, flat.r + 1
     check_space(q, k)
+    B = as_elements(F, flat.basis)
+    if not B.any(axis=1).all():
+        raise ValueError("the zero vector is not a projective point")
     h = k // 2
     through = np.ones(theta(flat.r, q), dtype=bool)
-    for b in as_elements(F, flat.basis).tolist():
+    for b in B.tolist():
         head, tail = np.zeros(1, add.dtype), np.zeros(1, add.dtype)
         for c in b[: k - h]:
             head = add[head[:, None], mul[c]].ravel()

@@ -1,6 +1,7 @@
 """Every demo script runs to the end in a fresh interpreter, and the
 README's library tour and command lines still run and parse."""
 
+import ast
 import os
 import re
 import shlex
@@ -34,6 +35,25 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def _first_import(tree: ast.Module, package: str) -> int | None:
+    """Index of the first module-level statement that imports package."""
+    for i, stmt in enumerate(tree.body):
+        if isinstance(stmt, ast.Import) and any(a.name.split(".")[0] == package for a in stmt.names):
+            return i
+        if isinstance(stmt, ast.ImportFrom) and (stmt.module or "").split(".")[0] == package:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_griesmer_before_numpy(demo):
+    # griesmer caps numpy's BLAS threads only if it loads first
+    tree = ast.parse(demo.read_text())
+    griesmer, numpy = _first_import(tree, "griesmer"), _first_import(tree, "numpy")
+    assert griesmer is not None
+    assert numpy is None or griesmer < numpy
 
 
 def test_readme_library_tour_runs_and_states_its_parameters():

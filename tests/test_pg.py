@@ -69,6 +69,23 @@ def test_point_index_refuses_a_point_that_is_not_canonical(P):
         point_index(3, P)
 
 
+@pytest.mark.parametrize("P, bad", [
+    ((1, 2.5), "2.5"), ((0, 1.0), "1.0"), ((True, 0), "True"), ((1, np.float64(2.0)), "2.0"),
+    ((1, np.True_), "True"),
+])
+def test_point_index_refuses_entries_that_are_no_elements(P, bad):
+    # (1, 2.5) would give the fractional index 2.5, (0, 1.0) index 5 and
+    # (True, 0) index 0
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} is not an element of GF\(5\)$"):
+        point_index(5, P)
+
+
+def test_point_index_takes_numpy_integers():
+    P = (np.int64(0), np.uint8(1), np.int32(3))
+    assert point_index(5, P) == point_index(5, (0, 1, 3)) == 28
+    assert type(point_index(5, P)) is int
+
+
 def test_incident_examples():
     F = field(4)
     k = 6
@@ -477,6 +494,15 @@ def test_stacked_pairs_refuse_a_repeated_point():
     P = point_digits(5, 2, [17])[0]
     with pytest.raises(ValueError, match="zero vector"):
         flat_indices(F, np.stack([P, P]))
+
+
+@pytest.mark.parametrize("basis", [((0, 0),), ((1, 0, 0), (0, 0, 0))], ids=["point", "line"])
+def test_hyperplanes_containing_refuses_a_zero_basis_row(basis):
+    # every hyperplane contains the zero vector: unrefused, the zero
+    # "point" would lie on all theta(r) hyperplanes
+    flat = Flat(len(basis[0]) - 1, basis)
+    with pytest.raises(ValueError, match="^the zero vector is not a projective point$"):
+        hyperplanes_containing(field(5), flat)
 
 
 @pytest.mark.parametrize(

@@ -37,17 +37,70 @@ def test_the_detector_sees_every_form():
     assert not _environment_reads(ast.parse("import os\nx = os.path.join('a', 'b')"))
 
 
+# the one statement that may touch the environment, in __init__.py: it sets
+# no griesmer bound or setting, it only caps numpy's BLAS threads, and it
+# leaves a count the caller chose alone
+THREAD_CAP = (
+    'if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():\n'
+    '    os.environ["OPENBLAS_NUM_THREADS"] = "1"\n'
+)
+
+
+def _is_thread_cap(stmt: ast.stmt) -> bool:
+    return ast.dump(stmt) == ast.dump(ast.parse(THREAD_CAP).body[0])
+
+
+def _environment_reads_outside_the_cap(tree: ast.Module, name: str) -> list[int]:
+    """_environment_reads, less the lines of a module-level THREAD_CAP when
+    the module is __init__.py."""
+    lines = _environment_reads(tree)
+    if name == "__init__.py":
+        for stmt in filter(_is_thread_cap, tree.body):
+            lines = [n for n in lines if not stmt.lineno <= n <= stmt.end_lineno]
+    return lines
+
+
+def test_only_the_exact_thread_cap_is_exempt():
+    assert _environment_reads_outside_the_cap(ast.parse(f"import os\n{THREAD_CAP}"), "__init__.py") == []
+    setdefault = 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")'
+    for snippet, name in (
+        (THREAD_CAP, "gf.py"),
+        (THREAD_CAP + "x = os.environ.get('A')\n", "__init__.py"),
+        ("def f():\n" + "".join(f"    {line}\n" for line in THREAD_CAP.splitlines()), "__init__.py"),
+        (THREAD_CAP.replace('"1"', '"2"'), "__init__.py"),
+        (THREAD_CAP.replace("OMP_NUM_THREADS", "GRIESMER_CELLS"), "__init__.py"),
+        (THREAD_CAP.replace("os.environ.keys()", "os.environ.keys() and os.getenv('A')"), "__init__.py"),
+        (THREAD_CAP.replace('os.environ["OPENBLAS_NUM_THREADS"] = "1"', setdefault), "__init__.py"),
+    ):
+        assert _environment_reads_outside_the_cap(ast.parse(snippet), name), snippet
+
+
 def test_no_module_reads_the_environment():
     # every bound and setting is a constant or an argument, never a
-    # variable of the caller's environment
+    # variable of the caller's environment; the BLAS thread cap is the one
+    # exempt statement
     files = sorted(SOURCE.glob("*.py"))
     assert files
     found = {
         path.name: lines
         for path in files
-        if (lines := _environment_reads(ast.parse(path.read_text(), str(path))))
+        if (lines := _environment_reads_outside_the_cap(ast.parse(path.read_text(), str(path)), path.name))
     }
     assert found == {}
+
+
+def test_the_thread_cap_comes_before_the_first_package_import():
+    # numpy loads with the package's first module, so a cap after it is
+    # too late for OpenBLAS
+    body = ast.parse((SOURCE / "__init__.py").read_text()).body
+    caps = [i for i, stmt in enumerate(body) if _is_thread_cap(stmt)]
+    imports = [i for i, stmt in enumerate(body) if isinstance(stmt, ast.ImportFrom) and stmt.level]
+    assert len(caps) == 1 and imports
+    assert caps[0] < imports[0]
+    assert not any(
+        isinstance(stmt, (ast.Import, ast.ImportFrom)) and "numpy" in ast.dump(stmt)
+        for stmt in body[: caps[0]]
+    )
 
 
 def _asserts(tree: ast.AST) -> list[int]:
