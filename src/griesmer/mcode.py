@@ -20,11 +20,12 @@ File formats (plain text, exact round trip):
                     "multiplicity c0 c1 ... c_{k-1}" using element encodings
   generator matrix  header "q k n", then k rows of n element encodings
 Entries are whitespace-separated and blank lines are skipped.  Both
-writers gather their lines from one table of byte strings.  A file of
-digits, spaces and newlines, as the writers make, is parsed by numpy's C
-reader; any other file (CRLF, tabs, bad rows) by a row scan that names
-the first bad row's line.  A JSON sidecar "<path>.meta.json" carries
-construction provenance when the multiset has any.
+writers gather their lines from one table of byte strings.  A reader
+splits the file into lines once.  numpy's C reader parses every
+well-formed file, whatever its line breaks and separators; a row scan
+reads only the files numpy refuses and names the first bad row's line.
+A JSON sidecar "<path>.meta.json" carries construction provenance when
+the multiset has any.
 """
 
 from __future__ import annotations
@@ -373,45 +374,44 @@ def write_multiset(M: PointMultiset, path) -> None:
                 raise FileFormatError(f"cannot write {meta}: {exc}") from exc
 
 
-def _read(path, header: str) -> tuple[str, list[int]]:
-    """An ASCII file's text and the integers of its header, the tokens of
-    _rows(text)[0] (found without splitting the rest), named by header."""
+def _read(path, header: str) -> tuple[list[str], int, list[int]]:
+    """An ASCII file's lines after its header, as splitlines() cuts them,
+    the header's line number and its integers, named by header; the
+    header is the first nonblank line."""
     try:
         data = Path(path).read_bytes()
         text = data.decode("ascii")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        # number the line as the readers' splitlines() does
+        # number the line as splitlines() does
         at = len((data[: exc.start] + b".").decode("ascii").splitlines())
         raise FileFormatError(f"{path}:{at}: non-ASCII byte {data[exc.start]:#04x}") from exc
-    first = text.lstrip().partition("\n")[0]
-    head = first.splitlines()[0].split() if first else []
+    lines = text.splitlines()
+    at = next((i for i, ln in enumerate(lines, 1) if ln.strip()), 0)
+    head = lines[at - 1].split() if at else []
     if len(head) != len(header.split()):
         raise FileFormatError(f"{path}: expected a '{header}' header")
     try:
-        return text, [int(x) for x in head]
+        return lines[at:], at, [int(x) for x in head]
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header") from exc
 
 
-def _rows(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) of each nonblank line, as splitlines() cuts them."""
-    return [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+def _rows(body: list[str], at: int) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each nonblank line of a body that starts after line at."""
+    return [(i, ln.split()) for i, ln in enumerate(body, at + 1) if ln.strip()]
 
 
-def _table(text: str, width: int) -> np.ndarray | None:
-    """The rows after the header as an int64 array from numpy's C reader, or
-    None for the row scan: when a byte is not a digit, space or newline
-    (splitlines() also cuts lines at \\r, \\x0b, \\x0c and \\x1c-\\x1e), when
-    no row follows, or when numpy refuses a token or rows are not `width` wide."""
-    if text.encode("ascii").translate(None, b"0123456789 \n"):
-        return None
-    body = text.lstrip().partition("\n")[2]
-    if not body.strip():  # loadtxt warns on an empty input
+def _table(body: list[str], width: int) -> np.ndarray | None:
+    """The body's rows as an int64 array from numpy's C reader, which reads
+    every token it accepts as int() does, or None for the row scan: when
+    no row is there, or when numpy refuses a token (1_0, 20 digits, 1.0)
+    or rows are not `width` wide."""
+    if not any(map(str.strip, body)):  # loadtxt warns on an empty input
         return None
     try:
-        vals = np.loadtxt(body.splitlines(), dtype=np.int64, comments=None, ndmin=2)
+        vals = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
     return vals if vals.shape[1] == width else None
@@ -429,55 +429,51 @@ def _entry(token: str) -> int:
 
 
 def read_multiset(path) -> PointMultiset:
-    text, (q, k) = _read(path, "q k")
+    body, at, (q, k) = _read(path, "q k")
     if k < 1:
         raise FileFormatError(f"{path}: dimension must be positive")
     pg.check_space(q, k)
     F = field(q)
-    vals = _table(text, k + 1)
+    vals = _table(body, k + 1)
     if vals is not None:
         count = end = len(vals)
     else:
-        body = [row for _, row in _rows(text)[1:]]
-        if not body:
+        rows = [row for _, row in _rows(body, at)]
+        if not rows:
             raise FileFormatError(f"{path}: no support points")
-        count = len(body)
-        end = next((i for i, row in enumerate(body) if len(row) != k + 1), count)
+        count = len(rows)
+        end = next((i for i, row in enumerate(rows) if len(row) != k + 1), count)
         error = f"expected multiplicity plus {k} coordinates"
         vals = []
-        for i, row in enumerate(body[:end]):
+        for i, row in enumerate(rows[:end]):
             try:
                 vals.append([_entry(x) for x in row])
             except ValueError:
                 end, error = i, "non-integer entry"
                 break
         vals = np.array(vals, dtype=np.int64).reshape(end, k + 1)
-    # Rows are checked as arrays, one check at a time.  Each check runs on
-    # the rows before the first failure found so far, so the first bad row
-    # is reported with the first check it fails, as a row-by-row scan would.
+    # The checks in a row-by-row scan's order, each on every row: the first
+    # row that fails any is reported with the first check it fails.
     m, coords = vals[:, 0], vals[:, 1:]
-
-    def lead(c):  # each row's leading nonzero entry
-        return np.take_along_axis(c, (c != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-
+    lead = np.take_along_axis(coords, (coords != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
     checks = (  # (message, failed rows); None is the multiplicity bound
-        ("multiplicity must be positive", lambda m, c: m < 1),
-        (None, lambda m, c: m > pg.MAX_TRANSFORM_CELLS),
-        (f"coordinate outside [0, {q})", lambda m, c: ((c < 0) | (c >= q)).any(axis=1)),
-        ("the zero vector is not a projective point", lambda m, c: ~c.any(axis=1)),
-        ("point is not in canonical form", lambda m, c: lead(c) != 1),
+        ("multiplicity must be positive", m < 1),
+        (None, m > pg.MAX_TRANSFORM_CELLS),
+        (f"coordinate outside [0, {q})", ((coords < 0) | (coords >= q)).any(axis=1)),
+        ("the zero vector is not a projective point", ~coords.any(axis=1)),
+        ("point is not in canonical form", lead != 1),
     )
-    for message, failed in checks:
-        bad = np.flatnonzero(failed(m[:end], coords[:end]))
-        if len(bad):
-            end, error = int(bad[0]), message
+    bad = np.flatnonzero(np.logical_or.reduce([failed for _, failed in checks]))
+    if len(bad):
+        end = int(bad[0])
+        error = next(message for message, failed in checks if failed[end])
     idx = pg.vector_indices(F, coords[:end])
     order = np.argsort(idx, kind="stable")
     repeats = order[1:][idx[order][1:] == idx[order][:-1]]
     if len(repeats):
         end, error = int(repeats.min()), "duplicate point"
     if end < count:
-        line, row = _rows(text)[end + 1]
+        line, row = _rows(body, at)[end]
         where = f"{path}:{line}: "
         if error is None:  # the entry as str(int()) gives it, past int()'s digit limit
             m = row[0].lstrip("+").replace("_", "").lstrip("0")
@@ -535,10 +531,10 @@ def write_gmatrix(M: PointMultiset, path) -> None:
 
 
 def read_gmatrix(path) -> PointMultiset:
-    text, (q, k, n) = _read(path, "q k n")
-    G = _table(text, n)
+    body, at, (q, k, n) = _read(path, "q k n")
+    G = _table(body, n)
     if G is None:
-        rows = [row for _, row in _rows(text)[1:]]
+        rows = [row for _, row in _rows(body, at)]
         if len(rows) != k or any(len(r) != n for r in rows):
             raise FileFormatError(f"{path}: expected {k} rows of {n} entries")
         try:

@@ -442,6 +442,11 @@ def test_multiset_file_rejects_bad_input(tmp_path):
                  id="negative-5000-digit-multiplicity"),
     (["1 1 0", "1 1 0\r"], 3, "duplicate point"),
     (["1 1 0 1", "1 0 1 1"], 2, "expected multiplicity plus 2 coordinates"),
+    # a row that fails several checks is named with the earliest
+    pytest.param(["1 1 0", "0 0 0", "1 2 1"], 3, "multiplicity must be positive",
+                 id="zero-multiplicity-zero-vector"),
+    pytest.param(["1 1 0", "1 0 3", "1 2 1"], 3, "coordinate outside [0, 3)",
+                 id="coordinate-outside-not-canonical"),
 ])
 def test_multiset_file_reports_its_first_bad_row(tmp_path, rows, line, message):
     path = tmp_path / "bad.ms"

@@ -212,9 +212,10 @@ def test_multiset_reader_matches_the_row_by_row_reference(q, k, data):
     entry = st.one_of(st.integers(0, q - 1).map(str), st.sampled_from(_TOKENS))
     anything = st.lists(entry, max_size=k + 2)  # any length, blank lines included
     rows = data.draw(st.lists(st.one_of(good, good, spoiled, anything), max_size=6))
-    # digits, spaces and newlines, which numpy reads, or any separators,
-    # line breaks and trailing blanks, which leave the file to the row scan;
-    # a separator splitlines() cuts at (\x0b, \x0c, \x1c) splits its row
+    # digits, spaces and newlines, as the writers make, or any separators,
+    # line breaks and trailing blanks; numpy reads both, and a token or row
+    # width it refuses leaves the file to the row scan; a separator
+    # splitlines() cuts at (\x0b, \x0c, \x1c) splits its row
     odd = data.draw(st.booleans())
     blanks = [" ", "  ", "\t", " \t "] if odd else [" ", "  "]
     seps = st.sampled_from(blanks + ["\x0b", "\x0c", "\x1c"] if odd else blanks)
@@ -237,24 +238,30 @@ def test_multiset_reader_matches_the_row_by_row_reference(q, k, data):
 
 
 def test_a_written_code_reads_back_through_numpy(tmp_path, monkeypatch):
-    # [12022, 6, 9616]_5: 3882 support points; its CRLF copy takes the row scan
+    # [12022, 6, 9616]_5: 3882 support points; its copies with other line
+    # breaks or separators are as well formed, so numpy reads them too
     code, _ = build_chain(plan_chain(2, 5, 6, 9616))
-    path, crlf = tmp_path / "code.ms", tmp_path / "crlf.ms"
+    path = tmp_path / "code.ms"
     write_multiset(code, path)
-    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     back = read_multiset(path)
     assert back == code and back.n == 12022
     assert np.array_equal(back.counts, read_row_by_row(path))
-    assert read_multiset(crlf) == code
     gm = tmp_path / "code.gm"
     write_gmatrix(code, gm)
     assert read_gmatrix(gm) == code
+    copies = []
+    for name, old, new in [("crlf", b"\n", b"\r\n"), ("cr", b"\n", b"\r"),
+                           ("tab", b" ", b"\t"), ("vt", b"\n", b"\x0b")]:
+        copies.append(tmp_path / f"{name}.ms")
+        copies[-1].write_bytes(path.read_bytes().replace(old, new))
 
-    def scan(text):
-        raise AssertionError("the row scan read a written file")
+    def scan(*args):
+        raise AssertionError("the row scan read a well-formed file")
 
     monkeypatch.setattr(mcode, "_rows", scan)
     assert read_multiset(path) == code and read_gmatrix(gm) == code
+    for copy in copies:
+        assert read_multiset(copy) == code, copy.name
 
 
 def _spoiled(row, q, k, data):
