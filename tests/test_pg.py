@@ -585,6 +585,32 @@ def test_hyperplane_multiplicities_refuses_unmatched_weights(support, weights):
         hyperplane_multiplicities(field(3), 2, support, weights)
 
 
+@pytest.mark.parametrize("idx,bad", [
+    ([-1], "-1"), ([1.5], "1.5"), ([True, False], "True"), ([31], "31"), ([0, 30, 31, -1], "31"),
+], ids=["negative", "float", "bool", "past-the-end", "first-bad"])
+def test_point_digits_refuses_what_is_not_a_point_index(idx, bad):
+    # -1 would wrap to the last point, 1.5 and True would read as 1, and
+    # 31 would raise a bare IndexError
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} is not a point index in \[0, 31\)$"):
+        point_digits(5, 2, idx)
+
+
+@pytest.mark.parametrize("idx,bad", [([-1], "-1"), ([0.7], "0.7"), ([True], "True"), ([6], "6")],
+                         ids=["negative", "float", "bool", "past-the-end"])
+def test_hyperplane_multiplicities_refuses_what_is_not_a_point_index(idx, bad):
+    # -1 would count the last point and 0.7 point 0
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} is not a point index in \[0, 6\)$"):
+        hyperplane_multiplicities(field(5), 1, idx, [1] * len(idx))
+
+
+def test_point_indices_of_any_integer_dtype_are_read():
+    assert point_digits(5, 2, np.array([30, 0], dtype=np.uint8)).tolist() == [[0, 0, 1], [1, 0, 0]]
+    assert point_digits(5, 2, []).shape == (0, 3)
+    # (0, 1) lies on the one hyperplane x_2 = 0, the point (1, 0)
+    assert hyperplane_multiplicities(field(5), 1, np.array([5], dtype=np.int32), [2]).tolist() == [
+        2, 0, 0, 0, 0, 0]
+
+
 def test_kernel_peak_memory_is_four_spaces():
     # a 19516-point support of PG(6, 5), the size of the k=7 chain's dual:
     # the folds' working arrays stay within four q^k-cell arrays of the
