@@ -46,18 +46,30 @@ def theta(j: int, q: int) -> int:
     return (q ** (j + 1) - 1) // (q - 1)
 
 
-def as_elements(F: Field, rows) -> np.ndarray:
-    """rows as an array of GF(q) elements: DimensionMismatch when they are
-    ragged, ValueError naming the first entry outside [0, q) or of a
-    float or bool array (a bool array would index a table as a mask)."""
+def _ints_below(values, size: int, what: str) -> np.ndarray:
+    """values as an array of integers in [0, size): DimensionMismatch when
+    they are ragged, ValueError naming the first entry outside [0, size)
+    or of a float or bool array as not `what` (a bool array would index
+    a table as a mask, a float one would be truncated)."""
     try:
-        A = np.asarray(rows)
+        A = np.asarray(values)
     except ValueError as exc:  # numpy refuses ragged nesting
         raise DimensionMismatch("rows of unequal length") from exc
-    if A.size and (A.dtype.kind not in "iu" or A.min() < 0 or A.max() >= F.q):
-        bad = next(x for x in A.ravel().tolist() if not (type(x) is int and 0 <= x < F.q))
-        raise ValueError(f"{bad!r} is not an element of GF({F.q})")
+    if A.size and (A.dtype.kind not in "iu" or A.min() < 0 or A.max() >= size):
+        bad = next(x for x in A.ravel().tolist() if not (type(x) is int and 0 <= x < size))
+        raise ValueError(f"{bad!r} is not {what}")
     return A
+
+
+def as_elements(F: Field, rows) -> np.ndarray:
+    """rows as an array of GF(q) elements, by _ints_below."""
+    return _ints_below(rows, F.q, f"an element of GF({F.q})")
+
+
+def _point_indices(idx, size: int) -> np.ndarray:
+    """idx as an int64 array of indices of a space's `size` points, by
+    _ints_below: a negative index would wrap to the last points."""
+    return _ints_below(idx, size, f"a point index in [0, {size})").astype(np.int64, copy=False)
 
 
 def normalize_point(F: Field, coords) -> tuple[int, ...]:
@@ -132,7 +144,8 @@ def point_digits(q: int, r: int, idx) -> np.ndarray:
     """The canonical coordinates of the points with enumeration indices idx:
     an int64 array of shape idx.shape + (r+1,), the base-q digits of
     point_codes(q, r)[idx]."""
-    codes = point_codes(q, r)[np.asarray(idx, dtype=np.int64)]
+    codes = point_codes(q, r)
+    codes = codes[_point_indices(idx, len(codes))]
     return codes[..., None] // q ** np.arange(r, -1, -1, dtype=np.int64) % q
 
 
@@ -351,15 +364,15 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     is allocated.
     """
     q, k = F.q, r + 1
-    check_space(q, k)
-    idx = np.asarray(support, dtype=np.int64)
+    codes = point_codes(q, r)  # check_space's TooLarge first
+    idx = _point_indices(support, len(codes))
     w = np.asarray(weights, dtype=np.int64)
     if idx.ndim != 1 or idx.shape != w.shape:
         raise ValueError("support and weights must be 1-D arrays of one length")
     # partial sums never exceed sum(|w|): int32 halves the memory traffic
     dt = np.int32 if int(np.abs(w).sum()) < 2**31 else np.int64
     W = np.zeros(q**k, dtype=dt)
-    np.add.at(W, point_codes(q, r)[idx], w.astype(dt))
+    np.add.at(W, codes[idx], w.astype(dt))
     add, mul = F.tables
     minus = add[:, F.negatives]  # minus[s, t] = s - t
     # rows[c, s, a]: row (s - a*c, a) of A viewed as (q*q, rest); every s
