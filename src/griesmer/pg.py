@@ -41,6 +41,8 @@ _CODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 def theta(j: int, q: int) -> int:
     """Number of points of a j-flat of PG(r, q): (q^(j+1)-1)/(q-1); 0 for j < 0."""
+    if q < 2:
+        raise ValueError(f"no field has {q} elements")
     if j < 0:
         return 0
     return (q ** (j + 1) - 1) // (q - 1)
@@ -83,11 +85,14 @@ def normalize_point(F: Field, coords) -> tuple[int, ...]:
 
 
 def check_space(q: int, k: int) -> None:
-    """Raise TooLarge when GF(q)^k exceeds MAX_TRANSFORM_CELLS.
+    """Raise TooLarge when GF(q)^k exceeds MAX_TRANSFORM_CELLS, and
+    ValueError when k < 1: PG(k-1, q) then has no points.
 
     PG(k-1, q) has theta(k-1, q) < q^k points, so this one test bounds the
     point enumeration, every per-point array and the transform kernel.
     """
+    if k < 1:
+        raise ValueError(f"PG({k - 1}, {q}) has no points: k must be at least 1")
     # q >= 2, so once 2^k passes the cap q^k does too; q^k is never built
     if k >= MAX_TRANSFORM_CELLS.bit_length():
         cells = f"2^{k} or more"
@@ -277,6 +282,8 @@ def flat_indices(F: Field, basis) -> np.ndarray:
     add, mul = F.tables
     B = as_elements(F, basis).astype(np.int64)
     *batch, rows, k = B.shape
+    if not rows:
+        raise ValueError("a flat needs at least one basis row")
     check_space(F.q, k)
     points = theta(rows - 1, F.q)
     if (cells := prod(batch) * points * k) > MAX_TRANSFORM_CELLS:

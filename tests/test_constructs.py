@@ -65,6 +65,13 @@ def test_curve_rejects_small_q():
         normal_rational_curve(3, 5)
 
 
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_line_config_names_the_curve_bound_below_k_4(k):
+    # check_space refuses k < 1 too, but the curve's message says more
+    with pytest.raises(OutOfScope, match=rf"^curve constructions need dimension k >= 4, got {k}$"):
+        line_config(k, 4)
+
+
 def test_arc_check_rejects_collinear_points():
     F = field(3)
     plane = Flat(r=2, basis=((1, 0, 0), (0, 1, 0), (0, 0, 1)))

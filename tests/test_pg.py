@@ -43,6 +43,37 @@ def test_theta_values():
     assert theta(5, 5) == (5**6 - 1) // 4 == 3906
 
 
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_theta_refuses_q_below_2(q):
+    # (q^2 - 1) // (q - 1) would divide by zero at q = 1
+    with pytest.raises(ValueError, match=rf"^no field has {q} elements$"):
+        theta(1, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda F: check_space(5, 0),
+    lambda F: PointMultiset(F, -1, np.zeros(0, np.int64)),
+    lambda F: hyperplane_multiplicities(F, -1, [], []),
+    lambda F: point_digits(5, -1, []),
+    lambda F: point_codes(5, -1),
+    lambda F: enumerate_points(F, -1),
+    lambda F: flat_indices(F, np.zeros((2, 0), np.int64)),
+], ids=["check_space", "PointMultiset", "hyperplane_multiplicities", "point_digits", "point_codes",
+        "enumerate_points", "flat_indices"])
+def test_a_space_needs_one_coordinate(call):
+    # PG(-1, q) has no points: numpy's reductions and concatenations
+    # would fail on its empty arrays, and enumerate_points returned ()
+    with pytest.raises(ValueError, match=r"^PG\(-1, 5\) has no points: k must be at least 1$"):
+        call(field(5))
+
+
+def test_flat_indices_refuses_an_empty_basis():
+    with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
+        flat_indices(field(5), np.zeros((0, 3), np.int64))
+    with pytest.raises(ValueError, match="^a flat needs at least one basis row$"):
+        flat_indices(field(5), np.zeros((4, 0, 3), np.int64))
+
+
 def test_enumerate_pg1_gf2_exact_order():
     F = field(2)
     assert enumerate_points(F, 1) == ((1, 0), (1, 1), (0, 1))
