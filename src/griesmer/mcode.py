@@ -532,6 +532,10 @@ def write_gmatrix(M: PointMultiset, path) -> None:
 
 def read_gmatrix(path) -> PointMultiset:
     body, at, (q, k, n) = _read(path, "q k n")
+    if k < 1:
+        raise FileFormatError(f"{path}: dimension must be positive")
+    if n < 1:
+        raise FileFormatError(f"{path}: length must be positive")
     G = _table(body, n)
     if G is None:
         rows = [row for _, row in _rows(body, at)]

@@ -475,6 +475,18 @@ def test_gmatrix_file_entries_past_the_int_digit_limit_are_out_of_range(tmp_path
         read_gmatrix(path)
 
 
+@pytest.mark.parametrize("header,message", [
+    ("5 0 3", "dimension must be positive"), ("5 -1 3", "dimension must be positive"),
+    ("5 2 0", "length must be positive"), ("5 2 -1", "length must be positive"),
+])
+def test_gmatrix_file_header_needs_positive_dimensions(tmp_path, header, message):
+    # k = 0 was refused without the file's name, and k = -1 asked for -1 rows
+    path = tmp_path / "flat.gm"
+    path.write_text(header + "\n1 0 1\n0 1 1\n")
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+        read_gmatrix(path)
+
+
 def test_gmatrix_file_rows_of_another_width_are_refused(tmp_path):
     path = tmp_path / "wide.gm"
     path.write_text("3 2 3\n1 0 1 1\n0 1 1 2\n")
