@@ -28,6 +28,7 @@ of enumerate_points are built on demand (public API, constructs' Q check).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -35,9 +36,6 @@ import numpy as np
 
 from .errors import CertificationFailed, DimensionMismatch, TooLarge
 from .gf import MAX_TRANSFORM_CELLS, Field
-
-_CODES_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
 
 def theta(j: int, q: int) -> int:
     """Number of points of a j-flat of PG(r, q): (q^(j+1)-1)/(q-1); 0 for j < 0."""
@@ -127,21 +125,16 @@ def point_index(q: int, P) -> int:
     raise ValueError("the zero vector is not a projective point")
 
 
+@lru_cache(maxsize=None)
 def point_codes(q: int, r: int) -> np.ndarray:
     """The base-q value of every point's coordinate vector, in enumeration
     order (read-only, cached per (q, r)).
 
     The block with pivot i holds q^(k-1-i) + tail for tail = 0, 1, ...
     """
-    key = (q, r)
-    codes = _CODES_CACHE.get(key)
-    if codes is None:
-        check_space(q, r + 1)
-        codes = np.concatenate(
-            [np.arange(q**m, 2 * q**m, dtype=np.int64) for m in range(r, -1, -1)]
-        )
-        codes.setflags(write=False)
-        _CODES_CACHE[key] = codes
+    check_space(q, r + 1)
+    codes = np.concatenate([np.arange(q**m, 2 * q**m, dtype=np.int64) for m in range(r, -1, -1)])
+    codes.setflags(write=False)
     return codes
 
 
