@@ -107,7 +107,7 @@ def line_config(k: int, q: int) -> LineConfig:
     meeting off l0 would span a plane through l0 whose trace on the
     hyperplane holds P_0, P_i and P_j, three collinear arc points.
     """
-    if k > 0:  # below, the curve's own message names k >= 4
+    if k > 0:  # below 1, the curve's message naming k >= 4 says more
         pg.check_space(q, k)  # before the curve's (q+1)k cells
     arc = normal_rational_curve(k, q)
     F = field(q)

@@ -249,19 +249,16 @@ def test_a_written_code_reads_back_through_numpy(tmp_path, monkeypatch):
     gm = tmp_path / "code.gm"
     write_gmatrix(code, gm)
     assert read_gmatrix(gm) == code
-    copies = []
-    for name, old, new in [("crlf", b"\n", b"\r\n"), ("cr", b"\n", b"\r"),
-                           ("tab", b" ", b"\t"), ("vt", b"\n", b"\x0b")]:
-        copies.append(tmp_path / f"{name}.ms")
-        copies[-1].write_bytes(path.read_bytes().replace(old, new))
 
     def scan(*args):
         raise AssertionError("the row scan read a well-formed file")
 
     monkeypatch.setattr(mcode, "_rows", scan)
     assert read_multiset(path) == code and read_gmatrix(gm) == code
-    for copy in copies:
-        assert read_multiset(copy) == code, copy.name
+    copy = tmp_path / "copy.ms"  # CRLF, CR, tab-separated and \x0b-broken
+    for old, new in [(b"\n", b"\r\n"), (b"\n", b"\r"), (b" ", b"\t"), (b"\n", b"\x0b")]:
+        copy.write_bytes(path.read_bytes().replace(old, new))
+        assert read_multiset(copy) == code, new
 
 
 def _spoiled(row, q, k, data):
