@@ -141,7 +141,7 @@ def point_codes(q: int, r: int) -> np.ndarray:
 def point_digits(q: int, r: int, idx) -> np.ndarray:
     """The canonical coordinates of the points with enumeration indices idx:
     an int64 array of shape idx.shape + (r+1,), the base-q digits of
-    point_codes(q, r)[idx]."""
+    point_codes(q, r)[idx]; _point_indices refuses any other index."""
     codes = point_codes(q, r)
     codes = codes[_point_indices(idx, len(codes))]
     return codes[..., None] // q ** np.arange(r, -1, -1, dtype=np.int64) % q
@@ -341,7 +341,8 @@ def hyperplane_multiplicities(F: Field, r: int, support, weights) -> np.ndarray:
     """Weighted incidence counts over every hyperplane of PG(r, q).
 
     support is a 1-D array of point indices (positions in
-    enumerate_points(F, r)) and weights the matching integer weights.
+    enumerate_points(F, r), read by _point_indices) and weights the
+    matching integer weights.
     Returns an int64 array indexed like enumerate_points(F, r) (hyperplane
     coefficient vectors share the point enumeration), whose entry for H is
     the sum of weights over support points lying on H.
