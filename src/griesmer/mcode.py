@@ -23,7 +23,8 @@ Entries are whitespace-separated and blank lines are skipped.  Both
 writers gather their lines from one table of byte strings.  A reader
 splits the file into lines once.  numpy's C reader parses every
 well-formed file, whatever its line breaks and separators; a row scan
-reads only the files numpy refuses and names the first bad row's line.
+reads only the files numpy refuses or warns about and names the first
+bad row's line.
 A JSON sidecar "<path>.meta.json" carries construction provenance when
 the multiset has any.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -406,14 +408,18 @@ def _rows(body: list[str], at: int) -> list[tuple[int, list[str]]]:
 def _table(body: list[str], width: int) -> np.ndarray | None:
     """The body's rows as an int64 array from numpy's C reader, which reads
     every token it accepts as int() does, or None for the row scan: when
-    no row is there, or when numpy refuses a token (1_0, 20 digits, 1.0)
-    or rows are not `width` wide."""
-    if not any(map(str.strip, body)):  # loadtxt warns on an empty input
-        return None
-    try:
-        vals = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
+    numpy refuses a token (1_0, 20 digits, 1.0) or warns, or rows are not
+    `width` wide.  numpy warns on an input without rows, and the releases
+    that still carry its 1.23 deprecation read a token their integer
+    parser refuses (1.9, 1e3, a run past int64) through a float with a
+    warning, and truncate it.  The filters are the process's for the
+    call: another thread that warns meanwhile is under them too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            vals = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
     return vals if vals.shape[1] == width else None
 
 

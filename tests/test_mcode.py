@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,45 @@ def test_gmatrix_file_header_needs_positive_dimensions(tmp_path, header, message
     path.write_text(header + "\n1 0 1\n0 1 1\n")
     with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: {message}$"):
         read_gmatrix(path)
+
+
+def _loadtxt_through_floats(lines, dtype, comments, ndmin):
+    """numpy 1.23's int64 reader: a token its integer parser refuses is
+    read through a float with a DeprecationWarning and truncated; out of
+    range, as x86 converts it, to -2^63."""
+
+    def entry(token):
+        if re.fullmatch(r"[+-]?[0-9]+", token) and -(1 << 63) <= int(token) < 1 << 63:
+            return int(token)
+        value = float(token)  # ValueError where numpy's float parser fails too
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return int(value) if abs(value) < 2.0**63 else -(1 << 63)
+
+    return np.array([[entry(t) for t in ln.split()] for ln in lines if ln.strip()], dtype=dtype)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # as a console script shows them
+@pytest.mark.parametrize("loadtxt", [np.loadtxt, _loadtxt_through_floats], ids=["installed", "numpy-1.23"])
+@pytest.mark.parametrize("reader,text,error,message", [
+    (read_multiset, "3 2\n1 1 0\n1 0 1.9\n", FileFormatError, ":3: non-integer entry"),
+    (read_multiset, "3 2\n1 1 0\n1e3 0 1\n", FileFormatError, ":3: non-integer entry"),
+    (read_multiset, "3 2\n1 1 0\ninf 0 1\n", FileFormatError, ":3: non-integer entry"),
+    (read_multiset, "3 2\n1 1 0\n99999999999999999999 0 1\n", TooLarge,
+     ":3: multiplicity 99999999999999999999 exceeds the bound"),
+    (read_gmatrix, "3 2 2\n1 0\n0 1.5\n", FileFormatError, ": non-integer entry"),
+    (read_gmatrix, "3 2 2\n1 0\n0 1e0\n", FileFormatError, ": non-integer entry"),
+], ids=["multiset-1.9", "multiset-1e3", "multiset-inf", "multiset-20-digits", "gmatrix-1.5", "gmatrix-1e0"])
+def test_a_token_numpy_reads_through_a_float_takes_the_row_scan(
+        tmp_path, monkeypatch, loadtxt, reader, text, error, message):
+    # numpy releases that still carry the 1.23 deprecation read 1.9 as 1,
+    # 1e3 as 1000 and a run past int64 as -2^63, and warn; a warning sends
+    # the file to the row scan, whatever the caller's filters
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = tmp_path / "float.txt"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}{message}")
 
 
 def test_gmatrix_file_rows_of_another_width_are_refused(tmp_path):
