@@ -34,13 +34,15 @@ from math import prod
 
 import numpy as np
 
-from .errors import CertificationFailed, DimensionMismatch, TooLarge
+from .errors import CertificationFailed, DimensionMismatch, NotAPrimePower, TooLarge
 from .gf import MAX_TRANSFORM_CELLS, Field
 
+
 def theta(j: int, q: int) -> int:
-    """Number of points of a j-flat of PG(r, q): (q^(j+1)-1)/(q-1); 0 for j < 0."""
+    """Number of points of a j-flat of PG(r, q): (q^(j+1)-1)/(q-1); 0 for
+    j < 0.  NotAPrimePower when q < 2, as gf.field refuses it."""
     if q < 2:
-        raise ValueError(f"no field has {q} elements")
+        raise NotAPrimePower(f"field size must be at least 2, got {q}")
     if j < 0:
         return 0
     return (q ** (j + 1) - 1) // (q - 1)
@@ -83,12 +85,15 @@ def normalize_point(F: Field, coords) -> tuple[int, ...]:
 
 
 def check_space(q: int, k: int) -> None:
-    """Raise TooLarge when GF(q)^k exceeds MAX_TRANSFORM_CELLS, and
-    ValueError when k < 1: PG(k-1, q) then has no points.
+    """Raise TooLarge when GF(q)^k exceeds MAX_TRANSFORM_CELLS,
+    NotAPrimePower when q < 2, as theta and gf.field do, and ValueError
+    when k < 1: PG(k-1, q) then has no points.
 
     PG(k-1, q) has theta(k-1, q) < q^k points, so this one test bounds the
     point enumeration, every per-point array and the transform kernel.
     """
+    if q < 2:
+        raise NotAPrimePower(f"field size must be at least 2, got {q}")
     if k < 1:
         raise ValueError(f"PG({k - 1}, {q}) has no points: k must be at least 1")
     # q >= 2, so once 2^k passes the cap q^k does too; q^k is never built

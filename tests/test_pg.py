@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from griesmer.constructs import arc_check
-from griesmer.errors import DimensionMismatch, InputError, TooLarge
+from griesmer.errors import DimensionMismatch, InputError, NotAPrimePower, TooLarge
 from griesmer.gf import Field, field, field_create
 from griesmer.mcode import PointMultiset
 from griesmer.pg import (
@@ -45,9 +45,12 @@ def test_theta_values():
 
 @pytest.mark.parametrize("q", [1, 0, -2])
 def test_theta_refuses_q_below_2(q):
-    # (q^2 - 1) // (q - 1) would divide by zero at q = 1
-    with pytest.raises(ValueError, match=rf"^no field has {q} elements$"):
-        theta(1, q)
+    # (q^2 - 1) // (q - 1) would divide by zero at q = 1, and check_space
+    # let point_codes(1, 4) give [1 1 1 1 1]; gf.field's message
+    for call in (lambda: theta(1, q), lambda: check_space(q, 3), lambda: point_codes(q, 4),
+                 lambda: point_codes(q, 2)):
+        with pytest.raises(NotAPrimePower, match=rf"^field size must be at least 2, got {q}$"):
+            call()
 
 
 @pytest.mark.parametrize("call", [
